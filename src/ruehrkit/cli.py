@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"fuzz seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
     verify.add_argument("--format", choices=("json", "csv", "text"), default="text")
     verify.add_argument("--jobs", type=int, default=1,
-                        help="worker threads; output order is unaffected")
+                        help="accepted for compatibility; checks always run serially")
 
     tailsum = sub.add_parser("tailsum", help="exact tail sums and k-th roots")
     tailsum.add_argument("--d", type=int, required=True)
@@ -88,7 +88,7 @@ def cmd_verify(args, stdout, stderr) -> int:
         return EXIT_USAGE
     names = harness.SUITE_ORDER if args.suite == "all" else (args.suite,)
     instances = harness.build_suites(names, seed, max_n=args.max_n, trials=args.trials)
-    reports = harness.run_instances(instances, jobs=max(args.jobs, 1))
+    reports = harness.run_instances(instances)
 
     if args.format == "json":
         for report in reports:
@@ -115,17 +115,17 @@ def cmd_tailsum(args, stdout, stderr) -> int:
         k_values = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
         if not k_values:
             raise ValueError("empty --k-list")
-        queries = [collatz_bound.TailSumQuery(k=k, d=args.d, eps=eps) for k in k_values]
+        masses = [collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=args.d, eps=eps))
+                  for k in k_values]
     except (ValueError, ZeroDivisionError) as exc:
         print(f"ruehrkit tailsum: {exc}", file=stderr)
         return EXIT_USAGE
     print(f"d={args.d} eps={format_rational(eps)}", file=stdout)
-    profile = collatz_bound.eta_profile(args.d, eps, k_values)
-    for query, (k, root) in zip(queries, profile):
-        mass = collatz_bound.tail_sum(query)
+    roots = [collatz_bound.kth_root(mass, k) for k, mass in zip(k_values, masses)]
+    for k, mass, root in zip(k_values, masses, roots):
         print(f"k={k} tail_sum={format_rational(mass)} kth_root={root:.12g}",
               file=stdout)
-    print(f"max kth_root: {max(root for _, root in profile):.12g}", file=stdout)
+    print(f"max kth_root: {max(roots):.12g}", file=stdout)
     return EXIT_OK
 
 

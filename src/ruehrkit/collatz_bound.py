@@ -147,21 +147,24 @@ def tail_sum(query: TailSumQuery) -> Fraction:
     return Fraction(total, d ** k)
 
 
+def kth_root(mass: Fraction, k: int) -> float:
+    """mass^(1/k) as a float, 0.0 for a zero mass.
+
+    The exact mass is converted to float through leading-64-bit scaling
+    (relative error below 1e-12 regardless of magnitude) before taking the
+    k-th root.
+    """
+    return 0.0 if mass == 0 else rational_to_float(mass) ** (1.0 / k)
+
+
 def eta_profile(d: int, eps, k_values: Sequence[int]) -> list[tuple[int, float]]:
     """(k, tail_sum^(1/k)) for each requested k, as floats.
 
-    The exact tail sum is converted to float through leading-64-bit scaling
-    (relative error below 1e-12 regardless of magnitude) before taking the
-    k-th root.  A decay rate below 1 over the profile witnesses the
-    geometric bound on the tested range; max over the pairs gives it.
+    A decay rate below 1 over the profile witnesses the geometric bound on
+    the tested range; max over the pairs gives it.
     """
     eps = Fraction(eps)
-    out = []
-    for k in k_values:
-        mass = tail_sum(TailSumQuery(k=k, d=d, eps=eps))
-        root = 0.0 if mass == 0 else rational_to_float(mass) ** (1.0 / k)
-        out.append((k, root))
-    return out
+    return [(k, kth_root(tail_sum(TailSumQuery(k=k, d=d, eps=eps)), k)) for k in k_values]
 
 
 def partial_sum_sides(k: int, m: int, d: int) -> SidePair:

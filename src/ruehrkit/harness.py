@@ -2,8 +2,9 @@
 
 A suite is expanded into check instances up front, in a fixed order, with
 every fuzz draw taken from one linear-congruential source during that
-expansion.  Execution may then fan out to a thread pool; results are
-sorted back by (check_name, generation index), so the same seed and flags
+expansion.  Each instance pairs one pure checker, returning a SidePair,
+with its arguments.  Instances then run serially and their reports are
+sorted by (check_name, generation index), so the same seed and flags
 always produce byte-identical output apart from the elapsed_ms field.
 
 Report records carry exactly the fields check_name, params, lhs, rhs,
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from . import beta_dist, collatz_bound, identities
 from .exact_math import (format_rational, poly_add, poly_compose, poly_eval,
                          poly_mul, poly_sub)
-from .identities import SumFamily
+from .identities import SidePair, SumFamily, compare_sides
 
 MASK64 = (1 << 64) - 1
 LCG_MULTIPLIER = 6364136223846793005
@@ -124,11 +124,18 @@ def serialize_value(value) -> str:
     return format_rational(value)
 
 
-def _sides_thunk(fn, *args) -> Callable[[], tuple[str, str, bool]]:
+def _sides_thunk(checker, *args) -> Callable[[], tuple[str, str, bool]]:
     def run():
-        pair = fn(*args)
+        pair = checker(*args)
         return serialize_value(pair.lhs), serialize_value(pair.rhs), pair.equal
     return run
+
+
+def _check(check_name: str, params: dict, checker, *args) -> CheckInstance:
+    """The instance that runs checker(*args); params become report strings."""
+    texts = {key: value if isinstance(value, str) else format_rational(value)
+             for key, value in params.items()}
+    return CheckInstance(check_name, texts, _sides_thunk(checker, *args))
 
 
 SUITE_ORDER = ("ruehr", "moments", "comtet", "corollaries", "polynomials",
@@ -140,25 +147,23 @@ _DEFAULT_MAX_N = {"ruehr": 20, "moments": 20, "comtet": 30, "corollaries": 15,
 _DEFAULT_TRIALS = {"comtet": 25, "beta": 20, "negbinom": 20, "tailsum": 20}
 
 
+def _ruehr_chain_sides(n: int) -> SidePair:
+    """Direct chain sums against polynomial values; all must be one value."""
+    direct = identities.ruehr_sums_direct(n)
+    via_poly = identities.ruehr_polynomial_values(n)
+    equal = all(v == direct[0] for v in direct) and \
+        all(d == e for d, e in zip(direct, via_poly))
+    return SidePair(direct, via_poly, equal)
+
+
 def _suite_ruehr(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    out = []
-    for n in range(max_n + 1):
-        def run(n=n):
-            direct = identities.ruehr_sums_direct(n)
-            via_poly = identities.ruehr_polynomial_values(n)
-            equal = all(v == direct[0] for v in direct) and \
-                all(d == e for d, e in zip(direct, via_poly))
-            return serialize_value(direct), serialize_value(via_poly), equal
-        out.append(CheckInstance("ruehr_chain", {"n": str(n)}, run))
-    return out
+    return [_check("ruehr_chain", {"n": n}, _ruehr_chain_sides, n)
+            for n in range(max_n + 1)]
 
 
 def _suite_moments(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    return [
-        CheckInstance("kimura_ruehr_moments", {"n": str(n)},
-                      _sides_thunk(identities.kimura_ruehr_moments, n))
-        for n in range(max_n + 1)
-    ]
+    return [_check("kimura_ruehr_moments", {"n": n}, identities.kimura_ruehr_moments, n)
+            for n in range(max_n + 1)]
 
 
 def _suite_comtet(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
@@ -169,41 +174,35 @@ def _suite_comtet(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstanc
         k = fuzz_int(src, 0, n - 1)
         a = fuzz_rational(src, 9, 9)
         b = fuzz_rational(src, 9, 9)
-        params = {"trial": str(trial), "n": str(n), "k": str(k),
-                  "a": format_rational(a), "b": format_rational(b)}
-        out.append(CheckInstance("comtet1", params,
-                                 _sides_thunk(identities.comtet1_sides, n, k, a, b)))
+        out.append(_check("comtet1", {"trial": trial, "n": n, "k": k, "a": a, "b": b},
+                          identities.comtet1_sides, n, k, a, b))
     return out
+
+
+def _ruehr_specialization_sides(n: int, variant: str, point: Fraction, scale: int,
+                                chain_index: int) -> SidePair:
+    """A corollary2 polynomial at `point`, times scale^n, against a chain sum."""
+    poly = identities.corollary2_sides(n, variant).lhs
+    lhs = poly_eval(poly, point) * scale ** n
+    return compare_sides(lhs, Fraction(identities.ruehr_sums_direct(n)[chain_index]))
 
 
 def _suite_corollaries(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
     out = []
     for n in range(max_n + 1):
         for variant in ("pos", "neg"):
-            out.append(CheckInstance(
-                "corollary1", {"n": str(n), "variant": variant},
-                _sides_thunk(identities.corollary1_sides, n, variant)))
+            out.append(_check("corollary1", {"n": n, "variant": variant},
+                              identities.corollary1_sides, n, variant))
         for variant in ("first", "second"):
-            out.append(CheckInstance(
-                "corollary2", {"n": str(n), "variant": variant},
-                _sides_thunk(identities.corollary2_sides, n, variant)))
+            out.append(_check("corollary2", {"n": n, "variant": variant},
+                              identities.corollary2_sides, n, variant))
         # numeric spot checks that recover the chain values from the
         # polynomial identities: x=2/3 scaled by 3^n and x=4/3 by 9^n
-        def run_spot_a(n=n):
-            poly = identities.corollary2_sides(n, "first").lhs
-            lhs = poly_eval(poly, Fraction(2, 3)) * 3 ** n
-            rhs = Fraction(identities.ruehr_sums_direct(n)[0])
-            return serialize_value(lhs), serialize_value(rhs), lhs == rhs
-        out.append(CheckInstance(
-            "ruehr_specialization", {"n": str(n), "point": "2/3"}, run_spot_a))
-
-        def run_spot_d(n=n):
-            poly = identities.corollary2_sides(n, "second").lhs
-            lhs = poly_eval(poly, Fraction(4, 3)) * 9 ** n
-            rhs = Fraction(identities.ruehr_sums_direct(n)[2])
-            return serialize_value(lhs), serialize_value(rhs), lhs == rhs
-        out.append(CheckInstance(
-            "ruehr_specialization", {"n": str(n), "point": "4/3"}, run_spot_d))
+        for variant, point, scale, chain_index in (("first", Fraction(2, 3), 3, 0),
+                                                   ("second", Fraction(4, 3), 9, 2)):
+            out.append(_check("ruehr_specialization", {"n": n, "point": point},
+                              _ruehr_specialization_sides, n, variant, point, scale,
+                              chain_index))
     return out
 
 
@@ -211,108 +210,102 @@ def _one_minus_x() -> list:
     return [Fraction(1), Fraction(-1)]
 
 
+def _alzer_shift_sides(n: int, left: SumFamily, right: SumFamily) -> SidePair:
+    """The shift relation left_n(x+1) = right_n(x), coefficient-wise."""
+    shift = [Fraction(1), Fraction(1)]
+    lhs = poly_compose(identities.family_polynomial(left, n), shift)
+    return compare_sides(lhs, identities.family_polynomial(right, n))
+
+
+def _recurrence_sides(kind: str, j: int, big_n: int) -> SidePair:
+    """The Pascal-rule recurrence h(j+1,N) = (1-x) h(j+1,N-1) + h(j,N), h = f or g."""
+    lhs = identities.proof_helper(kind, j + 1, big_n)
+    rhs = poly_add(
+        poly_mul(_one_minus_x(), identities.proof_helper(kind, j + 1, big_n - 1)),
+        identities.proof_helper(kind, j, big_n))
+    return compare_sides(lhs, rhs)
+
+
+def _telescoping_sides(m: int, big_n: int) -> SidePair:
+    """Both sides of the telescoping consequence of the f/g recurrences."""
+    helper = identities.proof_helper
+    lhs: list = []
+    for j in range(1, m + 1):
+        lhs = poly_add(lhs, poly_sub(helper("f", j + 1, big_n), helper("f", j, big_n)))
+        lhs = poly_sub(lhs, poly_sub(helper("g", j + 1, big_n), helper("g", j, big_n)))
+    inner: list = []
+    for j in range(1, m + 1):
+        inner = poly_add(inner, poly_sub(helper("f", j + 1, big_n - 1),
+                                         helper("g", j + 1, big_n - 1)))
+    return compare_sides(lhs, poly_mul(_one_minus_x(), inner))
+
+
 def _suite_polynomials(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
     out = []
-    shift = [Fraction(1), Fraction(1)]
     for n in range(max_n + 1):
         for left, right in ((SumFamily.A, SumFamily.B), (SumFamily.C, SumFamily.D)):
-            def run(n=n, left=left, right=right):
-                lhs = poly_compose(identities.family_polynomial(left, n), shift)
-                rhs = identities.family_polynomial(right, n)
-                return serialize_value(lhs), serialize_value(rhs), lhs == rhs
-            out.append(CheckInstance(
-                "alzer_shift", {"n": str(n), "pair": left.value + right.value}, run))
+            out.append(_check("alzer_shift", {"n": n, "pair": left.value + right.value},
+                              _alzer_shift_sides, n, left, right))
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
-            out.append(CheckInstance(
-                "comtet2", {"m": str(m), "n": str(n)},
-                _sides_thunk(identities.comtet2_sides, m, n)))
+            out.append(_check("comtet2", {"m": m, "n": n}, identities.comtet2_sides, m, n))
     for m in range(1, max_n + 1):
         for big_n in range(max_n + 1):
-            out.append(CheckInstance(
-                "comtet3", {"m": str(m), "N": str(big_n)},
-                _sides_thunk(identities.comtet3_sides, m, big_n)))
+            out.append(_check("comtet3", {"m": m, "N": big_n},
+                              identities.comtet3_sides, m, big_n))
     for j in range(1, max_n + 1):
         for big_n in range(1, max_n + 1):
-            def run_f(j=j, big_n=big_n):
-                lhs = identities.proof_helper("f", j + 1, big_n)
-                rhs = poly_add(
-                    poly_mul(_one_minus_x(), identities.proof_helper("f", j + 1, big_n - 1)),
-                    identities.proof_helper("f", j, big_n))
-                return serialize_value(lhs), serialize_value(rhs), lhs == rhs
-            out.append(CheckInstance(
-                "recurrence_f", {"j": str(j), "N": str(big_n)}, run_f))
-
-            def run_g(j=j, big_n=big_n):
-                lhs = identities.proof_helper("g", j + 1, big_n)
-                rhs = poly_add(
-                    identities.proof_helper("g", j, big_n),
-                    poly_mul(_one_minus_x(), identities.proof_helper("g", j + 1, big_n - 1)))
-                return serialize_value(lhs), serialize_value(rhs), lhs == rhs
-            out.append(CheckInstance(
-                "recurrence_g", {"j": str(j), "N": str(big_n)}, run_g))
+            for kind in ("f", "g"):
+                out.append(_check(f"recurrence_{kind}", {"j": j, "N": big_n},
+                                  _recurrence_sides, kind, j, big_n))
+    # f(1,N) = g(1,N) is the base case of the recurrences: comtet3 at m=1
     for big_n in range(max_n + 1):
-        def run_base(big_n=big_n):
-            lhs = identities.proof_helper("f", 1, big_n)
-            rhs = identities.proof_helper("g", 1, big_n)
-            return serialize_value(lhs), serialize_value(rhs), lhs == rhs
-        out.append(CheckInstance("fg_base", {"N": str(big_n)}, run_base))
+        out.append(_check("fg_base", {"N": big_n}, identities.comtet3_sides, 1, big_n))
     for m in range(1, max(max_n // 2, 1) + 1):
         for big_n in range(1, max(max_n // 2, 1) + 1):
-            out.append(CheckInstance(
-                "telescoping", {"m": str(m), "N": str(big_n)},
-                lambda m=m, big_n=big_n: _telescoping_sides(m, big_n)))
+            out.append(_check("telescoping", {"m": m, "N": big_n},
+                              _telescoping_sides, m, big_n))
     return out
 
 
-def _telescoping_sides(m: int, big_n: int) -> tuple[str, str, bool]:
-    """Both sides of the telescoping consequence of the f/g recurrences."""
-    def f(mm, nn):
-        return identities.proof_helper("f", mm, nn)
+def _beta_cross_sides(x: int, y: int) -> SidePair:
+    """B(x, y) from factorials against the exact integral."""
+    return compare_sides(beta_dist.beta_exact(x, y), beta_dist.beta_via_integral(x, y))
 
-    def g(mm, nn):
-        return identities.proof_helper("g", mm, nn)
 
-    lhs: list = []
-    for j in range(1, m + 1):
-        lhs = poly_add(lhs, poly_sub(f(j + 1, big_n), f(j, big_n)))
-        lhs = poly_sub(lhs, poly_sub(g(j + 1, big_n), g(j, big_n)))
-    inner: list = []
-    for j in range(1, m + 1):
-        inner = poly_add(inner, poly_sub(f(j + 1, big_n - 1), g(j + 1, big_n - 1)))
-    rhs = poly_mul(_one_minus_x(), inner)
-    return serialize_value(lhs), serialize_value(rhs), lhs == rhs
+def _beta_complement_sides(x: int, y: int, p: Fraction) -> SidePair:
+    """I_p(x, y) + I_(1-p)(y, x) = 1."""
+    lhs = beta_dist.regularized_beta(p, x, y) + beta_dist.regularized_beta(1 - p, y, x)
+    return compare_sides(lhs, Fraction(1))
 
 
 def _suite_beta(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
     out = []
     for x in range(1, 9):
         for y in range(1, 9):
-            def run_cross(x=x, y=y):
-                lhs = beta_dist.beta_exact(x, y)
-                rhs = beta_dist.beta_via_integral(x, y)
-                return serialize_value(lhs), serialize_value(rhs), lhs == rhs
-            out.append(CheckInstance("beta_cross", {"x": str(x), "y": str(y)}, run_cross))
+            out.append(_check("beta_cross", {"x": x, "y": y}, _beta_cross_sides, x, y))
     for trial in range(trials):
         x = fuzz_int(src, 1, 12)
         y = fuzz_int(src, 1, 12)
         p = fuzz_probability(src, 12)
-        def run_comp(x=x, y=y, p=p):
-            lhs = beta_dist.regularized_beta(p, x, y) + beta_dist.regularized_beta(1 - p, y, x)
-            return serialize_value(lhs), serialize_value(Fraction(1)), lhs == 1
-        out.append(CheckInstance(
-            "beta_complement",
-            {"trial": str(trial), "x": str(x), "y": str(y), "p": format_rational(p)},
-            run_comp))
+        out.append(_check("beta_complement", {"trial": trial, "x": x, "y": y, "p": p},
+                          _beta_complement_sides, x, y, p))
     for trial in range(trials):
         n = fuzz_int(src, 1, max(max_n, 1))
         a = fuzz_int(src, 1, n)
         p = fuzz_probability(src, 9)
-        out.append(CheckInstance(
-            "binom_tail",
-            {"trial": str(trial), "n": str(n), "a": str(a), "p": format_rational(p)},
-            _sides_thunk(beta_dist.binom_tail_sides, n, a, p)))
+        out.append(_check("binom_tail", {"trial": trial, "n": n, "a": a, "p": p},
+                          beta_dist.binom_tail_sides, n, a, p))
     return out
+
+
+def _negbinom_tail_gap_sides(r: int, a: int, p: Fraction, m_max: int) -> SidePair:
+    """Partial tail sums rise towards 1 - I_p(r, a) and end within 10^-6 of it."""
+    limit = 1 - beta_dist.regularized_beta(p, r, a)
+    later = beta_dist.negbinom_tail_partial(r, a, p, m_max)
+    earlier = beta_dist.negbinom_tail_partial(r, a, p, m_max - 10)
+    return SidePair(later, limit,
+                    earlier < later < limit and limit - later < Fraction(1, 10 ** 6))
 
 
 def _suite_negbinom(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
@@ -321,23 +314,36 @@ def _suite_negbinom(src: FuzzSource, max_n: int, trials: int) -> list[CheckInsta
         r = fuzz_int(src, 1, 10)
         k = fuzz_int(src, 0, max(max_n, 1))
         p = fuzz_probability(src, 9, lo_open=True)
-        out.append(CheckInstance(
-            "negbinom_cdf",
-            {"trial": str(trial), "r": str(r), "k": str(k), "p": format_rational(p)},
-            _sides_thunk(beta_dist.negbinom_cdf_sides, r, k, p)))
+        out.append(_check("negbinom_cdf", {"trial": trial, "r": r, "k": k, "p": p},
+                          beta_dist.negbinom_cdf_sides, r, k, p))
     p_half = Fraction(1, 2)
     for r in range(1, 4):
         for a in range(1, 4):
-            def run_gap(r=r, a=a):
-                limit = 1 - beta_dist.regularized_beta(p_half, r, a)
-                later = beta_dist.negbinom_tail_partial(r, a, p_half, 60)
-                earlier = beta_dist.negbinom_tail_partial(r, a, p_half, 50)
-                ok = earlier < later < limit and limit - later < Fraction(1, 10 ** 6)
-                return serialize_value(later), serialize_value(limit), ok
-            out.append(CheckInstance(
-                "negbinom_tail_gap",
-                {"r": str(r), "a": str(a), "p": "1/2", "m_max": "60"}, run_gap))
+            out.append(_check("negbinom_tail_gap", {"r": r, "a": a, "p": p_half, "m_max": 60},
+                              _negbinom_tail_gap_sides, r, a, p_half, 60))
     return out
+
+
+def _tailsum_comtet1_sides(k: int, m: int, d: int) -> SidePair:
+    """partial_sum_sides agrees side for side with comtet1_sides at a=1, b=d-1."""
+    ours = collatz_bound.partial_sum_sides(k, m, d)
+    ref = identities.comtet1_sides(k, m, 1, d - 1)
+    return SidePair(ours.rhs, ref.rhs,
+                    ours.lhs == ref.lhs and ours.rhs == ref.rhs and ours.equal and ref.equal)
+
+
+def _tailsum_monotone_sides(k: int, d: int, eps: Fraction) -> SidePair:
+    """Halving the margin can only widen the tail: mass(eps/2) >= mass(eps)."""
+    wide = collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=d, eps=eps / 2))
+    narrow = collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=d, eps=eps))
+    return SidePair(wide, narrow, wide >= narrow)
+
+
+def _eta_bound_sides(k: int, d: int, eps: Fraction, root_bound: Fraction) -> SidePair:
+    """The exact tail mass lies strictly below root_bound^k."""
+    mass = collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=d, eps=eps))
+    cap = root_bound ** k
+    return SidePair(mass, cap, mass < cap)
 
 
 def _suite_tailsum(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
@@ -346,55 +352,37 @@ def _suite_tailsum(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstan
         k = fuzz_int(src, 1, max(max_n, 1))
         m = fuzz_int(src, 0, k - 1)
         d = fuzz_int(src, 2, 6)
-        params = {"trial": str(trial), "k": str(k), "m": str(m), "d": str(d)}
-        out.append(CheckInstance(
-            "partial_sum", dict(params),
-            _sides_thunk(collatz_bound.partial_sum_sides, k, m, d)))
-
-        def run_cross(k=k, m=m, d=d):
-            ours = collatz_bound.partial_sum_sides(k, m, d)
-            ref = identities.comtet1_sides(k, m, 1, d - 1)
-            ok = ours.lhs == ref.lhs and ours.rhs == ref.rhs and ours.equal and ref.equal
-            return serialize_value(ours.rhs), serialize_value(ref.rhs), ok
-        out.append(CheckInstance("tailsum_comtet1", dict(params), run_cross))
+        params = {"trial": trial, "k": k, "m": m, "d": d}
+        out.append(_check("partial_sum", params, collatz_bound.partial_sum_sides, k, m, d))
+        out.append(_check("tailsum_comtet1", params, _tailsum_comtet1_sides, k, m, d))
     for trial in range(trials // 2):
         k = fuzz_int(src, 1, max(max_n, 1))
         d = fuzz_int(src, 2, 4)
         eps = fuzz_probability(src, 9, lo_open=True, hi_open=True)
-        def run_mono(k=k, d=d, eps=eps):
-            wide = collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=d, eps=eps / 2))
-            narrow = collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=d, eps=eps))
-            return serialize_value(wide), serialize_value(narrow), wide >= narrow
-        out.append(CheckInstance(
-            "tailsum_monotone",
-            {"trial": str(trial), "k": str(k), "d": str(d), "eps": format_rational(eps)},
-            run_mono))
-    bound = Fraction(19, 20)
+        out.append(_check("tailsum_monotone", {"trial": trial, "k": k, "d": d, "eps": eps},
+                          _tailsum_monotone_sides, k, d, eps))
+    eps, root_bound = Fraction(1, 4), Fraction(19, 20)
     for k in (50, 100, 200, 400):
-        def run_eta(k=k):
-            mass = collatz_bound.tail_sum(
-                collatz_bound.TailSumQuery(k=k, d=2, eps=Fraction(1, 4)))
-            cap = bound ** k
-            return serialize_value(mass), serialize_value(cap), mass < cap
-        out.append(CheckInstance(
-            "eta_bound", {"k": str(k), "d": "2", "eps": "1/4", "root_bound": "19/20"},
-            run_eta))
+        out.append(_check("eta_bound", {"k": k, "d": 2, "eps": eps, "root_bound": root_bound},
+                          _eta_bound_sides, k, 2, eps, root_bound))
     return out
+
+
+def _orbit_cycle_sides(max_start: int, max_steps: int) -> SidePair:
+    """Count of starts 1..max_start whose classical orbit ends in the {1, 2} cycle."""
+    converged = 0
+    for ell in range(1, max_start + 1):
+        result = collatz_bound.orbit(ell, collatz_bound.CLASSICAL, max_steps)
+        if result.terminated == "cycle-found" and set(result.cycle) == {1, 2}:
+            converged += 1
+    return SidePair(converged, max_start, converged == max_start)
 
 
 def _suite_orbit(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
     max_steps = 10_000
-    def run(max_start=max_n):
-        converged = 0
-        for ell in range(1, max_start + 1):
-            result = collatz_bound.orbit(ell, collatz_bound.CLASSICAL, max_steps)
-            if result.terminated == "cycle-found" and set(result.cycle) == {1, 2}:
-                converged += 1
-        return serialize_value(converged), serialize_value(max_start), converged == max_start
-    return [CheckInstance(
-        "orbit_cycle",
-        {"max_start": str(max_n), "max_steps": str(max_steps), "preset": "classical"},
-        run)]
+    return [_check("orbit_cycle",
+                   {"max_start": max_n, "max_steps": max_steps, "preset": "classical"},
+                   _orbit_cycle_sides, max_n, max_steps)]
 
 
 _SUITE_BUILDERS = {
@@ -436,27 +424,25 @@ def build_suites(names, seed: int,
 
 
 def run_instances(instances, jobs: int = 1) -> list[CheckReport]:
-    """Execute instances (optionally on a thread pool) and sort reports.
+    """Run every instance on the calling thread and sort the reports.
 
-    The final order is (check_name, generation index); generation order
-    already enumerates parameters ascending, so this realizes the sort by
-    check name then parameter tuple no matter how workers interleave.
+    jobs is accepted for compatibility and does not change execution.  A
+    check that raises becomes a failed report whose lhs names the exception
+    type.  The final order is (check_name, generation index): generation
+    order already enumerates parameters ascending and the sort is stable.
     """
-    def execute(indexed):
-        idx, inst = indexed
+    reports = []
+    for inst in instances:
         started = time.perf_counter()
-        lhs, rhs, equal = inst.run()
+        try:
+            lhs, rhs, equal = inst.run()
+        except Exception as exc:  # one broken check must not end the run
+            lhs, rhs, equal = f"error: {type(exc).__name__}", " ".join(str(exc).split()), False
         elapsed_ms = int((time.perf_counter() - started) * 1000)
-        return idx, CheckReport(inst.check_name, dict(inst.params),
-                                lhs, rhs, equal, elapsed_ms)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(execute, enumerate(instances)))
-    else:
-        results = [execute(pair) for pair in enumerate(instances)]
-    results.sort(key=lambda pair: (pair[1].check_name, pair[0]))
-    return [report for _, report in results]
+        reports.append(CheckReport(inst.check_name, dict(inst.params),
+                                   lhs, rhs, equal, elapsed_ms))
+    reports.sort(key=lambda report: report.check_name)
+    return reports
 
 
 def report_to_json(report: CheckReport) -> str:

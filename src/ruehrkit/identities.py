@@ -254,24 +254,18 @@ def corollary1_sides(n: int, variant: Literal["pos", "neg"]) -> SidePair:
          = (n+1) C(3n+1, 2n) * integral_0^1 (3-2x)^n x^(2n) dx
     neg: sum_{0<=j<=2n} (-4)^j C(3n+1, n+1+j)
          = (n+1)/2 C(3n+1, 2n) * integral_(-1/2)^(3/2) (3-2x)^n x^(2n) dx
+
+    The sums are the chain values B_n(2) and D_n(-4) of ruehr_sums_direct.
     """
     if n < 0:
         raise ValueError(f"corollary1_sides requires n >= 0, got {n}")
     integrand = poly_shift(linear_power(3, -2, n), 2 * n)
     scale = (n + 1) * binomial(3 * n + 1, 2 * n)
     if variant == "pos":
-        total = 0
-        pw = 1
-        for j in range(n + 1):
-            total += pw * binomial(3 * n + 1, n - j)
-            pw *= 2
+        total = ruehr_sums_direct(n)[1]
         rhs = scale * poly_definite_integral(integrand, 0, 1)
     elif variant == "neg":
-        total = 0
-        pw = 1
-        for j in range(2 * n + 1):
-            total += pw * binomial(3 * n + 1, n + 1 + j)
-            pw *= -4
+        total = ruehr_sums_direct(n)[2]
         rhs = Fraction(scale, 2) * poly_definite_integral(
             integrand, Fraction(-1, 2), Fraction(3, 2)
         )
@@ -288,36 +282,30 @@ def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:
     second: sum_{0<=j<=2n} C(3n-j, n)  (1-x)^(2n-j)
             = sum_{0<=k<=2n} C(3n+1, n+1+k) x^k (1-x)^(2n-k)
 
+    Both are one sum over 0<=j<=top with low = 3n - top (top = n or 2n):
+    C(3n-j, low) (1-x)^(top-j) = C(3n+1, low+1+j) x^j (1-x)^(top-j),
+    using C(3n+1, 2n+1+j) = C(3n+1, n-j) for the first.
+
     Polynomial equality subsumes every numeric specialization; the spot
     values at x = 2/3 and x = 4/3 that recover the chain are kept as
     separate checks in the harness.
     """
     if n < 0:
         raise ValueError(f"corollary2_sides requires n >= 0, got {n}")
-    if variant == "first":
-        top = n
-        pows = _one_minus_x_powers(top)
-        lhs: Polynomial = []
-        rhs: Polynomial = []
-        for j in range(top + 1):
-            lhs = poly_add(lhs, poly_scale(pows[n - j], binomial(3 * n - j, 2 * n)))
-            rhs = poly_add(
-                rhs, poly_shift(poly_scale(pows[n - j], binomial(3 * n + 1, n - j)), j)
-            )
-    elif variant == "second":
-        top = 2 * n
-        pows = _one_minus_x_powers(top)
-        lhs = []
-        rhs = []
-        for j in range(top + 1):
-            lhs = poly_add(lhs, poly_scale(pows[2 * n - j], binomial(3 * n - j, n)))
-            rhs = poly_add(
-                rhs,
-                poly_shift(poly_scale(pows[2 * n - j], binomial(3 * n + 1, n + 1 + j)), j),
-            )
-    else:
+    tops = {"first": n, "second": 2 * n}
+    if variant not in tops:
         raise ValueError(
             f"corollary2_sides variant must be 'first' or 'second', got {variant!r}"
+        )
+    top = tops[variant]
+    low = 3 * n - top
+    pows = _one_minus_x_powers(top)
+    lhs: Polynomial = []
+    rhs: Polynomial = []
+    for j in range(top + 1):
+        lhs = poly_add(lhs, poly_scale(pows[top - j], binomial(3 * n - j, low)))
+        rhs = poly_add(
+            rhs, poly_shift(poly_scale(pows[top - j], binomial(3 * n + 1, low + 1 + j)), j)
         )
     return compare_sides(lhs, rhs)
 

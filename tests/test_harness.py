@@ -1,12 +1,14 @@
 import csv
+import hashlib
 import io
 import json
+import threading
 from fractions import Fraction as F
 
 import pytest
 
 import ruehrkit.identities
-from ruehrkit import cli
+from ruehrkit import cli, collatz_bound
 from ruehrkit.exact_math import parse_polynomial, parse_rational
 from ruehrkit.harness import (
     CheckInstance,
@@ -116,6 +118,18 @@ def test_run_instances_sorts_by_name_then_generation_order():
         reports = run_instances(instances, jobs=jobs)
         assert [(r.check_name, r.params["i"]) for r in reports] == \
             [("alpha", "1"), ("alpha", "0"), ("zeta", "0")]
+
+
+def test_run_instances_runs_every_check_on_the_calling_thread():
+    threads = []
+
+    def run():
+        threads.append(threading.get_ident())
+        return "1", "1", True
+    instances = [CheckInstance("demo", {"i": str(i)}, run) for i in range(8)]
+    reports = run_instances(instances, jobs=4)
+    assert len(reports) == 8
+    assert threads == [threading.get_ident()] * 8
 
 
 def test_build_suites_deterministic_for_seed():
@@ -252,6 +266,31 @@ def test_cli_fault_injection_flips_exit_code(capsys, monkeypatch):
     assert not any(r["equal"] for r in records)
 
 
+def test_cli_raising_checker_becomes_failed_report(capsys, monkeypatch):
+    'an exception inside one check is a failed report and exit 1, not a traceback'
+    def broken(n, k, a, b):
+        raise ZeroDivisionError("injected")
+    monkeypatch.setattr(ruehrkit.identities, "comtet1_sides", broken)
+    code, out, _ = _run_cli(capsys, ["verify", "comtet", "--trials", "3",
+                                     "--seed", "42", "--format", "json"])
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 3
+    for record in records:
+        assert record["equal"] is False
+        assert "ZeroDivisionError" in record["lhs"]
+
+
+def test_cli_verify_all_seed_42_reports_pinned(capsys):
+    'the full default run, elapsed_ms removed, is pinned report for report'
+    code, out, _ = _run_cli(capsys, ["verify", "all", "--seed", "42", "--format", "json"])
+    assert code == 0
+    lines = _strip_elapsed(out)
+    assert len(lines) == 774
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "447bdd9e5eefbd79eb142b4cb8ef37e55053eb53540cf6d6bcb05e519b7c09cb"
+
+
 def test_cli_report_values_round_trip(capsys):
     _, out, _ = _run_cli(capsys, ["verify", "all", "--seed", "42", "--max-n", "4",
                                   "--trials", "4", "--format", "json"])
@@ -271,6 +310,21 @@ def test_cli_tailsum_subcommand(capsys):
     assert "k=4 tail_sum=1/8" in out
     assert "k=8 tail_sum=9/128" in out
     assert "max kth_root:" in out
+
+
+def test_cli_tailsum_computes_each_tail_sum_once(capsys, monkeypatch):
+    calls = []
+    tail_sum = collatz_bound.tail_sum
+
+    def counting(query):
+        calls.append(query.k)
+        return tail_sum(query)
+    monkeypatch.setattr(collatz_bound, "tail_sum", counting)
+    code, out, _ = _run_cli(capsys, ["tailsum", "--d", "2", "--eps", "1/4",
+                                     "--k-list", "4,8,16"])
+    assert code == 0
+    assert "k=8 tail_sum=9/128" in out
+    assert calls == [4, 8, 16]
 
 
 def test_cli_tailsum_bad_eps_is_usage_error(capsys):
