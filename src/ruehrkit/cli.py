@@ -6,9 +6,10 @@ Three subcommands:
   tailsum          print exact large-deviation tail sums and their k-th roots
   orbit            print the orbit of a value under a divide-or-affine map
 
-verify exits 0 when every check passed, 1 when any failed, and 2 on usage
-errors.  The fuzz seed comes from --seed, else the RUEHRKIT_SEED
-environment variable, else 42.
+verify exits 0 when every check passed, 1 when any failed or when the run
+checked nothing, and 2 on usage errors (a negative --max-n or --trials is
+one).  The fuzz seed comes from --seed, else the RUEHRKIT_SEED environment
+variable, else 42.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruehrkit",
@@ -40,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run an identity suite")
     verify.add_argument("suite", choices=harness.SUITE_ORDER + ("all",))
-    verify.add_argument("--max-n", type=int, default=None,
+    verify.add_argument("--max-n", type=_non_negative_int, default=None,
                         help="upper parameter bound (suite-specific default)")
-    verify.add_argument("--trials", type=int, default=None,
+    verify.add_argument("--trials", type=_non_negative_int, default=None,
                         help="fuzzed instances for randomized suites")
     verify.add_argument("--seed", type=int, default=None,
                         help=f"fuzz seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
@@ -89,6 +100,8 @@ def cmd_verify(args, stdout, stderr) -> int:
     names = harness.SUITE_ORDER if args.suite == "all" else (args.suite,)
     instances = harness.build_suites(names, seed, max_n=args.max_n, trials=args.trials)
     reports = harness.run_instances(instances)
+    if not reports:
+        print("ruehrkit verify: no checks to run; raise --max-n or --trials", file=stderr)
 
     if args.format == "json":
         for report in reports:
@@ -106,7 +119,8 @@ def cmd_verify(args, stdout, stderr) -> int:
         failed = sum(1 for report in reports if not report.equal)
         print(f"{len(reports)} checks, {failed} failed", file=stdout)
 
-    return EXIT_OK if all(report.equal for report in reports) else EXIT_CHECK_FAILED
+    passed = bool(reports) and all(report.equal for report in reports)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_tailsum(args, stdout, stderr) -> int:

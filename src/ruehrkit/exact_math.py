@@ -1,10 +1,17 @@
 """Exact scalar arithmetic and dense univariate polynomials over the rationals.
 
-Scalars are arbitrary precision: plain ``int`` for integers and
-``fractions.Fraction`` for rationals (eagerly normalized, denominator > 0,
-zero is 0/1).  A polynomial is a plain ``list`` of Fraction coefficients in
-ascending degree order with no trailing zero coefficient.  The zero
-polynomial is the empty list; its degree is -1 by convention.
+Scalars are arbitrary precision, under one rule: a value is a plain
+``int`` when it is integral and a ``fractions.Fraction`` (normalized,
+denominator > 1) otherwise.  A polynomial is a plain ``list`` of such
+coefficients in ascending degree order with no trailing zero coefficient.
+The zero polynomial is the empty list; its degree is -1 by convention.
+
+The polynomial primitives return coefficients and values under that rule,
+so polynomials with integer coefficients are multiplied and added in
+native ``int`` arithmetic; only integration, or evaluation at a
+non-integral point, creates Fractions.  Floats are converted exactly on
+the way in and never produced.  Since ``int == Fraction`` compares by
+value, the rule never changes an equality.
 
 Everything in this module is a pure function over values that are never
 mutated after construction, so concurrent callers need no locking.
@@ -15,9 +22,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from typing import Union
 
 Rational = Fraction
-Polynomial = list[Fraction]
+Scalar = Union[int, Fraction]
+Polynomial = list[Scalar]
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -39,9 +48,17 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _scalar(c) -> Scalar:
+    """c under the scalar rule: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def poly_normalize(coeffs) -> Polynomial:
-    """Coerce coefficients to Fraction and strip trailing zeros."""
-    out = [Fraction(c) for c in coeffs]
+    """Coefficients under the scalar rule, trailing zeros stripped."""
+    out = [c if type(c) is int else _scalar(c) for c in coeffs]
     while out and not out[-1]:
         out.pop()
     return out
@@ -54,9 +71,8 @@ def poly_degree(p: Polynomial) -> int:
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
+    out = [x + y for x, y in zip(a, b)]
+    out += a[len(b):]
     return poly_normalize(out)
 
 
@@ -69,23 +85,22 @@ def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_scale(p: Polynomial, c) -> Polynomial:
-    c = Fraction(c)
+    c = _scalar(c)
     if not c:
         return []
-    # scaling by a nonzero constant cannot create a trailing zero
-    return [c * x for x in p]
+    return poly_normalize([c * x for x in p])
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
-        for j, cb in enumerate(b):
+        for k, cb in enumerate(b, i):
             if cb:
-                out[i + j] += ca * cb
+                out[k] += ca * cb
     return poly_normalize(out)
 
 
@@ -93,7 +108,7 @@ def poly_pow(p: Polynomial, exponent: int) -> Polynomial:
     """p**exponent by iterated multiplication; exponent 0 gives [1]."""
     if exponent < 0:
         raise ValueError(f"poly_pow requires exponent >= 0, got {exponent}")
-    out = [Fraction(1)]
+    out = [1]
     for _ in range(exponent):
         out = poly_mul(out, p)
     return out
@@ -107,10 +122,10 @@ def linear_power(c0, c1, exponent: int) -> Polynomial:
     """
     if exponent < 0:
         raise ValueError(f"linear_power requires exponent >= 0, got {exponent}")
-    c0 = Fraction(c0)
-    c1 = Fraction(c1)
-    pows0 = [Fraction(1)]
-    pows1 = [Fraction(1)]
+    c0 = _scalar(c0)
+    c1 = _scalar(c1)
+    pows0 = [1]
+    pows1 = [1]
     for _ in range(exponent):
         pows0.append(pows0[-1] * c0)
         pows1.append(pows1[-1] * c1)
@@ -125,7 +140,7 @@ def poly_shift(p: Polynomial, k: int) -> Polynomial:
         raise ValueError(f"poly_shift requires k >= 0, got {k}")
     if not p:
         return []
-    return [Fraction(0)] * k + list(p)
+    return [0] * k + list(p)
 
 
 def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -138,27 +153,30 @@ def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
     return out
 
 
-def poly_eval(p: Polynomial, x) -> Fraction:
+def poly_eval(p: Polynomial, x) -> Scalar:
     """Exact Horner evaluation; the zero polynomial evaluates to 0."""
-    x = Fraction(x)
-    acc = Fraction(0)
+    x = _scalar(x)
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
-    return acc
+    return _scalar(acc)
 
 
-def poly_definite_integral(p: Polynomial, lo, hi) -> Fraction:
+def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
     """Exact definite integral of p over [lo, hi].
 
     Term-by-term antiderivative c_i x^i -> c_i x^(i+1) / (i+1), evaluated
-    at hi minus lo.  Reversed bounds (lo > hi) simply flip the sign.
+    at hi minus lo.  Reversed bounds (lo > hi) simply flip the sign.  The
+    division is Fraction(c, i+1): c / (i+1) would turn an int c into a float.
     """
-    anti = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(p)]
-    return poly_eval(anti, hi) - poly_eval(anti, lo)
+    anti = [0] + [Fraction(c, i + 1) for i, c in enumerate(p)]
+    return _scalar(poly_eval(anti, hi) - poly_eval(anti, lo))
 
 
 def format_rational(q) -> str:
     """Serialize as "num/den", or just "num" when the denominator is 1."""
+    if type(q) is int:
+        return str(q)
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)

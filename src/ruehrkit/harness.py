@@ -207,13 +207,12 @@ def _suite_corollaries(src: FuzzSource, max_n: int, trials: int) -> list[CheckIn
 
 
 def _one_minus_x() -> list:
-    return [Fraction(1), Fraction(-1)]
+    return [1, -1]
 
 
 def _alzer_shift_sides(n: int, left: SumFamily, right: SumFamily) -> SidePair:
     """The shift relation left_n(x+1) = right_n(x), coefficient-wise."""
-    shift = [Fraction(1), Fraction(1)]
-    lhs = poly_compose(identities.family_polynomial(left, n), shift)
+    lhs = poly_compose(identities.family_polynomial(left, n), [1, 1])
     return compare_sides(lhs, identities.family_polynomial(right, n))
 
 
@@ -379,6 +378,8 @@ def _orbit_cycle_sides(max_start: int, max_steps: int) -> SidePair:
 
 
 def _suite_orbit(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
+    if max_n < 1:
+        return []  # no start value to check
     max_steps = 10_000
     return [_check("orbit_cycle",
                    {"max_start": max_n, "max_steps": max_steps, "preset": "classical"},

@@ -17,10 +17,20 @@ The cast of identities:
   relations A_n(x+1) = B_n(x) and C_n(x+1) = D_n(x);
 * the four-way Ruehr chain A_n(3) = B_n(2) = D_n(-4) = C_n(-3);
 * the Kimura-Ruehr moment equality for the kernel 3x^2 - 2x^3.
+
+Where both sides are polynomials in x (comtet2, comtet3 and corollary2),
+each side sums (1-x)^j rows scaled by binomials (poly_scale), shifted
+where a power of x multiplies the row (poly_shift), and accumulated with
+poly_add.  The two sides share those rows: _one_minus_x_powers writes
+them in closed form as signed binomial rows [(-1)^i C(j, i)], and the
+sides differ in their binomials and shifts.  The f/g recurrence checks in
+the harness multiply by 1 - x on their own, with poly_mul, and add with
+poly_add, so a wrong row surfaces there.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,9 +44,8 @@ from .exact_math import (
     poly_add,
     poly_definite_integral,
     poly_eval,
-    poly_mul,
+    poly_mul,  # noqa: F401  (not called here; bench/test_bench.py rebinds identities.poly_mul)
     poly_normalize,
-    poly_pow,
     poly_scale,
     poly_shift,
 )
@@ -69,12 +78,8 @@ def compare_sides(lhs: Side, rhs: Side) -> SidePair:
 
 
 def _one_minus_x_powers(top: int) -> list[Polynomial]:
-    """[(1-x)^0, (1-x)^1, ..., (1-x)^top] as exact polynomials."""
-    pows = [poly_normalize([1])]
-    base = poly_normalize([1, -1])
-    for _ in range(top):
-        pows.append(poly_mul(pows[-1], base))
-    return pows
+    """[(1-x)^0, (1-x)^1, ..., (1-x)^top] as signed binomial rows [(-1)^i C(j, i)]."""
+    return [[(-1) ** i * binomial(j, i) for i in range(j + 1)] for j in range(top + 1)]
 
 
 def family_polynomial(fam: SumFamily, n: int) -> Polynomial:
@@ -229,6 +234,10 @@ def proof_helper(kind: Literal["f", "g"], m: int, big_n: int) -> Polynomial:
 
     Both satisfy a Pascal-rule recurrence in m (checked in the tests), and
     f(1,N) = g(1,N) for every N, which together give f = g everywhere.
+
+    The recurrence and telescoping checks ask for the same members many
+    times, so they are memoized; every call returns a fresh list, which the
+    caller may change without touching the memo.
     """
     if kind not in ("f", "g"):
         raise ValueError(f"proof_helper kind must be 'f' or 'g', got {kind!r}")
@@ -236,6 +245,14 @@ def proof_helper(kind: Literal["f", "g"], m: int, big_n: int) -> Polynomial:
         raise ValueError(f"proof_helper requires m >= 1, got {m}")
     if big_n < 0:
         raise ValueError(f"proof_helper requires N >= 0, got {big_n}")
+    return list(_fg_member(kind, m, big_n))
+
+
+# 4096 members hold the whole f/g grid for m, N <= 44 (2 * 44 * 45 members);
+# beyond that, the recurrence checks (j, then N) reuse only recent members.
+@functools.lru_cache(maxsize=4096)
+def _fg_member(kind: str, m: int, big_n: int) -> tuple:
+    """proof_helper's value as an immutable tuple."""
     pows = _one_minus_x_powers(big_n)
     acc: Polynomial = []
     for j in range(big_n + 1):
@@ -244,7 +261,7 @@ def proof_helper(kind: Literal["f", "g"], m: int, big_n: int) -> Polynomial:
         else:
             term = poly_shift(poly_scale(pows[j], binomial(big_n + m, j)), big_n - j)
         acc = poly_add(acc, term)
-    return acc
+    return tuple(acc)
 
 
 def corollary1_sides(n: int, variant: Literal["pos", "neg"]) -> SidePair:
@@ -318,7 +335,8 @@ def kimura_ruehr_moments(n: int) -> SidePair:
     """
     if n < 0:
         raise ValueError(f"kimura_ruehr_moments requires n >= 0, got {n}")
-    kernel_power = poly_pow(poly_normalize([0, 0, 3, -2]), n)
+    # (3x^2 - 2x^3)^n = x^(2n) (3 - 2x)^n, expanded by the binomial theorem
+    kernel_power = poly_shift(linear_power(3, -2, n), 2 * n)
     lhs = poly_definite_integral(kernel_power, Fraction(-1, 2), Fraction(3, 2))
     rhs = 2 * poly_definite_integral(kernel_power, 0, 1)
     return compare_sides(lhs, rhs)

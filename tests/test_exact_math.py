@@ -17,6 +17,7 @@ from ruehrkit.exact_math import (
     poly_degree,
     poly_eval,
     poly_mul,
+    poly_neg,
     poly_normalize,
     poly_pow,
     poly_scale,
@@ -164,6 +165,31 @@ def test_poly_add_sub_scale_shift():
     assert poly_scale(p, F(1, 2)) == [F(1, 2), F(1)]
     assert poly_shift(p, 2) == [F(0), F(0), F(1), F(2)]
     assert poly_shift([], 3) == []
+
+
+def _assert_scalar_rule(values):
+    'int when integral, else Fraction; never float (0.5 == F(1, 2), so check types)'
+    for value in values:
+        assert type(value) in (int, F), (value, type(value))
+        assert type(value) is int or value.denominator != 1, value
+
+
+@pytest.mark.parametrize("p, q, c, x", [
+    ([1, -2, 3], [4, 5], 3, 2),                       # int only
+    ([1, F(1, 2), -2], [F(3, 2), 4], F(2), F(1, 3)),  # mixed
+    ([F(1, 2), F(-3, 4)], [F(2, 3), F(1, 3)], F(3, 2), F(-5, 7)),  # Fraction only
+    ([F(1, 2), F(3, 2)], [F(1, 2), F(-1, 2)], 2, F(3)),  # integral sums of Fractions
+])
+def test_primitives_return_int_or_fraction_never_float(p, q, c, x):
+    polys = [
+        poly_normalize(p), poly_add(p, q), poly_sub(p, q), poly_neg(p),
+        poly_scale(p, c), poly_mul(p, q), poly_pow(q, 3), poly_shift(p, 2),
+        poly_compose(p, q), linear_power(c, x, 4), parse_polynomial(format_polynomial(p)),
+    ]
+    for poly in polys:
+        _assert_scalar_rule(poly)
+    _assert_scalar_rule([poly_eval(p, x), poly_definite_integral(p, 0, x),
+                         poly_definite_integral(q, x, c)])
 
 
 def test_rational_arithmetic_exact_under_fuzz():

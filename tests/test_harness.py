@@ -2,8 +2,12 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +283,61 @@ def test_cli_raising_checker_becomes_failed_report(capsys, monkeypatch):
     for record in records:
         assert record["equal"] is False
         assert "ZeroDivisionError" in record["lhs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "orbit", "--max-n", "0"],
+    ["verify", "comtet", "--trials", "0"],
+])
+def test_cli_run_that_checks_nothing_fails(capsys, argv):
+    code, out, err = _run_cli(capsys, argv)
+    assert code == 1
+    assert "no checks" in err
+    assert out == "0 checks, 0 failed\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--max-n", "-1"), ("--trials", "-3")])
+def test_cli_negative_bound_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "ruehr", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and ">= 0" in err
+
+
+@pytest.fixture
+def fresh_fg_memo():
+    'proof_helper memoizes f/g; start and end with an empty memo'
+    ruehrkit.identities._fg_member.cache_clear()
+    yield
+    ruehrkit.identities._fg_member.cache_clear()
+
+
+def test_cli_corrupted_one_minus_x_row_fails_the_recurrences(capsys, monkeypatch,
+                                                             fresh_fg_memo):
+    'comtet2/3 share the (1-x)^j rows; the recurrences multiply by 1-x on their own'
+    rows = ruehrkit.identities._one_minus_x_powers
+
+    def corrupted(top):
+        pows = rows(top)
+        if top >= 2:
+            pows[2][1] += 1
+        return pows
+    monkeypatch.setattr(ruehrkit.identities, "_one_minus_x_powers", corrupted)
+    code, out, _ = _run_cli(capsys, ["verify", "polynomials", "--max-n", "6",
+                                     "--format", "json"])
+    assert code == 1
+    failed = {json.loads(line)["check_name"] for line in out.splitlines()
+              if not json.loads(line)["equal"]}
+    assert {"recurrence_f", "recurrence_g"} <= failed
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(ruehrkit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "ruehrkit", "verify", "ruehr", "--max-n", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "2 checks, 0 failed"
 
 
 def test_cli_verify_all_seed_42_reports_pinned(capsys):

@@ -2,14 +2,18 @@ from fractions import Fraction as F
 
 import pytest
 
+from ruehrkit import identities
 from ruehrkit.exact_math import (
     InternalInconsistencyError,
     binomial,
+    linear_power,
     poly_add,
     poly_compose,
+    poly_definite_integral,
     poly_eval,
     poly_mul,
     poly_normalize,
+    poly_pow,
     poly_shift,
     poly_sub,
 )
@@ -191,6 +195,24 @@ def test_proof_helper_validation():
         proof_helper("f", 1, -1)
 
 
+def test_one_minus_x_rows_match_repeated_multiplication():
+    'the closed-form signed binomial rows against (1-x)^j by repeated poly_mul'
+    rows = identities._one_minus_x_powers(30)
+    power = [1]
+    for j in range(31):
+        assert rows[j] == power
+        power = poly_mul(power, ONE_MINUS_X)
+
+
+def test_proof_helper_results_cannot_poison_the_memo():
+    for kind in ("f", "g"):
+        truth = proof_helper(kind, 3, 5)
+        first = proof_helper(kind, 3, 5)
+        first[0] += 1
+        first.append(F(7))
+        assert proof_helper(kind, 3, 5) == truth
+
+
 def test_fg_recurrences():
     'f(j+1,N) = (1-x) f(j+1,N-1) + f(j,N), and the mirrored rule for g'
     for j in range(1, 9):
@@ -302,6 +324,17 @@ def test_moments_pinned_values():
     assert kimura_ruehr_moments(1).lhs == 1
     assert kimura_ruehr_moments(2).lhs == F(26, 35)
     assert kimura_ruehr_moments(2).equal
+
+
+def test_kimura_kernel_closed_form_matches_poly_pow():
+    'x^(2n) (3-2x)^n is (3x^2-2x^3)^n, and the moments use that kernel'
+    kernel = poly_normalize([0, 0, 3, -2])
+    for n in range(31):
+        power = poly_pow(kernel, n)
+        assert poly_shift(linear_power(3, -2, n), 2 * n) == power
+        pair = kimura_ruehr_moments(n)
+        assert pair.lhs == poly_definite_integral(power, F(-1, 2), F(3, 2))
+        assert pair.rhs == 2 * poly_definite_integral(power, 0, 1)
 
 
 def test_moments_equality_sweep():
