@@ -5,6 +5,14 @@ exact rational: the complete beta function has a factorial closed form and
 the incomplete beta integral has a polynomial integrand.  The binomial
 survival function and the negative binomial CDF are both regularized beta
 values, and those identities are what the two *_sides checkers verify.
+
+The primitives each side uses: the lhs of binom_tail_sides and
+negbinom_cdf_sides (and negbinom_tail_partial) is a term-by-term binomial
+sum, run in integers over one power of the denominator v of p = u/v and
+divided once at the end (binom_tail_sides takes the comtet1 partial sum
+of identities, reindexed); the rhs is regularized_beta, an exact integral
+of a linear_power integrand (poly_shift, poly_definite_integral) over
+beta_exact, which is factorials only.
 """
 
 from __future__ import annotations
@@ -14,12 +22,13 @@ from fractions import Fraction
 
 from .exact_math import (
     Polynomial,
+    _powers,
     binomial,
     linear_power,
     poly_definite_integral,
     poly_shift,
 )
-from .identities import SidePair, compare_sides
+from .identities import SidePair, _comtet1_lhs, compare_sides
 
 
 def _require_positive_params(x: int, y: int) -> None:
@@ -70,6 +79,9 @@ def binom_tail_sides(n: int, a: int, p) -> SidePair:
 
     lhs = sum_{a<=s<=n} C(n, s) p^s (1-p)^(n-s)
     rhs = I_p(a, n-a+1)
+
+    With i = n - s the lhs is the comtet1 partial binomial sum
+    sum_{0<=i<=n-a} C(n, i) p^(n-i) (1-p)^i, so it is taken from there.
     """
     if n < 1:
         raise ValueError(f"binom_tail_sides requires n >= 1, got {n}")
@@ -78,17 +90,22 @@ def binom_tail_sides(n: int, a: int, p) -> SidePair:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"binom_tail_sides requires p in [0, 1], got {p}")
-    q = 1 - p
-    p_pows = [Fraction(1)]
-    q_pows = [Fraction(1)]
-    for _ in range(n):
-        p_pows.append(p_pows[-1] * p)
-        q_pows.append(q_pows[-1] * q)
-    lhs = Fraction(0)
-    for s in range(a, n + 1):
-        lhs += binomial(n, s) * p_pows[s] * q_pows[n - s]
+    lhs = _comtet1_lhs(n, n - a, p, 1 - p)
     rhs = regularized_beta(p, a, n - a + 1)
     return compare_sides(lhs, rhs)
+
+
+def _negbinom_mass(r: int, lo: int, hi: int, p: Fraction) -> Fraction:
+    """sum_{lo<=s<=hi} C(r+s-1, s) p^r (1-p)^s, over the one denominator v^(r+hi).
+
+    With p = u/v each term is C(r+s-1, s) u^r (v-u)^s v^(hi-s) / v^(r+hi);
+    the sum runs in integers and one Fraction is made at the end.
+    """
+    u, v = p.numerator, p.denominator
+    w_pows, v_pows = _powers(v - u, hi - lo), _powers(v, hi - lo)
+    total = sum(binomial(r + s - 1, s) * w_pows[s - lo] * v_pows[hi - s]
+                for s in range(lo, hi + 1))
+    return Fraction(u ** r * (v - u) ** lo * total, v ** (r + hi))
 
 
 def negbinom_cdf_sides(r: int, k: int, p) -> SidePair:
@@ -108,13 +125,7 @@ def negbinom_cdf_sides(r: int, k: int, p) -> SidePair:
     p = Fraction(p)
     if not 0 < p <= 1:
         raise ValueError(f"negbinom_cdf_sides requires p in (0, 1], got {p}")
-    q = 1 - p
-    p_r = p ** r
-    lhs = Fraction(0)
-    q_pow = Fraction(1)
-    for s in range(k + 1):
-        lhs += binomial(r + s - 1, s) * p_r * q_pow
-        q_pow *= q
+    lhs = _negbinom_mass(r, 0, k, p)
     rhs = regularized_beta(p, r, k + 1)
     return compare_sides(lhs, rhs)
 
@@ -133,11 +144,4 @@ def negbinom_tail_partial(r: int, a: int, p, m_max: int) -> Fraction:
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError(f"negbinom_tail_partial requires p in (0, 1), got {p}")
-    q = 1 - p
-    p_r = p ** r
-    total = Fraction(0)
-    q_pow = q ** a
-    for s in range(a, m_max + 1):
-        total += binomial(r + s - 1, s) * p_r * q_pow
-        q_pow *= q
-    return total
+    return _negbinom_mass(r, a, m_max, p)

@@ -8,8 +8,9 @@ Three subcommands:
 
 verify exits 0 when every check passed, 1 when any failed or when the run
 checked nothing, and 2 on usage errors (a negative --max-n or --trials is
-one).  The fuzz seed comes from --seed, else the RUEHRKIT_SEED environment
-variable, else 42.
+one).  orbit exits 1 when the map leaves the positive integers.  The fuzz
+seed comes from --seed, else the RUEHRKIT_SEED environment variable, else
+42.
 """
 
 from __future__ import annotations
@@ -170,6 +171,10 @@ def cmd_orbit(args, stdout, stderr) -> int:
         cycle_text = " ".join(str(v) for v in result.cycle)
         print(f"cycle found after {len(result.steps) - 1} steps; cycle: {cycle_text}",
               file=stdout)
+    elif result.terminated == "left-positive-integers":
+        print(f"left the positive integers at step {len(result.steps) - 1}: "
+              f"value {result.steps[-1]}", file=stdout)
+        return EXIT_CHECK_FAILED
     else:
         print(f"max steps reached after {len(result.steps) - 1} steps", file=stdout)
     return EXIT_OK

@@ -65,7 +65,7 @@ class OrbitResult:
     """Recorded orbit prefix, how iteration stopped, and the cycle if found."""
 
     steps: list[int]
-    terminated: Literal["cycle-found", "max-steps-reached"]
+    terminated: Literal["cycle-found", "max-steps-reached", "left-positive-integers"]
     cycle: Optional[list[int]]
 
 
@@ -112,7 +112,10 @@ def orbit(ell: int, cfg: GenCollatzConfig, max_steps: int) -> OrbitResult:
 
     The recorded steps include the starting value and, when a cycle is
     found, the first repeated value at the end; the cycle field is the
-    segment from that value's first occurrence up to the repeat.
+    segment from that value's first occurrence up to the repeat.  A map
+    that sends a value to zero or below (possible for residue systems with
+    positive representatives) ends the orbit with that value last and
+    terminated="left-positive-integers".
     """
     if max_steps < 1:
         raise ValueError(f"orbit requires max_steps >= 1, got {max_steps}")
@@ -121,6 +124,8 @@ def orbit(ell: int, cfg: GenCollatzConfig, max_steps: int) -> OrbitResult:
     for _ in range(max_steps):
         value = g_step(steps[-1], cfg)
         steps.append(value)
+        if value < 1:
+            return OrbitResult(steps=steps, terminated="left-positive-integers", cycle=None)
         if value in first_seen:
             cycle = steps[first_seen[value]:-1]
             return OrbitResult(steps=steps, terminated="cycle-found", cycle=cycle)

@@ -8,10 +8,14 @@ The zero polynomial is the empty list; its degree is -1 by convention.
 
 The polynomial primitives return coefficients and values under that rule,
 so polynomials with integer coefficients are multiplied and added in
-native ``int`` arithmetic; only integration, or evaluation at a
-non-integral point, creates Fractions.  Floats are converted exactly on
-the way in and never produced.  Since ``int == Fraction`` compares by
-value, the rule never changes an equality.
+native ``int`` arithmetic.  Floats are converted exactly on the way in and
+never produced.  Since ``int == Fraction`` compares by value, the rule
+never changes an equality.
+
+Rational results are computed over one denominator: evaluation,
+integration and linear_power carry integer numerators over a common
+integer denominator and normalize only the final value (one gcd per
+result, or per coefficient for linear_power), never an intermediate step.
 
 Everything in this module is a pure function over values that are never
 mutated after construction, so concurrent callers need no locking.
@@ -52,7 +56,8 @@ def _scalar(c) -> Scalar:
     """c under the scalar rule: an int when integral, else a Fraction."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:  # a Fraction is normalized already
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -114,24 +119,34 @@ def poly_pow(p: Polynomial, exponent: int) -> Polynomial:
     return out
 
 
+def _powers(base: int, exponent: int) -> list[int]:
+    """[base^0, base^1, ..., base^exponent]."""
+    out = [1]
+    for _ in range(exponent):
+        out.append(out[-1] * base)
+    return out
+
+
 def linear_power(c0, c1, exponent: int) -> Polynomial:
     """Expansion of (c0 + c1*x)**exponent by the binomial theorem.
 
     Equivalent to poly_pow([c0, c1], exponent) but O(exponent) products,
     which matters when it sits inside a doubly indexed verification sweep.
+    With c0 = p0/q0 and c1 = p1/q1, coefficient i is the integer
+    C(e, i) p0^(e-i) p1^i divided once by q0^(e-i) q1^i.
     """
     if exponent < 0:
         raise ValueError(f"linear_power requires exponent >= 0, got {exponent}")
     c0 = _scalar(c0)
     c1 = _scalar(c1)
-    pows0 = [1]
-    pows1 = [1]
-    for _ in range(exponent):
-        pows0.append(pows0[-1] * c0)
-        pows1.append(pows1[-1] * c1)
-    coeffs = [binomial(exponent, i) * pows0[exponent - i] * pows1[i]
-              for i in range(exponent + 1)]
-    return poly_normalize(coeffs)
+    e = exponent
+    p0, p1 = _powers(c0.numerator, e), _powers(c1.numerator, e)
+    nums = [binomial(e, i) * p0[e - i] * p1[i] for i in range(e + 1)]
+    if c0.denominator == c1.denominator == 1:
+        return poly_normalize(nums)
+    q0, q1 = _powers(c0.denominator, e), _powers(c1.denominator, e)
+    return poly_normalize([_scalar(Fraction(num, q0[e - i] * q1[i]))
+                           for i, num in enumerate(nums)])
 
 
 def poly_shift(p: Polynomial, k: int) -> Polynomial:
@@ -153,13 +168,38 @@ def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
     return out
 
 
-def poly_eval(p: Polynomial, x) -> Scalar:
-    """Exact Horner evaluation; the zero polynomial evaluates to 0."""
-    x = _scalar(x)
+def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:
+    """(nums, den): p's coefficients are nums[i] / den, den their least common denominator."""
+    if all(type(c) is int for c in p):
+        return p, 1
+    den = math.lcm(*[c.denominator for c in p])
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _horner(nums: list[int], u: int, v: int) -> int:
+    """sum nums[i] u^i v^(deg-i): v^deg times the value of nums at u/v, in ints."""
     acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return _scalar(acc)
+    v_pow = 1
+    for c in reversed(nums):
+        acc = acc * u + c * v_pow
+        v_pow *= v
+    return acc
+
+
+def poly_eval(p: Polynomial, x) -> Scalar:
+    """Exact Horner evaluation; the zero polynomial evaluates to 0.
+
+    At x = u/v the sum runs in integers over the common denominator of the
+    coefficients times v^deg, and one Fraction is made at the end; an int
+    polynomial at an int point never builds a Fraction.
+    """
+    if not p:
+        return 0
+    x = _scalar(x)
+    nums, den = _over_common_denominator(p)
+    total = _horner(nums, x.numerator, x.denominator)
+    den *= x.denominator ** (len(p) - 1)
+    return total if den == 1 else _scalar(Fraction(total, den))
 
 
 def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
@@ -167,10 +207,21 @@ def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
 
     Term-by-term antiderivative c_i x^i -> c_i x^(i+1) / (i+1), evaluated
     at hi minus lo.  Reversed bounds (lo > hi) simply flip the sign.  The
-    division is Fraction(c, i+1): c / (i+1) would turn an int c into a float.
+    antiderivative's numerators share the denominator den * lcm(1..deg+1);
+    F(hi) - F(lo) is brought over one denominator and divided once.
     """
-    anti = [0] + [Fraction(c, i + 1) for i, c in enumerate(p)]
-    return _scalar(poly_eval(anti, hi) - poly_eval(anti, lo))
+    if not p:
+        return 0
+    nums, den = _over_common_denominator(p)
+    top = len(p)  # degree of the antiderivative
+    scale = math.lcm(*range(1, top + 1))
+    anti = [0] + [c * (scale // i) for i, c in enumerate(nums, 1)]
+    lo, hi = _scalar(lo), _scalar(hi)
+    v_lo, v_hi = lo.denominator, hi.denominator
+    v = math.lcm(v_lo, v_hi)
+    total = (_horner(anti, hi.numerator, v_hi) * (v // v_hi) ** top
+             - _horner(anti, lo.numerator, v_lo) * (v // v_lo) ** top)
+    return _scalar(Fraction(total, den * scale * v ** top))
 
 
 def format_rational(q) -> str:

@@ -18,6 +18,18 @@ The cast of identities:
 * the four-way Ruehr chain A_n(3) = B_n(2) = D_n(-4) = C_n(-3);
 * the Kimura-Ruehr moment equality for the kernel 3x^2 - 2x^3.
 
+The primitives each side uses:
+
+* comtet1: the lhs is a term-by-term binomial sum, run in integers over
+  the common denominator of a and b (_comtet1_lhs); the rhs is
+  linear_power, poly_shift and poly_definite_integral.
+* corollary1: the lhs is ruehr_sums_direct (binomial sums in int); the
+  rhs is linear_power, poly_shift and poly_definite_integral.
+* the Ruehr chain: ruehr_sums_direct against family_polynomial evaluated
+  by poly_eval.
+* kimura_ruehr_moments: poly_definite_integral of one linear_power kernel
+  over two intervals.
+
 Where both sides are polynomials in x (comtet2, comtet3 and corollary2),
 each side sums (1-x)^j rows scaled by binomials (poly_scale), shifted
 where a power of x multiplies the row (poly_shift), and accumulated with
@@ -31,6 +43,7 @@ poly_add, so a wrong row surfaces there.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +51,7 @@ from typing import Literal, Union
 
 from .exact_math import (
     InternalInconsistencyError,
+    _powers,
     Polynomial,
     binomial,
     linear_power,
@@ -137,7 +151,7 @@ def ruehr_sums_direct(n: int) -> tuple[int, int, int, int]:
     return (a3, b2, d4, c3)
 
 
-def ruehr_polynomial_values(n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def ruehr_polynomial_values(n: int) -> tuple[int, int, int, int]:
     """The four chain values via family_polynomial + Horner evaluation."""
     return (
         poly_eval(family_polynomial(SumFamily.A, n), 3),
@@ -182,20 +196,25 @@ def comtet1_sides(n: int, k: int, a, b) -> SidePair:
         raise ValueError(f"comtet1_sides requires 0 <= k < n, got k={k}, n={n}")
     a = Fraction(a)
     b = Fraction(b)
-
-    a_pows = [Fraction(1)]
-    for _ in range(n):
-        a_pows.append(a_pows[-1] * a)
-    b_pows = [Fraction(1)]
-    for _ in range(k):
-        b_pows.append(b_pows[-1] * b)
-    lhs = Fraction(0)
-    for i in range(k + 1):
-        lhs += binomial(n, i) * a_pows[n - i] * b_pows[i]
+    lhs = _comtet1_lhs(n, k, a, b)
 
     integrand = poly_shift(linear_power(a + b, -1, n - k - 1), k)
     rhs = (n - k) * binomial(n, k) * poly_definite_integral(integrand, b, a + b)
     return compare_sides(lhs, rhs)
+
+
+def _comtet1_lhs(n: int, k: int, a: Fraction, b: Fraction) -> Fraction:
+    """sum_{0<=i<=k} C(n,i) a^(n-i) b^i, summed as sum C(n,i) A^(n-i) B^i / D^n.
+
+    a = A/D and b = B/D over their least common denominator D, so the sum
+    runs in integers and one Fraction is made at the end.
+    """
+    den = math.lcm(a.denominator, b.denominator)
+    big_a = a.numerator * (den // a.denominator)
+    big_b = b.numerator * (den // b.denominator)
+    a_pows, b_pows = _powers(big_a, n), _powers(big_b, k)
+    total = sum(binomial(n, i) * a_pows[n - i] * b_pows[i] for i in range(k + 1))
+    return Fraction(total, den ** n)
 
 
 def comtet2_sides(m: int, n: int) -> SidePair:

@@ -12,6 +12,7 @@ from ruehrkit.beta_dist import (
     negbinom_tail_partial,
     regularized_beta,
 )
+from ruehrkit.exact_math import binomial
 from ruehrkit.harness import FuzzSource, fuzz_int, fuzz_probability
 
 
@@ -116,6 +117,48 @@ def test_binom_tail_fuzzed_equality():
         for a in range(1, n + 1):
             for _ in range(4):
                 assert binom_tail_sides(n, a, fuzz_probability(src, 9)).equal
+
+
+def _probabilities(seed, count, **open_ends):
+    src = FuzzSource(seed)
+    return [fuzz_probability(src, 99, **open_ends) for _ in range(count)]
+
+
+def test_binom_tail_integer_lhs_matches_fraction_sum():
+    'the one-denominator lhs equals the plain Fraction sum it replaced, as a Fraction'
+    src = FuzzSource(47)
+    for p in [F(0), F(1), F(1, 2)] + _probabilities(53, 60):
+        n = fuzz_int(src, 1, 40)
+        a = fuzz_int(src, 1, n)
+        want = F(0)
+        for s in range(a, n + 1):
+            want += binomial(n, s) * p ** s * (1 - p) ** (n - s)
+        pair = binom_tail_sides(n, a, p)
+        assert pair.lhs == want and type(pair.lhs) is F
+        assert pair.equal
+
+
+def _negbinom_fraction_sum(r, lo, hi, p):
+    total = F(0)
+    for s in range(lo, hi + 1):
+        total += binomial(r + s - 1, s) * p ** r * (1 - p) ** s
+    return total
+
+
+def test_negbinom_integer_sums_match_fraction_sums():
+    'the CDF lhs and the partial tail mass equal the plain Fraction sums they replaced'
+    src = FuzzSource(59)
+    for p in [F(1, 2), F(1, 99)] + _probabilities(61, 60, lo_open=True, hi_open=True):
+        r = fuzz_int(src, 1, 10)
+        k = fuzz_int(src, 0, 40)
+        a = fuzz_int(src, 1, 10)
+        m_max = a + fuzz_int(src, 0, 40)
+        pair = negbinom_cdf_sides(r, k, p)
+        assert pair.lhs == _negbinom_fraction_sum(r, 0, k, p) and type(pair.lhs) is F
+        assert pair.equal
+        partial = negbinom_tail_partial(r, a, p, m_max)
+        assert partial == _negbinom_fraction_sum(r, a, m_max, p) and type(partial) is F
+    assert negbinom_cdf_sides(3, 4, F(1)).lhs == _negbinom_fraction_sum(3, 0, 4, F(1)) == 1
 
 
 def test_negbinom_cdf_hand_values():

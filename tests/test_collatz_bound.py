@@ -90,6 +90,20 @@ def test_orbit_step_budget():
         orbit(27, CLASSICAL, 0)
 
 
+@pytest.mark.parametrize("residues, start, steps", [
+    ((0, 1), 3, [3, 1, 0]),    # 1 -> (1 - 1) / 2 = 0
+    ((0, 3), 1, [1, -1]),      # 1 -> (1 - 3) / 2 = -1
+])
+def test_orbit_stops_where_the_map_leaves_the_positive_integers(residues, start, steps):
+    cfg = GenCollatzConfig(mult=1, div=2, residues=residues)
+    result = orbit(start, cfg, 100)
+    assert result.steps == steps
+    assert result.terminated == "left-positive-integers"
+    assert result.cycle is None
+    with pytest.raises(ValueError):
+        g_step(steps[-1], cfg)
+
+
 def test_classical_orbits_reach_cycle_at_desk_scale():
     'every start below 10^4 lands in {1, 2}; observed range, not a theorem'
     for ell in range(1, 10 ** 4 + 1):

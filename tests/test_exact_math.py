@@ -247,3 +247,84 @@ def test_rational_to_float_huge_operands():
         got = rational_to_float(q)
         want = float(decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _reference_eval(p, x):
+    'the plain Fraction Horner scheme the integer kernel replaced'
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * F(x) + c
+    return acc
+
+
+def _reference_integral(p, lo, hi):
+    anti = [F(0)] + [F(c) / (i + 1) for i, c in enumerate(p)]
+    return _reference_eval(anti, hi) - _reference_eval(anti, lo)
+
+
+def _assert_matches_reference(got, want):
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else F), (got, want)
+
+
+_COEFFICIENTS = {
+    "int": lambda src: fuzz_int(src, -9, 9),
+    "fraction": lambda src: fuzz_rational(src, 9, 9),
+    "mixed": lambda src: (fuzz_int(src, -9, 9) if fuzz_int(src, 0, 1)
+                          else fuzz_rational(src, 9, 9)),
+}
+_POINTS = [0, -3, 5, F(2, 3), F(-7, 4), F(6, 3), F(1, 9)]
+
+
+def _kernel_polys(kind, seed):
+    'seeded raw coefficient lists, the empty list and degree 0 included'
+    src = FuzzSource(seed)
+    draw = _COEFFICIENTS[kind]
+    return [[], [draw(src)]] + [[draw(src) for _ in range(fuzz_int(src, 1, 9))]
+                                for _ in range(40)]
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
+def test_poly_eval_matches_fraction_horner(kind):
+    src = FuzzSource(29)
+    for p in _kernel_polys(kind, 23):
+        for x in _POINTS + [fuzz_rational(src, 99, 99)]:
+            _assert_matches_reference(poly_eval(p, x), _reference_eval(p, x))
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
+def test_poly_definite_integral_matches_fraction_horner(kind):
+    src = FuzzSource(31)
+    bounds = [(0, 1), (1, 0), (F(-1, 2), F(3, 2)), (F(3, 2), F(-1, 2)), (-3, -3),
+              (F(2, 3), F(2, 3)), (0, 0), (-2, F(5, 7))]
+    for p in _kernel_polys(kind, 37):
+        pairs = bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]
+        for lo, hi in pairs:
+            got = poly_definite_integral(p, lo, hi)
+            _assert_matches_reference(got, _reference_integral(p, lo, hi))
+        assert poly_definite_integral(p, 2, F(1, 3)) == -poly_definite_integral(p, F(1, 3), 2)
+
+
+def test_poly_eval_of_int_polynomial_at_int_point_builds_no_fraction(monkeypatch):
+    import ruehrkit.exact_math as em
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+    monkeypatch.setattr(em, "Fraction", no_fraction)
+    p = [binomial(90, j) for j in range(31)]
+    assert poly_eval(p, -4) == sum(c * (-4) ** j for j, c in enumerate(p))
+    assert poly_eval([], 7) == 0
+
+
+def test_linear_power_with_fraction_coefficients_matches_poly_pow():
+    src = FuzzSource(41)
+    cases = [(F(1, 2), F(-1, 3)), (F(3, 7), -1), (2, F(5, 4)), (F(4, 2), F(6, 3)),
+             (0, F(2, 3)), (F(2, 3), 0)]
+    cases += [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9)) for _ in range(30)]
+    for c0, c1 in cases:
+        for e in (0, 1, 2, 7, fuzz_int(src, 0, 25)):
+            got = linear_power(c0, c1, e)
+            want = poly_pow(poly_normalize([c0, c1]), e)
+            assert got == want
+            assert [type(c) for c in got] == [type(c) for c in want]
+            _assert_scalar_rule(got)

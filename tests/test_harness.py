@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ruehrkit.identities
-from ruehrkit import cli, collatz_bound
+from ruehrkit import beta_dist, cli, collatz_bound, exact_math
 from ruehrkit.exact_math import parse_polynomial, parse_rational
 from ruehrkit.harness import (
     CheckInstance,
@@ -332,6 +332,54 @@ def test_cli_corrupted_one_minus_x_row_fails_the_recurrences(capsys, monkeypatch
     assert {"recurrence_f", "recurrence_g"} <= failed
 
 
+def _rebind_everywhere(monkeypatch, module, name, replacement):
+    'point module.name, and every ruehrkit module global bound to it, at replacement'
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("ruehrkit") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
+_VERIFY_COMTET = ["verify", "comtet", "--format", "json"]
+_VERIFY_ALL = ["verify", "all", "--format", "json"]
+_OFF_BY_ONE_FAULTS = {
+    # the integer Horner kernel skips the leading coefficient
+    "horner_kernel": (exact_math, "_horner",
+                      lambda f: lambda nums, u, v: f(nums[:-1], u, v),
+                      _VERIFY_COMTET, "comtet1"),
+    # the antiderivative divides c_i by i + 2 instead of i + 1
+    "definite_integral": (exact_math, "poly_definite_integral",
+                          lambda f: lambda p, lo, hi: f([c * F(i + 1, i + 2)
+                                                         for i, c in enumerate(p)], lo, hi),
+                          _VERIFY_COMTET, "comtet1"),
+    # the partial binomial sum stops one term early
+    "comtet1_lhs": (ruehrkit.identities, "_comtet1_lhs",
+                    lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
+                    _VERIFY_COMTET, "comtet1"),
+    # the binomial tail, taken from the comtet1 sum with k = n - a, starts one term late
+    "binom_tail_lhs": (beta_dist, "_comtet1_lhs",
+                       lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
+                       _VERIFY_ALL, "binom_tail"),
+    # the negative binomial CDF stops one term early
+    "negbinom_cdf_lhs": (beta_dist, "_negbinom_mass",
+                         lambda f: lambda r, lo, hi, p: f(r, lo, hi - 1, p),
+                         _VERIFY_ALL, "negbinom_cdf"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_OFF_BY_ONE_FAULTS))
+def test_cli_off_by_one_in_a_summation_or_integration_layer_fails(capsys, monkeypatch,
+                                                                  fault):
+    'an off-by-one in either path of comtet1 or a distribution identity exits 1'
+    module, name, make_faulty, argv, check_name = _OFF_BY_ONE_FAULTS[fault]
+    _rebind_everywhere(monkeypatch, module, name, make_faulty(getattr(module, name)))
+    code, out, _ = _run_cli(capsys, argv)
+    assert code == 1
+    failed = {json.loads(line)["check_name"] for line in out.splitlines()
+              if not json.loads(line)["equal"]}
+    assert check_name in failed
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(ruehrkit.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-m", "ruehrkit", "verify", "ruehr", "--max-n", "1"],
@@ -422,3 +470,12 @@ def test_cli_orbit_rejects_preset_plus_custom(capsys):
 def test_cli_orbit_rejects_nonpositive_value(capsys):
     code, _, _ = _run_cli(capsys, ["orbit", "--value", "0", "--preset", "classical"])
     assert code == 2
+
+
+def test_cli_orbit_that_leaves_the_positive_integers_fails(capsys):
+    code, out, err = _run_cli(capsys, ["orbit", "--value", "3", "--mult", "1", "--div", "2",
+                                       "--residues", "0,1"])
+    assert code == 1
+    assert err == ""
+    assert out.splitlines()[1:] == ["steps: 3 1 0",
+                                    "left the positive integers at step 2: value 0"]

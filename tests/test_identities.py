@@ -32,7 +32,7 @@ from ruehrkit.identities import (
     ruehr_polynomial_values,
     ruehr_sums_direct,
 )
-from ruehrkit.harness import FuzzSource, fuzz_rational
+from ruehrkit.harness import FuzzSource, fuzz_int, fuzz_rational
 
 ONE_MINUS_X = [F(1), F(-1)]
 
@@ -136,6 +136,24 @@ def test_comtet1_fuzzed_equality():
                 a = fuzz_rational(src, 9, 9)
                 b = fuzz_rational(src, 9, 9)
                 assert comtet1_sides(n, k, a, b).equal
+
+
+def test_comtet1_integer_lhs_matches_fraction_sum():
+    'the one-denominator lhs equals the plain Fraction sum it replaced, as a Fraction'
+    src = FuzzSource(43)
+    cases = [(3, 1, 0, F(1, 2)), (4, 2, F(2, 3), 0), (5, 4, 2, 1), (6, 3, F(-1, 2), F(1, 2))]
+    for _ in range(150):
+        n = fuzz_int(src, 1, 40)
+        cases.append((n, fuzz_int(src, 0, n - 1), fuzz_rational(src, 9, 9),
+                      fuzz_rational(src, 99, 99)))
+    for n, k, a, b in cases:
+        a, b = F(a), F(b)
+        want = F(0)
+        for i in range(k + 1):
+            want += binomial(n, i) * a ** (n - i) * b ** i
+        pair = comtet1_sides(n, k, a, b)
+        assert pair.lhs == want and type(pair.lhs) is F
+        assert pair.equal
 
 
 def test_comtet2_hand_cases():
