@@ -22,6 +22,7 @@ from typing import Literal, Optional, Sequence
 
 from .exact_math import (
     InternalInconsistencyError,
+    _powers,
     binomial,
     linear_power,
     poly_definite_integral,
@@ -143,12 +144,8 @@ def tail_sum(query: TailSumQuery) -> Fraction:
     k, d, eps = query.k, query.d, query.eps
     center = Fraction((d - 1) * k, d)
     margin = eps * k
-    total = 0
-    pw = 1
-    for i in range(k + 1):
-        if abs(i - center) > margin:
-            total += binomial(k, i) * pw
-        pw *= d - 1
+    total = sum(binomial(k, i) * pw for i, pw in enumerate(_powers(d - 1, k))
+                if abs(i - center) > margin)
     return Fraction(total, d ** k)
 
 
@@ -185,11 +182,7 @@ def partial_sum_sides(k: int, m: int, d: int) -> SidePair:
         raise ValueError(f"partial_sum_sides requires d >= 2, got {d}")
     if not 0 <= m < k:
         raise ValueError(f"partial_sum_sides requires 0 <= m < k, got m={m}, k={k}")
-    total = 0
-    pw = 1
-    for i in range(m + 1):
-        total += binomial(k, i) * pw
-        pw *= d - 1
+    total = sum(binomial(k, i) * pw for i, pw in enumerate(_powers(d - 1, m)))
     integrand = poly_shift(linear_power(d, -1, k - m - 1), m)
     rhs = (k - m) * binomial(k, m) * poly_definite_integral(integrand, d - 1, d)
     return compare_sides(Fraction(total), rhs)

@@ -89,13 +89,6 @@ def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
     return poly_add(a, poly_neg(b))
 
 
-def poly_scale(p: Polynomial, c) -> Polynomial:
-    c = _scalar(c)
-    if not c:
-        return []
-    return poly_normalize([c * x for x in p])
-
-
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     if not a or not b:
         return []

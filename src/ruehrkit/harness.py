@@ -15,6 +15,7 @@ value tuples) as JSON arrays of rational strings.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -206,8 +207,7 @@ def _suite_corollaries(src: FuzzSource, max_n: int, trials: int) -> list[CheckIn
     return out
 
 
-def _one_minus_x() -> list:
-    return [1, -1]
+_ONE_MINUS_X = [1, -1]
 
 
 def _alzer_shift_sides(n: int, left: SumFamily, right: SumFamily) -> SidePair:
@@ -220,7 +220,7 @@ def _recurrence_sides(kind: str, j: int, big_n: int) -> SidePair:
     """The Pascal-rule recurrence h(j+1,N) = (1-x) h(j+1,N-1) + h(j,N), h = f or g."""
     lhs = identities.proof_helper(kind, j + 1, big_n)
     rhs = poly_add(
-        poly_mul(_one_minus_x(), identities.proof_helper(kind, j + 1, big_n - 1)),
+        poly_mul(_ONE_MINUS_X, identities.proof_helper(kind, j + 1, big_n - 1)),
         identities.proof_helper(kind, j, big_n))
     return compare_sides(lhs, rhs)
 
@@ -236,7 +236,7 @@ def _telescoping_sides(m: int, big_n: int) -> SidePair:
     for j in range(1, m + 1):
         inner = poly_add(inner, poly_sub(helper("f", j + 1, big_n - 1),
                                          helper("g", j + 1, big_n - 1)))
-    return compare_sides(lhs, poly_mul(_one_minus_x(), inner))
+    return compare_sides(lhs, poly_mul(_ONE_MINUS_X, inner))
 
 
 def _suite_polynomials(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
@@ -338,6 +338,23 @@ def _tailsum_monotone_sides(k: int, d: int, eps: Fraction) -> SidePair:
     return SidePair(wide, narrow, wide >= narrow)
 
 
+def _tailsum_integral_sides(k: int, d: int, eps: Fraction) -> SidePair:
+    """tail_sum against d^k minus the middle band, each end a comtet1 integral.
+
+    The tail holds i <= ceil(c - eps k) - 1 and i >= floor(c + eps k) + 1
+    with c = (d-1)k/d; S(j) = sum_{i<=j} C(k,i) (d-1)^i is the integral
+    form of partial_sum_sides, 0 below j = 0 and d^k from j = k on.
+    """
+    def below(j):
+        if j < 0:
+            return 0
+        return d ** k if j >= k else collatz_bound.partial_sum_sides(k, j, d).rhs
+    center, margin = Fraction((d - 1) * k, d), eps * k
+    outside = below(math.ceil(center - margin) - 1) + d ** k - below(math.floor(center + margin))
+    mass = collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=d, eps=eps))
+    return compare_sides(mass, Fraction(outside, d ** k))
+
+
 def _eta_bound_sides(k: int, d: int, eps: Fraction, root_bound: Fraction) -> SidePair:
     """The exact tail mass lies strictly below root_bound^k."""
     mass = collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=d, eps=eps))
@@ -358,8 +375,9 @@ def _suite_tailsum(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstan
         k = fuzz_int(src, 1, max(max_n, 1))
         d = fuzz_int(src, 2, 4)
         eps = fuzz_probability(src, 9, lo_open=True, hi_open=True)
-        out.append(_check("tailsum_monotone", {"trial": trial, "k": k, "d": d, "eps": eps},
-                          _tailsum_monotone_sides, k, d, eps))
+        params = {"trial": trial, "k": k, "d": d, "eps": eps}
+        out.append(_check("tailsum_monotone", params, _tailsum_monotone_sides, k, d, eps))
+        out.append(_check("tailsum_integral", params, _tailsum_integral_sides, k, d, eps))
     eps, root_bound = Fraction(1, 4), Fraction(19, 20)
     for k in (50, 100, 200, 400):
         out.append(_check("eta_bound", {"k": k, "d": 2, "eps": eps, "root_bound": root_bound},

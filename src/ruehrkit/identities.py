@@ -31,13 +31,11 @@ The primitives each side uses:
   over two intervals.
 
 Where both sides are polynomials in x (comtet2, comtet3 and corollary2),
-each side sums (1-x)^j rows scaled by binomials (poly_scale), shifted
-where a power of x multiplies the row (poly_shift), and accumulated with
-poly_add.  The two sides share those rows: _one_minus_x_powers writes
-them in closed form as signed binomial rows [(-1)^i C(j, i)], and the
-sides differ in their binomials and shifts.  The f/g recurrence checks in
-the harness multiply by 1 - x on their own, with poly_mul, and add with
-poly_add, so a wrong row surfaces there.
+each side is a sum of terms c x^s (1-x)^r, and both sides are built by
+one function, _bernstein_sum, from their (c, s, r) triples; the sides
+differ only in their binomials and exponents.  The f/g recurrence checks
+in the harness multiply by 1 - x on their own, with poly_mul, and add
+with poly_add, so a fault in _bernstein_sum surfaces there.
 """
 
 from __future__ import annotations
@@ -55,12 +53,10 @@ from .exact_math import (
     Polynomial,
     binomial,
     linear_power,
-    poly_add,
     poly_definite_integral,
     poly_eval,
     poly_mul,  # noqa: F401  (not called here; bench/test_bench.py rebinds identities.poly_mul)
     poly_normalize,
-    poly_scale,
     poly_shift,
 )
 
@@ -91,9 +87,20 @@ def compare_sides(lhs: Side, rhs: Side) -> SidePair:
     return SidePair(lhs=lhs, rhs=rhs, equal=(lhs == rhs))
 
 
-def _one_minus_x_powers(top: int) -> list[Polynomial]:
-    """[(1-x)^0, (1-x)^1, ..., (1-x)^top] as signed binomial rows [(-1)^i C(j, i)]."""
-    return [[(-1) ** i * binomial(j, i) for i in range(j + 1)] for j in range(top + 1)]
+def _bernstein_sum(terms) -> Polynomial:
+    """sum c x^s (1-x)^r over integer triples (c, s, r), as one coefficient list.
+
+    (1-x)^r contributes its signed binomial row (-1)^i C(r, i) to degrees
+    s..s+r; each row coefficient is the previous one times -(r-i)/(i+1),
+    which divides exactly.
+    """
+    terms = list(terms)
+    out = [0] * max((s + r + 1 for _, s, r in terms), default=0)
+    for c, s, r in terms:
+        for i in range(r + 1):
+            out[s + i] += c
+            c = -c * (r - i) // (i + 1)
+    return poly_normalize(out)
 
 
 def family_polynomial(fam: SumFamily, n: int) -> Polynomial:
@@ -123,32 +130,17 @@ def ruehr_sums_direct(n: int) -> tuple[int, int, int, int]:
     """The four chain sums by direct big-integer summation.
 
     Returns (A_n(3), B_n(2), D_n(-4), C_n(-3)) where each entry is the
-    corresponding weighted binomial sum, evaluated term by term with a
-    running power so no polynomial machinery is involved.
+    corresponding weighted binomial sum, evaluated term by term over a list
+    of powers so no polynomial machinery is involved.
     """
     if n < 0:
         raise ValueError(f"ruehr_sums_direct requires n >= 0, got {n}")
-    a3 = 0
-    pw = 1
-    for j in range(n + 1):
-        a3 += pw * binomial(3 * n - j, 2 * n)
-        pw *= 3
-    b2 = 0
-    pw = 1
-    for j in range(n + 1):
-        b2 += pw * binomial(3 * n + 1, n - j)
-        pw *= 2
-    d4 = 0
-    pw = 1
-    for j in range(2 * n + 1):
-        d4 += pw * binomial(3 * n + 1, n + 1 + j)
-        pw *= -4
-    c3 = 0
-    pw = 1
-    for j in range(2 * n + 1):
-        c3 += pw * binomial(3 * n - j, n)
-        pw *= -3
-    return (a3, b2, d4, c3)
+    return (
+        sum(pw * binomial(3 * n - j, 2 * n) for j, pw in enumerate(_powers(3, n))),
+        sum(pw * binomial(3 * n + 1, n - j) for j, pw in enumerate(_powers(2, n))),
+        sum(pw * binomial(3 * n + 1, n + 1 + j) for j, pw in enumerate(_powers(-4, 2 * n))),
+        sum(pw * binomial(3 * n - j, n) for j, pw in enumerate(_powers(-3, 2 * n))),
+    )
 
 
 def ruehr_polynomial_values(n: int) -> tuple[int, int, int, int]:
@@ -227,13 +219,11 @@ def comtet2_sides(m: int, n: int) -> SidePair:
     """
     if not 1 <= m <= n:
         raise ValueError(f"comtet2_sides requires 1 <= m <= n, got m={m}, n={n}")
-    pows = _one_minus_x_powers(n - m)
-    lhs: Polynomial = []
-    rhs: Polynomial = []
-    for k in range(m, n + 1):
-        lhs = poly_add(lhs, poly_shift(poly_scale(pows[k - m], binomial(k - 1, m - 1)), m))
-        rhs = poly_add(rhs, poly_shift(poly_scale(pows[n - k], binomial(n, k)), k))
-    return compare_sides(lhs, rhs)
+    ks = range(m, n + 1)
+    return compare_sides(
+        _bernstein_sum((binomial(k - 1, m - 1), m, k - m) for k in ks),
+        _bernstein_sum((binomial(n, k), k, n - k) for k in ks),
+    )
 
 
 def comtet3_sides(m: int, big_n: int) -> SidePair:
@@ -272,15 +262,12 @@ def proof_helper(kind: Literal["f", "g"], m: int, big_n: int) -> Polynomial:
 @functools.lru_cache(maxsize=4096)
 def _fg_member(kind: str, m: int, big_n: int) -> tuple:
     """proof_helper's value as an immutable tuple."""
-    pows = _one_minus_x_powers(big_n)
-    acc: Polynomial = []
-    for j in range(big_n + 1):
-        if kind == "f":
-            term = poly_scale(pows[j], binomial(m - 1 + j, m - 1))
-        else:
-            term = poly_shift(poly_scale(pows[j], binomial(big_n + m, j)), big_n - j)
-        acc = poly_add(acc, term)
-    return tuple(acc)
+    js = range(big_n + 1)
+    if kind == "f":
+        terms = ((binomial(m - 1 + j, m - 1), 0, j) for j in js)
+    else:
+        terms = ((binomial(big_n + m, j), big_n - j, j) for j in js)
+    return tuple(_bernstein_sum(terms))
 
 
 def corollary1_sides(n: int, variant: Literal["pos", "neg"]) -> SidePair:
@@ -335,15 +322,11 @@ def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:
         )
     top = tops[variant]
     low = 3 * n - top
-    pows = _one_minus_x_powers(top)
-    lhs: Polynomial = []
-    rhs: Polynomial = []
-    for j in range(top + 1):
-        lhs = poly_add(lhs, poly_scale(pows[top - j], binomial(3 * n - j, low)))
-        rhs = poly_add(
-            rhs, poly_shift(poly_scale(pows[top - j], binomial(3 * n + 1, low + 1 + j)), j)
-        )
-    return compare_sides(lhs, rhs)
+    js = range(top + 1)
+    return compare_sides(
+        _bernstein_sum((binomial(3 * n - j, low), 0, top - j) for j in js),
+        _bernstein_sum((binomial(3 * n + 1, low + 1 + j), j, top - j) for j in js),
+    )
 
 
 def kimura_ruehr_moments(n: int) -> SidePair:

@@ -20,7 +20,6 @@ from ruehrkit.exact_math import (
     poly_neg,
     poly_normalize,
     poly_pow,
-    poly_scale,
     poly_shift,
     poly_sub,
     rational_to_float,
@@ -156,13 +155,11 @@ def test_definite_integral_additive_in_interval():
         assert whole == split
 
 
-def test_poly_add_sub_scale_shift():
+def test_poly_add_sub_shift():
     p = poly_normalize([1, 2])
     q = poly_normalize([-1, -2, 5])
     assert poly_add(p, q) == [F(0), F(0), F(5)]
     assert poly_sub(poly_add(p, q), q) == p
-    assert poly_scale(p, 0) == []
-    assert poly_scale(p, F(1, 2)) == [F(1, 2), F(1)]
     assert poly_shift(p, 2) == [F(0), F(0), F(1), F(2)]
     assert poly_shift([], 3) == []
 
@@ -183,7 +180,7 @@ def _assert_scalar_rule(values):
 def test_primitives_return_int_or_fraction_never_float(p, q, c, x):
     polys = [
         poly_normalize(p), poly_add(p, q), poly_sub(p, q), poly_neg(p),
-        poly_scale(p, c), poly_mul(p, q), poly_pow(q, 3), poly_shift(p, 2),
+        poly_mul(p, q), poly_pow(q, 3), poly_shift(p, 2),
         poly_compose(p, q), linear_power(c, x, 4), parse_polynomial(format_polynomial(p)),
     ]
     for poly in polys:

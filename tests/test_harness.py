@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ruehrkit.identities
-from ruehrkit import beta_dist, cli, collatz_bound, exact_math
+from ruehrkit import beta_dist, cli, collatz_bound, exact_math, harness
 from ruehrkit.exact_math import parse_polynomial, parse_rational
 from ruehrkit.harness import (
     CheckInstance,
@@ -315,15 +315,14 @@ def fresh_fg_memo():
 
 def test_cli_corrupted_one_minus_x_row_fails_the_recurrences(capsys, monkeypatch,
                                                              fresh_fg_memo):
-    'comtet2/3 share the (1-x)^j rows; the recurrences multiply by 1-x on their own'
-    rows = ruehrkit.identities._one_minus_x_powers
+    'every polynomial side is one _bernstein_sum; the recurrences multiply by 1-x on their own'
+    build = ruehrkit.identities._bernstein_sum
 
-    def corrupted(top):
-        pows = rows(top)
-        if top >= 2:
-            pows[2][1] += 1
-        return pows
-    monkeypatch.setattr(ruehrkit.identities, "_one_minus_x_powers", corrupted)
+    def corrupted(terms):
+        # (1-x)^2 comes out as 1 - x + x^2: one extra c x^(s+1) per r = 2 term
+        terms = list(terms)
+        return build(terms + [(c, s + 1, 0) for c, s, r in terms if r == 2])
+    monkeypatch.setattr(ruehrkit.identities, "_bernstein_sum", corrupted)
     code, out, _ = _run_cli(capsys, ["verify", "polynomials", "--max-n", "6",
                                      "--format", "json"])
     assert code == 1
@@ -364,13 +363,29 @@ _OFF_BY_ONE_FAULTS = {
     "negbinom_cdf_lhs": (beta_dist, "_negbinom_mass",
                          lambda f: lambda r, lo, hi, p: f(r, lo, hi - 1, p),
                          _VERIFY_ALL, "negbinom_cdf"),
+    # the direct A_n(3) sum comes out one too large
+    "ruehr_sums_direct": (ruehrkit.identities, "ruehr_sums_direct",
+                          lambda f: lambda n: (f(n)[0] + 1,) + f(n)[1:],
+                          _VERIFY_ALL, "ruehr_chain"),
+    # (c0 + c1 x)^e is expanded with the exponent one too high
+    "linear_power": (exact_math, "linear_power",
+                     lambda f: lambda c0, c1, e: f(c0, c1, e + 1),
+                     _VERIFY_ALL, "comtet1"),
+    # p(x + 1) is composed as p(x + 2)
+    "poly_compose": (exact_math, "poly_compose",
+                     lambda f: lambda p, q: f(p, [q[0] + 1] + q[1:]),
+                     _VERIFY_ALL, "alzer_shift"),
+    # the tail mass is one 1/d^k short; the inequality checks cannot see it
+    "tail_sum": (collatz_bound, "tail_sum",
+                 lambda f: lambda query: f(query) - F(1, query.d ** query.k),
+                 _VERIFY_ALL, "tailsum_integral"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_OFF_BY_ONE_FAULTS))
 def test_cli_off_by_one_in_a_summation_or_integration_layer_fails(capsys, monkeypatch,
                                                                   fault):
-    'an off-by-one in either path of comtet1 or a distribution identity exits 1'
+    'one off-by-one fault in a primitive, a summation side or a checker makes verify exit 1'
     module, name, make_faulty, argv, check_name = _OFF_BY_ONE_FAULTS[fault]
     _rebind_everywhere(monkeypatch, module, name, make_faulty(getattr(module, name)))
     code, out, _ = _run_cli(capsys, argv)
@@ -378,6 +393,15 @@ def test_cli_off_by_one_in_a_summation_or_integration_layer_fails(capsys, monkey
     failed = {json.loads(line)["check_name"] for line in out.splitlines()
               if not json.loads(line)["equal"]}
     assert check_name in failed
+
+
+def test_tailsum_integral_matches_tail_sum():
+    'eps = 1/4 or 1/2 puts indices exactly on the boundary c +- eps k, which must stay out'
+    for k in range(1, 30):
+        for d in (2, 3, 4):
+            for eps in (F(1, 9), F(1, 4), F(1, 3), F(1, 2), F(8, 9)):
+                pair = harness._tailsum_integral_sides(k, d, eps)
+                assert pair.equal, (k, d, eps, pair)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -393,8 +417,13 @@ def test_cli_verify_all_seed_42_reports_pinned(capsys):
     code, out, _ = _run_cli(capsys, ["verify", "all", "--seed", "42", "--format", "json"])
     assert code == 0
     lines = _strip_elapsed(out)
-    assert len(lines) == 774
+    assert len(lines) == 784
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "65fd3c53791289e222e1e869f13020e9fd5d4e3c754458be7fd6785171777e44"
+    # every report but tailsum_integral keeps the digest it had before that check existed
+    older = [line for line in lines if '"tailsum_integral"' not in line]
+    assert len(older) == 774
+    digest = hashlib.sha256("\n".join(older).encode()).hexdigest()
     assert digest == "447bdd9e5eefbd79eb142b4cb8ef37e55053eb53540cf6d6bcb05e519b7c09cb"
 
 

@@ -213,13 +213,26 @@ def test_proof_helper_validation():
         proof_helper("f", 1, -1)
 
 
-def test_one_minus_x_rows_match_repeated_multiplication():
-    'the closed-form signed binomial rows against (1-x)^j by repeated poly_mul'
-    rows = identities._one_minus_x_powers(30)
-    power = [1]
-    for j in range(31):
-        assert rows[j] == power
-        power = poly_mul(power, ONE_MINUS_X)
+def _bernstein_reference(terms):
+    'sum c x^s (1-x)^r by poly_pow, poly_shift and poly_mul'
+    out = []
+    for c, s, r in terms:
+        out = poly_add(out, poly_mul([c], poly_shift(poly_pow(ONE_MINUS_X, r), s)))
+    return out
+
+
+def test_bernstein_sum_matches_powers_of_one_minus_x():
+    'the shared builder of every polynomial side against repeated poly_mul'
+    for r in range(31):
+        for c, s in ((1, 0), (-7, 3), (binomial(40, 13), 5)):
+            assert identities._bernstein_sum([(c, s, r)]) == _bernstein_reference([(c, s, r)])
+    overlapping = [(3, 0, 4), (-5, 2, 3), (binomial(20, 7), 1, 6), (2, 4, 0), (-1, 0, 10)]
+    assert identities._bernstein_sum(overlapping) == _bernstein_reference(overlapping)
+    # (1-x) + x cancels to the constant 1; x (1-x) - x + x^2 cancels to zero
+    assert identities._bernstein_sum([(1, 0, 1), (1, 1, 0)]) == [1]
+    assert identities._bernstein_sum([(1, 1, 1), (-1, 1, 0), (1, 2, 0)]) == []
+    assert identities._bernstein_sum(iter([(2, 1, 2)])) == [0, 2, -4, 2]
+    assert identities._bernstein_sum([]) == []
 
 
 def test_proof_helper_results_cannot_poison_the_memo():
