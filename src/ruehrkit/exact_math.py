@@ -17,6 +17,10 @@ integration and linear_power carry integer numerators over a common
 integer denominator and normalize only the final value (one gcd per
 result, or per coefficient for linear_power), never an intermediate step.
 
+Binomials come by two routes: binomial is one math.comb call each, and
+binomial_row walks a row along the bottom index (linear_power uses it).
+The checkers set a side on one route against a side on the other.
+
 Everything in this module is a pure function over values that are never
 mutated after construction, so concurrent callers need no locking.
 """
@@ -50,6 +54,19 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def binomial_row(n: int, top: int) -> list[int]:
+    """[C(n, 0), ..., C(n, top)] by the exact step C(n, i+1) = C(n, i) (n-i) / (i+1).
+
+    Entries past n are 0, as for binomial: the factor n - i is 0 at i = n.
+    """
+    if n < 0 or top < 0:
+        raise ValueError(f"binomial_row requires n >= 0 and top >= 0, got n={n}, top={top}")
+    row = [1]
+    for i in range(top):
+        row.append(row[-1] * (n - i) // (i + 1))
+    return row
 
 
 def _scalar(c) -> Scalar:
@@ -126,7 +143,8 @@ def linear_power(c0, c1, exponent: int) -> Polynomial:
     Equivalent to poly_pow([c0, c1], exponent) but O(exponent) products,
     which matters when it sits inside a doubly indexed verification sweep.
     With c0 = p0/q0 and c1 = p1/q1, coefficient i is the integer
-    C(e, i) p0^(e-i) p1^i divided once by q0^(e-i) q1^i.
+    C(e, i) p0^(e-i) p1^i divided once by q0^(e-i) q1^i; the C(e, i) are
+    one binomial_row.
     """
     if exponent < 0:
         raise ValueError(f"linear_power requires exponent >= 0, got {exponent}")
@@ -134,7 +152,7 @@ def linear_power(c0, c1, exponent: int) -> Polynomial:
     c1 = _scalar(c1)
     e = exponent
     p0, p1 = _powers(c0.numerator, e), _powers(c1.numerator, e)
-    nums = [binomial(e, i) * p0[e - i] * p1[i] for i in range(e + 1)]
+    nums = [c * p0[e - i] * p1[i] for i, c in enumerate(binomial_row(e, e))]
     if c0.denominator == c1.denominator == 1:
         return poly_normalize(nums)
     q0, q1 = _powers(c0.denominator, e), _powers(c1.denominator, e)

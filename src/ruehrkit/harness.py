@@ -343,12 +343,12 @@ def _tailsum_integral_sides(k: int, d: int, eps: Fraction) -> SidePair:
 
     The tail holds i <= ceil(c - eps k) - 1 and i >= floor(c + eps k) + 1
     with c = (d-1)k/d; S(j) = sum_{i<=j} C(k,i) (d-1)^i is the integral
-    form of partial_sum_sides, 0 below j = 0 and d^k from j = k on.
+    partial_sum_integral(k, j, d), 0 below j = 0 and d^k from j = k on.
     """
     def below(j):
         if j < 0:
             return 0
-        return d ** k if j >= k else collatz_bound.partial_sum_sides(k, j, d).rhs
+        return d ** k if j >= k else collatz_bound.partial_sum_integral(k, j, d)
     center, margin = Fraction((d - 1) * k, d), eps * k
     outside = below(math.ceil(center - margin) - 1) + d ** k - below(math.floor(center + margin))
     mass = collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=d, eps=eps))

@@ -18,24 +18,31 @@ The cast of identities:
 * the four-way Ruehr chain A_n(3) = B_n(2) = D_n(-4) = C_n(-3);
 * the Kimura-Ruehr moment equality for the kernel 3x^2 - 2x^3.
 
-The primitives each side uses:
+The primitives each side uses, and the route of its binomials (math.comb
+through binomial, a binomial_row walk along the bottom index, or a walk
+along the top index):
 
-* comtet1: the lhs is a term-by-term binomial sum, run in integers over
-  the common denominator of a and b (_comtet1_lhs); the rhs is
-  linear_power, poly_shift and poly_definite_integral.
-* corollary1: the lhs is ruehr_sums_direct (binomial sums in int); the
-  rhs is linear_power, poly_shift and poly_definite_integral.
+* comtet1: the lhs is a term-by-term sum of math.comb binomials, run in
+  integers over the common denominator of a and b (_comtet1_lhs).  The
+  rhs substitutes t = u/q, q the common denominator of b and a + b: the
+  integrand u^k (H-u)^(n-k-1) (a binomial_row, in linear_power) has
+  integer coefficients and bounds L = bq, H = (a+b)q.
+* corollary1: the lhs is ruehr_sums_direct; the rhs is linear_power
+  (a binomial_row), poly_shift and poly_definite_integral.
 * the Ruehr chain: ruehr_sums_direct against family_polynomial evaluated
-  by poly_eval.
+  by poly_eval.  family_polynomial takes B and D from binomial_row and A
+  and C from walks up the top index; ruehr_sums_direct starts each sum
+  from one math.comb value and walks the other way, term by term.
 * kimura_ruehr_moments: poly_definite_integral of one linear_power kernel
   over two intervals.
 
 Where both sides are polynomials in x (comtet2, comtet3 and corollary2),
 each side is a sum of terms c x^s (1-x)^r, and both sides are built by
 one function, _bernstein_sum, from their (c, s, r) triples; the sides
-differ only in their binomials and exponents.  The f/g recurrence checks
-in the harness multiply by 1 - x on their own, with poly_mul, and add
-with poly_add, so a fault in _bernstein_sum surfaces there.
+differ only in their math.comb coefficients c and exponents, and each
+(1-x)^r is a binomial_row.  The f/g recurrence checks in the harness
+multiply by 1 - x on their own, with poly_mul, and add with poly_add, so
+a fault in _bernstein_sum surfaces there.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ from .exact_math import (
     _powers,
     Polynomial,
     binomial,
+    binomial_row,
     linear_power,
     poly_definite_integral,
     poly_eval,
@@ -91,16 +99,22 @@ def _bernstein_sum(terms) -> Polynomial:
     """sum c x^s (1-x)^r over integer triples (c, s, r), as one coefficient list.
 
     (1-x)^r contributes its signed binomial row (-1)^i C(r, i) to degrees
-    s..s+r; each row coefficient is the previous one times -(r-i)/(i+1),
-    which divides exactly.
+    s..s+r.
     """
     terms = list(terms)
     out = [0] * max((s + r + 1 for _, s, r in terms), default=0)
     for c, s, r in terms:
-        for i in range(r + 1):
-            out[s + i] += c
-            c = -c * (r - i) // (i + 1)
+        for i, entry in enumerate(_one_minus_x_power(r), s):
+            out[i] += c * entry
     return poly_normalize(out)
+
+
+# Building a row costs about as much as adding it in, and the same short rows
+# recur, so they are memoized; clear this when binomial_row is swapped out.
+@functools.lru_cache(maxsize=256)
+def _one_minus_x_power(r: int) -> tuple:
+    """Coefficients (-1)^i C(r, i), i = 0..r, of (1-x)^r, from one binomial_row."""
+    return tuple(-c if i % 2 else c for i, c in enumerate(binomial_row(r, r)))
 
 
 def family_polynomial(fam: SumFamily, n: int) -> Polynomial:
@@ -110,17 +124,22 @@ def family_polynomial(fam: SumFamily, n: int) -> Polynomial:
     B_n(x) = sum_{0<=j<=n}  C(3n+1, n-j)  x^j   (degree n)
     C_n(x) = sum_{0<=j<=2n} C(3n-j, n)    x^j   (degree 2n)
     D_n(x) = sum_{0<=j<=2n} C(3n+1, n+1+j) x^j  (degree 2n)
+
+    B and D are binomial rows reversed (C(3n+1, n+1+j) = C(3n+1, 2n-j)); A
+    and C are columns C(low, low), ..., C(3n, low) walked up the top index.
     """
     if n < 0:
         raise ValueError(f"family_polynomial requires n >= 0, got {n}")
-    if fam is SumFamily.A:
-        coeffs = [binomial(3 * n - j, 2 * n) for j in range(n + 1)]
+    if fam is SumFamily.A or fam is SumFamily.C:
+        low = 2 * n if fam is SumFamily.A else n
+        coeffs = [1]
+        for m in range(low + 1, 3 * n + 1):
+            coeffs.append(coeffs[-1] * m // (m - low))
+        coeffs.reverse()
     elif fam is SumFamily.B:
-        coeffs = [binomial(3 * n + 1, n - j) for j in range(n + 1)]
-    elif fam is SumFamily.C:
-        coeffs = [binomial(3 * n - j, n) for j in range(2 * n + 1)]
+        coeffs = binomial_row(3 * n + 1, n)[::-1]
     elif fam is SumFamily.D:
-        coeffs = [binomial(3 * n + 1, n + 1 + j) for j in range(2 * n + 1)]
+        coeffs = binomial_row(3 * n + 1, 2 * n)[::-1]
     else:
         raise ValueError(f"unknown family {fam!r}")
     return poly_normalize(coeffs)
@@ -130,17 +149,29 @@ def ruehr_sums_direct(n: int) -> tuple[int, int, int, int]:
     """The four chain sums by direct big-integer summation.
 
     Returns (A_n(3), B_n(2), D_n(-4), C_n(-3)) where each entry is the
-    corresponding weighted binomial sum, evaluated term by term over a list
-    of powers so no polynomial machinery is involved.
+    corresponding weighted binomial sum, evaluated term by term so no
+    polynomial machinery is involved.  Each sum starts from its j = 0
+    binomial (math.comb) and walks against family_polynomial's direction.
     """
     if n < 0:
         raise ValueError(f"ruehr_sums_direct requires n >= 0, got {n}")
+    n2, n3 = 2 * n, 3 * n
     return (
-        sum(pw * binomial(3 * n - j, 2 * n) for j, pw in enumerate(_powers(3, n))),
-        sum(pw * binomial(3 * n + 1, n - j) for j, pw in enumerate(_powers(2, n))),
-        sum(pw * binomial(3 * n + 1, n + 1 + j) for j, pw in enumerate(_powers(-4, 2 * n))),
-        sum(pw * binomial(3 * n - j, n) for j, pw in enumerate(_powers(-3, 2 * n))),
+        _walked_sum(3, binomial(n3, n2), zip(range(n, 0, -1), range(n3, n2, -1))),
+        _walked_sum(2, binomial(n3 + 1, n), zip(range(n, 0, -1), range(n2 + 2, n3 + 2))),
+        _walked_sum(-4, binomial(n3 + 1, n + 1), zip(range(n2, 0, -1), range(n + 2, n3 + 2))),
+        _walked_sum(-3, binomial(n3, n), zip(range(n2, 0, -1), range(n3, n, -1))),
     )
+
+
+def _walked_sum(weight: int, c: int, steps) -> int:
+    """sum_j weight^j c_j with c_0 = c and c_(j+1) = c_j * p // q for the j-th (p, q) of steps."""
+    total, power = c, 1
+    for p, q in steps:
+        c = c * p // q
+        power *= weight
+        total += power * c
+    return total
 
 
 def ruehr_polynomial_values(n: int) -> tuple[int, int, int, int]:
@@ -190,8 +221,12 @@ def comtet1_sides(n: int, k: int, a, b) -> SidePair:
     b = Fraction(b)
     lhs = _comtet1_lhs(n, k, a, b)
 
-    integrand = poly_shift(linear_power(a + b, -1, n - k - 1), k)
-    rhs = (n - k) * binomial(n, k) * poly_definite_integral(integrand, b, a + b)
+    # t = u/q: integral_L^H u^k (H-u)^(n-k-1) du / q^n over integers L = bq, H = (a+b)q
+    top = a + b
+    q = math.lcm(b.denominator, top.denominator)
+    lo, hi = b.numerator * (q // b.denominator), top.numerator * (q // top.denominator)
+    value = poly_definite_integral(poly_shift(linear_power(hi, -1, n - k - 1), k), lo, hi)
+    rhs = Fraction((n - k) * binomial(n, k) * value.numerator, value.denominator * q ** n)
     return compare_sides(lhs, rhs)
 
 

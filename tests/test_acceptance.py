@@ -11,7 +11,7 @@ import math
 import time
 from fractions import Fraction as F
 
-from ruehrkit import beta_dist, cli, collatz_bound, identities
+from ruehrkit import beta_dist, cli, collatz_bound, harness, identities
 from ruehrkit.exact_math import poly_add, poly_compose, poly_mul
 from ruehrkit.harness import FuzzSource, fuzz_int, fuzz_probability, fuzz_rational
 from ruehrkit.identities import SidePair, SumFamily
@@ -191,3 +191,21 @@ def test_criterion_8_harness_determinism_and_fault_injection(capsys, monkeypatch
     capsys.readouterr()
     elapsed = time.perf_counter() - started
     _passed(8, elapsed, "verify all deterministic at seed 42; corrupted checker exits 1")
+
+
+def test_criterion_9_ruehr_chain_at_2000():
+    started = time.perf_counter()
+    values = identities.ruehr_chain(2000)  # raises on any path disagreement
+    assert len(set(values)) == 1, "chain broken at n=2000"
+    elapsed = time.perf_counter() - started
+    assert elapsed < 30
+    _passed(9, elapsed, f"four-way chain equal at n=2000 ({values[0].bit_length()} bits)")
+
+
+def test_criterion_10_tailsum_integral_at_4000():
+    started = time.perf_counter()
+    pair = harness._tailsum_integral_sides(4000, 2, F(1, 4))
+    assert pair.equal, "tail_sum disagrees with its comtet1 integral form at k=4000"
+    elapsed = time.perf_counter() - started
+    assert elapsed < 30
+    _passed(10, elapsed, "tail_sum equals d^k minus two comtet1 integrals at k=4000, d=2, eps=1/4")

@@ -6,6 +6,7 @@ import pytest
 
 from ruehrkit.exact_math import (
     binomial,
+    binomial_row,
     format_polynomial,
     format_rational,
     linear_power,
@@ -64,6 +65,28 @@ def test_binomial_pascal_rule():
 def test_binomial_row_sums():
     for n in range(201):
         assert sum(binomial(n, k) for k in range(n + 1)) == 2 ** n
+
+
+def test_binomial_row_matches_math_comb():
+    'every entry C(n, k), k <= n <= 300; a row cut at top is the prefix of the full row'
+    for n in range(301):
+        full = binomial_row(n, n)
+        assert full == [math.comb(n, k) for k in range(n + 1)], n
+        for top in {t for t in (0, 1, n // 3, n // 2, n - 1) if 0 <= t <= n}:
+            assert binomial_row(n, top) == full[:top + 1], (n, top)
+
+
+def test_binomial_row_edges_and_out_of_range():
+    'n = 0 and top = 0 work; past n the entries are 0, the convention of binomial'
+    assert binomial_row(0, 0) == [1]
+    assert binomial_row(7, 0) == [1]
+    assert binomial_row(0, 3) == [1, 0, 0, 0]
+    assert binomial_row(3, 6) == [1, 3, 3, 1, 0, 0, 0]
+    for n in range(12):
+        assert binomial_row(n, n + 5) == [binomial(n, k) for k in range(n + 6)]
+    for n, top in ((-1, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            binomial_row(n, top)
 
 
 def test_binomial_large_operands_exact():

@@ -306,15 +306,18 @@ def test_cli_negative_bound_is_usage_error(capsys, flag, value):
 
 
 @pytest.fixture
-def fresh_fg_memo():
-    'proof_helper memoizes f/g; start and end with an empty memo'
-    ruehrkit.identities._fg_member.cache_clear()
+def fresh_memos():
+    'the f/g members and the (1-x)^r rows are memoized; start and end with empty memos'
+    memos = (ruehrkit.identities._fg_member, ruehrkit.identities._one_minus_x_power)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    ruehrkit.identities._fg_member.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 def test_cli_corrupted_one_minus_x_row_fails_the_recurrences(capsys, monkeypatch,
-                                                             fresh_fg_memo):
+                                                             fresh_memos):
     'every polynomial side is one _bernstein_sum; the recurrences multiply by 1-x on their own'
     build = ruehrkit.identities._bernstein_sum
 
@@ -339,60 +342,74 @@ def _rebind_everywhere(monkeypatch, module, name, replacement):
             monkeypatch.setattr(mod, name, replacement)
 
 
+def _binomial_row_dividing_by_i_plus_2(n, top):
+    row = [1]
+    for i in range(top):
+        row.append(row[-1] * (n - i) // (i + 2))
+    return row
+
+
 _VERIFY_COMTET = ["verify", "comtet", "--format", "json"]
 _VERIFY_ALL = ["verify", "all", "--format", "json"]
 _OFF_BY_ONE_FAULTS = {
     # the integer Horner kernel skips the leading coefficient
     "horner_kernel": (exact_math, "_horner",
                       lambda f: lambda nums, u, v: f(nums[:-1], u, v),
-                      _VERIFY_COMTET, "comtet1"),
+                      _VERIFY_COMTET, ("comtet1",)),
     # the antiderivative divides c_i by i + 2 instead of i + 1
     "definite_integral": (exact_math, "poly_definite_integral",
                           lambda f: lambda p, lo, hi: f([c * F(i + 1, i + 2)
                                                          for i, c in enumerate(p)], lo, hi),
-                          _VERIFY_COMTET, "comtet1"),
+                          _VERIFY_COMTET, ("comtet1",)),
     # the partial binomial sum stops one term early
     "comtet1_lhs": (ruehrkit.identities, "_comtet1_lhs",
                     lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
-                    _VERIFY_COMTET, "comtet1"),
+                    _VERIFY_COMTET, ("comtet1",)),
     # the binomial tail, taken from the comtet1 sum with k = n - a, starts one term late
     "binom_tail_lhs": (beta_dist, "_comtet1_lhs",
                        lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
-                       _VERIFY_ALL, "binom_tail"),
+                       _VERIFY_ALL, ("binom_tail",)),
     # the negative binomial CDF stops one term early
     "negbinom_cdf_lhs": (beta_dist, "_negbinom_mass",
                          lambda f: lambda r, lo, hi, p: f(r, lo, hi - 1, p),
-                         _VERIFY_ALL, "negbinom_cdf"),
+                         _VERIFY_ALL, ("negbinom_cdf",)),
     # the direct A_n(3) sum comes out one too large
     "ruehr_sums_direct": (ruehrkit.identities, "ruehr_sums_direct",
                           lambda f: lambda n: (f(n)[0] + 1,) + f(n)[1:],
-                          _VERIFY_ALL, "ruehr_chain"),
+                          _VERIFY_ALL, ("ruehr_chain",)),
     # (c0 + c1 x)^e is expanded with the exponent one too high
     "linear_power": (exact_math, "linear_power",
                      lambda f: lambda c0, c1, e: f(c0, c1, e + 1),
-                     _VERIFY_ALL, "comtet1"),
+                     _VERIFY_ALL, ("comtet1",)),
     # p(x + 1) is composed as p(x + 2)
     "poly_compose": (exact_math, "poly_compose",
                      lambda f: lambda p, q: f(p, [q[0] + 1] + q[1:]),
-                     _VERIFY_ALL, "alzer_shift"),
+                     _VERIFY_ALL, ("alzer_shift",)),
     # the tail mass is one 1/d^k short; the inequality checks cannot see it
     "tail_sum": (collatz_bound, "tail_sum",
                  lambda f: lambda query: f(query) - F(1, query.d ** query.k),
-                 _VERIFY_ALL, "tailsum_integral"),
+                 _VERIFY_ALL, ("tailsum_integral",)),
+    # each row entry divides by i + 2 instead of i + 1; ruehr_sums_direct and the
+    # comtet1 lhs do not use the row, so their checks see it
+    "binomial_row": (exact_math, "binomial_row",
+                     lambda f: _binomial_row_dividing_by_i_plus_2,
+                     _VERIFY_ALL, ("ruehr_chain", "comtet1")),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(_OFF_BY_ONE_FAULTS))
 def test_cli_off_by_one_in_a_summation_or_integration_layer_fails(capsys, monkeypatch,
-                                                                  fault):
-    'one off-by-one fault in a primitive, a summation side or a checker makes verify exit 1'
-    module, name, make_faulty, argv, check_name = _OFF_BY_ONE_FAULTS[fault]
+                                                                  fresh_memos, fault):
+    'one off-by-one fault makes verify exit 1, and the named checks fail with lhs != rhs'
+    module, name, make_faulty, argv, check_names = _OFF_BY_ONE_FAULTS[fault]
     _rebind_everywhere(monkeypatch, module, name, make_faulty(getattr(module, name)))
     code, out, _ = _run_cli(capsys, argv)
     assert code == 1
-    failed = {json.loads(line)["check_name"] for line in out.splitlines()
-              if not json.loads(line)["equal"]}
-    assert check_name in failed
+    # sides that disagree show the fault on one route only; for ruehr_chain,
+    # four equal but wrong values on both paths would fail with lhs == rhs
+    reports = [json.loads(line) for line in out.splitlines()]
+    split = {r["check_name"] for r in reports if not r["equal"] and r["lhs"] != r["rhs"]}
+    assert set(check_names) <= split
 
 
 def test_tailsum_integral_matches_tail_sum():

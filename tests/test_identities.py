@@ -156,6 +156,31 @@ def test_comtet1_integer_lhs_matches_fraction_sum():
         assert pair.equal
 
 
+def _comtet1_rhs_fraction_route(n, k, a, b):
+    'the comtet1 rhs before the t = u/q substitution: Fraction coefficients and bounds'
+    integrand = poly_shift(linear_power(a + b, -1, n - k - 1), k)
+    return (n - k) * binomial(n, k) * poly_definite_integral(integrand, b, a + b)
+
+
+def test_comtet1_integer_rhs_matches_fraction_route():
+    'the integer rhs over q^n has the value of the Fraction route and is a Fraction, like the lhs'
+    src = FuzzSource(44)
+    cases = [(1, 0, F(3, 4), F(-3, 4)), (5, 2, F(-2, 3), F(2, 3)), (6, 5, F(7, 2), F(-7, 2)),
+             (4, 0, F(-5, 3), 0), (7, 6, F(2, 9), 0), (3, 1, 0, 0), (8, 0, F(-1, 2), F(-3, 5)),
+             (8, 7, F(-1, 2), F(-3, 5)), (2, 1, 2, 1), (9, 4, 0, F(5, 6))]
+    for _ in range(300):
+        n = fuzz_int(src, 1, 30)
+        k = (0, n - 1, fuzz_int(src, 0, n - 1))[fuzz_int(src, 0, 2)]
+        a = fuzz_rational(src, 9, 9)
+        b = (fuzz_rational(src, 99, 99), -a, F(0))[fuzz_int(src, 0, 2)]
+        cases.append((n, k, a, b))
+    for n, k, a, b in cases:
+        a, b = F(a), F(b)
+        rhs = comtet1_sides(n, k, a, b).rhs
+        assert rhs == _comtet1_rhs_fraction_route(n, k, a, b), (n, k, a, b)
+        assert type(rhs) is F
+
+
 def test_comtet2_hand_cases():
     pair = comtet2_sides(1, 2)
     assert pair.lhs == [F(0), F(2), F(-1)]
