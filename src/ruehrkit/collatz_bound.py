@@ -3,7 +3,10 @@
 The map divides by d on multiples of d and otherwise sends ell to
 (mult*ell - r)/d, where r is the unique representative of mult*ell in a
 complete residue system modulo d.  The classical 3x+1 map is mult=3, d=2
-with residues {0, -1}.  Orbits are computed with cycle detection.
+with residues {0, -1}.  orbit walks one start with cycle detection and
+records its path (the orbit subcommand); orbit_fates gives the same ending
+for every start 1..N from walks that stop at values resolved earlier in the
+call, and is what the harness's orbit_cycle check counts.
 
 The density argument for these maps needs an exact large-deviation bound:
 the normalized sum of C(k, i) (d-1)^i over indices i deviating from the
@@ -139,18 +142,57 @@ def orbit(ell: int, cfg: GenCollatzConfig, max_steps: int) -> OrbitResult:
     return OrbitResult(steps=steps, terminated="max-steps-reached", cycle=None)
 
 
+def orbit_fates(cfg: GenCollatzConfig, max_start: int, max_steps: int) -> list[tuple]:
+    """How orbit(start, cfg, max_steps) ends, for each start 1..max_start in order.
+
+    Entry start-1 is (terminated, frozenset of the cycle values or None).
+    Each value resolved during the call maps to the step count of its own
+    orbit and how that orbit ends.  A walk x_0, x_1, ... stops at the first
+    x_j that is known, repeats x_m, or is below 1; x_i then takes j - i steps
+    plus those of a known x_j, or j - min(i, m) at a repeat.  A walk still
+    open after max_steps steps resolves nothing.
+    """
+    if max_steps < 1:
+        raise ValueError(f"orbit_fates requires max_steps >= 1, got {max_steps}")
+    known: dict[int, tuple[int, tuple]] = {}
+    fates = []
+    for start in range(1, max_start + 1):
+        path, seen, value = [], {}, start
+        while value >= 1 and value not in known and value not in seen and len(path) < max_steps:
+            seen[value] = len(path)
+            path.append(value)
+            value = g_step(value, cfg)
+        j, entry, extra = len(path), len(path), 0
+        if value < 1:
+            end = ("left-positive-integers", None)
+        elif value in known:
+            extra, end = known[value]
+        elif value in seen:
+            entry = seen[value]
+            end = ("cycle-found", frozenset(path[entry:]))
+        else:
+            fates.append(("max-steps-reached", None))
+            continue
+        for i, x in enumerate(path):
+            known[x] = (j - min(i, entry) + extra, end)
+        taken, end = known[start]
+        fates.append(end if taken <= max_steps else ("max-steps-reached", None))
+    return fates
+
+
 def tail_sum(query: TailSumQuery) -> Fraction:
     """Exact large-deviation tail mass.
 
     (1/d^k) * sum of C(k, i) (d-1)^i over 0 <= i <= k with
-    |i - (d-1)k/d| > eps*k.  The membership test is exact rational
-    comparison with strict inequality, so boundary indices are excluded.
+    |i - (d-1)k/d| > eps*k.  With eps = p/q the membership test is the
+    integer comparison |i*d*q - (d-1)*k*q| > p*k*d, strict and per index,
+    so boundary indices are excluded.
     """
-    k, d, eps = query.k, query.d, query.eps
-    center = Fraction((d - 1) * k, d)
-    margin = eps * k
+    k, d = query.k, query.d
+    p, q = query.eps.numerator, query.eps.denominator
+    center, margin = (d - 1) * k * q, p * k * d
     total = sum(binomial(k, i) * pw for i, pw in enumerate(_powers(d - 1, k))
-                if abs(i - center) > margin)
+                if abs(i * d * q - center) > margin)
     return Fraction(total, d ** k)
 
 

@@ -387,11 +387,8 @@ def _suite_tailsum(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstan
 
 def _orbit_cycle_sides(max_start: int, max_steps: int) -> SidePair:
     """Count of starts 1..max_start whose classical orbit ends in the {1, 2} cycle."""
-    converged = 0
-    for ell in range(1, max_start + 1):
-        result = collatz_bound.orbit(ell, collatz_bound.CLASSICAL, max_steps)
-        if result.terminated == "cycle-found" and set(result.cycle) == {1, 2}:
-            converged += 1
+    fates = collatz_bound.orbit_fates(collatz_bound.CLASSICAL, max_start, max_steps)
+    converged = fates.count(("cycle-found", frozenset({1, 2})))
     return SidePair(converged, max_start, converged == max_start)
 
 

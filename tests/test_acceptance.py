@@ -209,3 +209,12 @@ def test_criterion_10_tailsum_integral_at_4000():
     elapsed = time.perf_counter() - started
     assert elapsed < 30
     _passed(10, elapsed, "tail_sum equals d^k minus two comtet1 integrals at k=4000, d=2, eps=1/4")
+
+
+def test_criterion_11_orbit_cycle_at_100000():
+    started = time.perf_counter()
+    pair = harness._orbit_cycle_sides(100_000, 10_000)
+    assert pair.equal, f"only {pair.lhs} of {pair.rhs} classical orbits reach {{1, 2}}"
+    elapsed = time.perf_counter() - started
+    assert elapsed < 30
+    _passed(11, elapsed, "every classical orbit from a start <= 100000 ends in the {1, 2} cycle")

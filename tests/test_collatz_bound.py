@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from ruehrkit.collatz_bound import (
     eta_profile,
     g_step,
     orbit,
+    orbit_fates,
     partial_sum_sides,
     tail_sum,
 )
@@ -112,6 +114,36 @@ def test_classical_orbits_reach_cycle_at_desk_scale():
         assert set(result.cycle) == {1, 2}
 
 
+_FATE_CONFIGS = {
+    "classical": CLASSICAL,
+    # cycles through 1, 13 and 17; most other starts run out of budget
+    "5x+1": GenCollatzConfig(mult=5, div=2, residues=(0, -1)),
+    "5x/3": GenCollatzConfig(mult=5, div=3, residues=(0, 1, -1)),
+    "leaves-at-0": GenCollatzConfig(mult=1, div=2, residues=(0, 1)),
+    "leaves-at-minus-1": GenCollatzConfig(mult=1, div=2, residues=(0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FATE_CONFIGS))
+def test_orbit_fates_match_orbit_start_by_start(name):
+    'the classical orbit of 235, the longest from a start <= 300, ends at step 82'
+    cfg = _FATE_CONFIGS[name]
+    for max_steps in (1, 2, 3, 20, 81, 82, 83, 10_000):
+        # a growing 5x+1 orbit (7, 9, ...) walks the whole budget in big integers on both routes
+        max_start = 10 if name == "5x+1" and max_steps == 10_000 else 300
+        expected = []
+        for start in range(1, max_start + 1):
+            r = orbit(start, cfg, max_steps)
+            expected.append((r.terminated, frozenset(r.cycle) if r.cycle is not None else None))
+        assert orbit_fates(cfg, max_start, max_steps) == expected, (name, max_steps)
+
+
+def test_orbit_fates_validation():
+    assert orbit_fates(CLASSICAL, 0, 10) == []
+    with pytest.raises(ValueError):
+        orbit_fates(CLASSICAL, 10, 0)
+
+
 def test_tail_sum_pinned_values():
     assert tail_sum(TailSumQuery(k=4, d=2, eps=F(1, 4))) == F(1, 8)
     assert tail_sum(TailSumQuery(k=4, d=2, eps=F(1, 2))) == 0
@@ -123,6 +155,18 @@ def test_tail_sum_strict_inequality_at_boundary():
     'indices exactly eps*k from the center are excluded'
     # k=4, d=2: center 2, margin 1; i=1 and i=3 sit exactly on it
     assert tail_sum(TailSumQuery(k=4, d=2, eps=F(1, 4))) == F(2, 16)
+
+
+def test_tail_sum_integer_membership_matches_fraction_comparison():
+    'the Fraction test |i - (d-1)k/d| > eps*k is the reference; 1/4, 1/3 and 1/2 hit the boundary'
+    for k in range(1, 60):
+        for d in range(2, 6):
+            center = F((d - 1) * k, d)
+            terms = [(abs(i - center), math.comb(k, i) * (d - 1) ** i) for i in range(k + 1)]
+            for eps in (F(1, 9), F(1, 4), F(1, 3), F(1, 2), F(2, 7), F(8, 9)):
+                margin = eps * k
+                expected = F(sum(w for gap, w in terms if gap > margin), d ** k)
+                assert tail_sum(TailSumQuery(k=k, d=d, eps=eps)) == expected, (k, d, eps)
 
 
 def test_tail_sum_query_validation():
