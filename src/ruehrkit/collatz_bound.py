@@ -105,12 +105,7 @@ def g_step(ell: int, cfg: GenCollatzConfig) -> int:
     scaled = cfg.mult * ell
     for r in cfg.residues:
         if (scaled - r) % cfg.div == 0:
-            numerator = scaled - r
-            if numerator % cfg.div != 0:
-                raise InternalInconsistencyError(
-                    f"division not exact for ell={ell} with {cfg}"
-                )
-            return numerator // cfg.div
+            return (scaled - r) // cfg.div
     raise InternalInconsistencyError(
         f"no residue matches {scaled} modulo {cfg.div}; residue system invalid: {cfg}"
     )

@@ -2,10 +2,13 @@
 
 A suite is expanded into check instances up front, in a fixed order, with
 every fuzz draw taken from one linear-congruential source during that
-expansion.  Each instance pairs one pure checker, returning a SidePair,
-with its arguments.  Instances then run serially and their reports are
-sorted by (check_name, generation index), so the same seed and flags
-always produce byte-identical output apart from the elapsed_ms field.
+expansion.  Each instance is plain data: one pure checker, returning a
+SidePair, and its arguments.  The harness, not the checker, decides each
+verdict: a report is equal only when the checker's relation holds and,
+except for the three inequality checks in _INEQUALITIES, the two
+serialized sides are the same string.  Instances run serially and their
+reports are sorted by (check_name, generation index), so the same seed and
+flags always produce byte-identical output apart from the elapsed_ms field.
 
 Report records carry exactly the fields check_name, params, lhs, rhs,
 equal, elapsed_ms; rationals serialize as "num/den" and polynomials (or
@@ -17,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import beta_dist, collatz_bound, identities
-from .exact_math import (format_rational, poly_add, poly_compose, poly_eval,
-                         poly_mul, poly_sub)
+from .exact_math import (format_polynomial, format_rational, poly_add, poly_compose,
+                         poly_eval, poly_mul, poly_sub)
 from .identities import SidePair, SumFamily, compare_sides
 
 MASK64 = (1 << 64) - 1
@@ -106,55 +109,49 @@ class CheckReport:
     elapsed_ms: int
 
 
+def serialize_value(value) -> str:
+    """Rational -> "num/den"; list/tuple of rationals -> JSON array of them."""
+    if isinstance(value, (list, tuple)):
+        return format_polynomial(value)
+    return format_rational(value)
+
+
+# The only checks whose rhs is a bound rather than a value equal to the lhs.
+_INEQUALITIES = frozenset({"eta_bound", "negbinom_tail_gap", "tailsum_monotone"})
+
+
 @dataclass
 class CheckInstance:
-    """A named, parametrized check waiting to run.
+    """A named, parametrized check waiting to run: checker(*args).
 
-    run() returns (lhs, rhs, equal) with both sides already serialized.
+    run() returns (lhs, rhs, equal) with both sides serialized.  equal
+    holds only when the checker's SidePair.equal does and, for every check
+    outside _INEQUALITIES, the serialized lhs is the serialized rhs.
     """
 
     check_name: str
     params: dict
-    run: Callable[[], tuple[str, str, bool]] = field(repr=False)
+    checker: Callable[..., SidePair]
+    args: tuple
 
-
-def serialize_value(value) -> str:
-    """Rational -> "num/den"; list/tuple of rationals -> JSON array of them."""
-    if isinstance(value, (list, tuple)):
-        return json.dumps([format_rational(item) for item in value])
-    return format_rational(value)
-
-
-def _sides_thunk(checker, *args) -> Callable[[], tuple[str, str, bool]]:
-    def run():
-        pair = checker(*args)
-        return serialize_value(pair.lhs), serialize_value(pair.rhs), pair.equal
-    return run
+    def run(self) -> tuple[str, str, bool]:
+        pair = self.checker(*self.args)
+        lhs, rhs = serialize_value(pair.lhs), serialize_value(pair.rhs)
+        return lhs, rhs, pair.equal and (self.check_name in _INEQUALITIES or lhs == rhs)
 
 
 def _check(check_name: str, params: dict, checker, *args) -> CheckInstance:
     """The instance that runs checker(*args); params become report strings."""
     texts = {key: value if isinstance(value, str) else format_rational(value)
              for key, value in params.items()}
-    return CheckInstance(check_name, texts, _sides_thunk(checker, *args))
-
-
-SUITE_ORDER = ("ruehr", "moments", "comtet", "corollaries", "polynomials",
-               "beta", "negbinom", "tailsum", "orbit")
-
-_DEFAULT_MAX_N = {"ruehr": 20, "moments": 20, "comtet": 30, "corollaries": 15,
-                  "polynomials": 10, "beta": 20, "negbinom": 20, "orbit": 1000,
-                  "tailsum": 40}
-_DEFAULT_TRIALS = {"comtet": 25, "beta": 20, "negbinom": 20, "tailsum": 20}
+    return CheckInstance(check_name, texts, checker, args)
 
 
 def _ruehr_chain_sides(n: int) -> SidePair:
     """Direct chain sums against polynomial values; all must be one value."""
     direct = identities.ruehr_sums_direct(n)
     via_poly = identities.ruehr_polynomial_values(n)
-    equal = all(v == direct[0] for v in direct) and \
-        all(d == e for d, e in zip(direct, via_poly))
-    return SidePair(direct, via_poly, equal)
+    return SidePair(direct, via_poly, direct == via_poly and len(set(direct)) == 1)
 
 
 def _suite_ruehr(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
@@ -229,11 +226,10 @@ def _telescoping_sides(m: int, big_n: int) -> SidePair:
     """Both sides of the telescoping consequence of the f/g recurrences."""
     helper = identities.proof_helper
     lhs: list = []
+    inner: list = []
     for j in range(1, m + 1):
         lhs = poly_add(lhs, poly_sub(helper("f", j + 1, big_n), helper("f", j, big_n)))
         lhs = poly_sub(lhs, poly_sub(helper("g", j + 1, big_n), helper("g", j, big_n)))
-    inner: list = []
-    for j in range(1, m + 1):
         inner = poly_add(inner, poly_sub(helper("f", j + 1, big_n - 1),
                                          helper("g", j + 1, big_n - 1)))
     return compare_sides(lhs, poly_mul(_ONE_MINUS_X, inner))
@@ -327,8 +323,7 @@ def _tailsum_comtet1_sides(k: int, m: int, d: int) -> SidePair:
     """partial_sum_sides agrees side for side with comtet1_sides at a=1, b=d-1."""
     ours = collatz_bound.partial_sum_sides(k, m, d)
     ref = identities.comtet1_sides(k, m, 1, d - 1)
-    return SidePair(ours.rhs, ref.rhs,
-                    ours.lhs == ref.lhs and ours.rhs == ref.rhs and ours.equal and ref.equal)
+    return SidePair(ours.rhs, ref.rhs, ours.lhs == ours.rhs == ref.lhs == ref.rhs)
 
 
 def _tailsum_monotone_sides(k: int, d: int, eps: Fraction) -> SidePair:
@@ -389,7 +384,7 @@ def _orbit_cycle_sides(max_start: int, max_steps: int) -> SidePair:
     """Count of starts 1..max_start whose classical orbit ends in the {1, 2} cycle."""
     fates = collatz_bound.orbit_fates(collatz_bound.CLASSICAL, max_start, max_steps)
     converged = fates.count(("cycle-found", frozenset({1, 2})))
-    return SidePair(converged, max_start, converged == max_start)
+    return compare_sides(converged, max_start)
 
 
 def _suite_orbit(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
@@ -401,41 +396,37 @@ def _suite_orbit(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance
                    _orbit_cycle_sides, max_n, max_steps)]
 
 
-_SUITE_BUILDERS = {
-    "ruehr": _suite_ruehr,
-    "moments": _suite_moments,
-    "comtet": _suite_comtet,
-    "corollaries": _suite_corollaries,
-    "polynomials": _suite_polynomials,
-    "beta": _suite_beta,
-    "negbinom": _suite_negbinom,
-    "tailsum": _suite_tailsum,
-    "orbit": _suite_orbit,
+# name -> (builder, default max_n, default trials), in the order `all` runs
+# them; a default of 0 trials marks a suite that draws no fuzz.
+_SUITES = {
+    "ruehr": (_suite_ruehr, 20, 0),
+    "moments": (_suite_moments, 20, 0),
+    "comtet": (_suite_comtet, 30, 25),
+    "corollaries": (_suite_corollaries, 15, 0),
+    "polynomials": (_suite_polynomials, 10, 0),
+    "beta": (_suite_beta, 20, 20),
+    "negbinom": (_suite_negbinom, 20, 20),
+    "tailsum": (_suite_tailsum, 40, 20),
+    "orbit": (_suite_orbit, 1000, 0),
 }
-
-
-def build_suite(name: str, src: FuzzSource,
-                max_n: Optional[int] = None,
-                trials: Optional[int] = None) -> list[CheckInstance]:
-    """Expand one suite into its check instances, drawing fuzz now.
-
-    max_n and trials fall back to per-suite defaults when None.
-    """
-    if name not in _SUITE_BUILDERS:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_ORDER} or 'all'")
-    effective_max_n = _DEFAULT_MAX_N.get(name, 20) if max_n is None else max_n
-    effective_trials = _DEFAULT_TRIALS.get(name, 20) if trials is None else trials
-    return _SUITE_BUILDERS[name](src, effective_max_n, effective_trials)
+SUITE_ORDER = tuple(_SUITES)
 
 
 def build_suites(names, seed: int,
                  max_n: Optional[int] = None,
                  trials: Optional[int] = None) -> list[CheckInstance]:
-    """Expand several suites in order against a single seeded source."""
+    """Expand suites in order against one seeded source, drawing fuzz now.
+
+    max_n and trials fall back to each suite's defaults when None.
+    """
     src = FuzzSource(seed)
     instances: list[CheckInstance] = []
     for name in names:
-        instances.extend(build_suite(name, src, max_n=max_n, trials=trials))
+        if name not in _SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {SUITE_ORDER} or 'all'")
+        build, default_max_n, default_trials = _SUITES[name]
+        instances += build(src, default_max_n if max_n is None else max_n,
+                           default_trials if trials is None else trials)
     return instances
 
 

@@ -28,7 +28,7 @@ from ruehrkit.harness import (
     run_instances,
     serialize_value,
 )
-from ruehrkit.identities import SidePair
+from ruehrkit.identities import SidePair, compare_sides
 
 
 def test_lcg_recurrence_and_golden_first_word():
@@ -99,7 +99,7 @@ def test_serialize_value_formats():
 
 
 def test_report_json_field_names_and_order():
-    instance = CheckInstance("demo", {"n": "1"}, lambda: ("2", "2", True))
+    instance = CheckInstance("demo", {"n": "1"}, compare_sides, (2, 2))
     report, = run_instances([instance])
     payload = json.loads(report_to_json(report),
                          object_pairs_hook=lambda pairs: pairs)
@@ -114,9 +114,9 @@ def test_report_json_field_names_and_order():
 
 def test_run_instances_sorts_by_name_then_generation_order():
     instances = [
-        CheckInstance("zeta", {"i": "0"}, lambda: ("0", "0", True)),
-        CheckInstance("alpha", {"i": "1"}, lambda: ("1", "1", True)),
-        CheckInstance("alpha", {"i": "0"}, lambda: ("0", "0", True)),
+        CheckInstance("zeta", {"i": "0"}, compare_sides, (0, 0)),
+        CheckInstance("alpha", {"i": "1"}, compare_sides, (1, 1)),
+        CheckInstance("alpha", {"i": "0"}, compare_sides, (0, 0)),
     ]
     for jobs in (1, 4):
         reports = run_instances(instances, jobs=jobs)
@@ -127,10 +127,10 @@ def test_run_instances_sorts_by_name_then_generation_order():
 def test_run_instances_runs_every_check_on_the_calling_thread():
     threads = []
 
-    def run():
+    def checker(i):
         threads.append(threading.get_ident())
-        return "1", "1", True
-    instances = [CheckInstance("demo", {"i": str(i)}, run) for i in range(8)]
+        return compare_sides(i, i)
+    instances = [CheckInstance("demo", {"i": str(i)}, checker, (i,)) for i in range(8)]
     reports = run_instances(instances, jobs=4)
     assert len(reports) == 8
     assert threads == [threading.get_ident()] * 8
@@ -140,6 +140,7 @@ def test_build_suites_deterministic_for_seed():
     one = build_suites(("comtet",), seed=42, trials=8)
     two = build_suites(("comtet",), seed=42, trials=8)
     assert [inst.params for inst in one] == [inst.params for inst in two]
+    assert one == two
     other = build_suites(("comtet",), seed=43, trials=8)
     assert [inst.params for inst in one] != [inst.params for inst in other]
 
@@ -250,6 +251,8 @@ def test_cli_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nonsense"])
     assert exc.value.code == 2
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        build_suites(("nonsense",), 1)
 
 
 def test_cli_rejects_bad_flag():
@@ -414,6 +417,25 @@ def test_cli_off_by_one_in_a_summation_or_integration_layer_fails(capsys, monkey
     reports = [json.loads(line) for line in out.splitlines()]
     split = {r["check_name"] for r in reports if not r["equal"] and r["lhs"] != r["rhs"]}
     assert set(check_names) <= split
+
+
+def test_harness_decides_equality_when_compare_sides_trusts_every_pair(capsys, monkeypatch,
+                                                                      fresh_memos):
+    'a compare_sides that calls every pair equal must not hide a linear_power fault'
+    _rebind_everywhere(monkeypatch, ruehrkit.identities, "compare_sides",
+                       lambda lhs, rhs: SidePair(lhs, rhs, True))
+    power = exact_math.linear_power
+    _rebind_everywhere(monkeypatch, exact_math, "linear_power",
+                       lambda c0, c1, e: power(c0, c1, e + 1))
+    code, out, _ = _run_cli(capsys, ["verify", "all", "--seed", "42", "--format", "json"])
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    trusted = [r for r in reports if r["equal"] and r["lhs"] != r["rhs"]
+               and r["check_name"] not in harness._INEQUALITIES]
+    assert trusted == []
+    failed = {r["check_name"] for r in reports if not r["equal"]}
+    assert {"comtet1", "corollary1", "beta_cross", "binom_tail", "negbinom_cdf",
+            "partial_sum", "tailsum_integral"} <= failed
 
 
 def test_tailsum_integral_matches_tail_sum():
