@@ -16,7 +16,6 @@ seed comes from --seed, else the RUEHRKIT_SEED environment variable, else
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -108,6 +107,7 @@ def cmd_verify(args, stdout, stderr) -> int:
         for report in reports:
             print(harness.report_to_json(report), file=stdout)
     elif args.format == "csv":
+        import csv  # only this format needs it; kept off the start-up path
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(harness.CSV_COLUMNS)

@@ -23,9 +23,8 @@ its binomials from one binomial_row (linear_power).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
+from typing import Literal, NamedTuple, Optional, Sequence
 
 from .exact_math import (
     InternalInconsistencyError,
@@ -40,58 +39,55 @@ from .exact_math import (
 from .identities import SidePair, compare_sides
 
 
-@dataclass(frozen=True)
 class GenCollatzConfig:
-    """Parameters (mult, div, residues) of a generalized divide-or-affine map."""
+    """Parameters (mult, div, residues) of a divide-or-affine map; a value, hashable."""
 
-    mult: int
-    div: int
-    residues: tuple[int, ...]
+    __slots__ = ("mult", "div", "residues")
 
-    def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(self.residues))
-        if self.mult < 1:
-            raise ValueError(f"mult must be >= 1, got {self.mult}")
-        if self.div < 2:
-            raise ValueError(f"div must be >= 2, got {self.div}")
-        if math.gcd(self.div, self.mult) != 1:
-            raise ValueError(f"mult={self.mult} and div={self.div} must be coprime")
-        if len(self.residues) != self.div:
-            raise ValueError(
-                f"need exactly div={self.div} residues, got {len(self.residues)}"
-            )
-        if len({r % self.div for r in self.residues}) != self.div:
-            raise ValueError(
-                f"residues {self.residues} are not pairwise distinct modulo {self.div}"
-            )
+    def __init__(self, mult: int, div: int, residues: Sequence[int]):
+        self.mult, self.div, self.residues = mult, div, tuple(residues)
+        if mult < 1:
+            raise ValueError(f"mult must be >= 1, got {mult}")
+        if div < 2:
+            raise ValueError(f"div must be >= 2, got {div}")
+        if math.gcd(div, mult) != 1:
+            raise ValueError(f"mult={mult} and div={div} must be coprime")
+        if len(self.residues) != div:
+            raise ValueError(f"need exactly div={div} residues, got {len(self.residues)}")
+        if len({r % div for r in self.residues}) != div:
+            raise ValueError(f"residues {self.residues} are not pairwise distinct modulo {div}")
+
+    def __eq__(self, other):
+        return type(other) is GenCollatzConfig and (
+            (self.mult, self.div, self.residues) == (other.mult, other.div, other.residues))
+
+    def __hash__(self):
+        return hash((self.mult, self.div, self.residues))
+
+    def __repr__(self):
+        return f"GenCollatzConfig(mult={self.mult!r}, div={self.div!r}, residues={self.residues!r})"
 
 
 CLASSICAL = GenCollatzConfig(mult=3, div=2, residues=(0, -1))
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    """Recorded orbit prefix, how iteration stopped, and the cycle if found."""
+class OrbitResult(NamedTuple):
+    """Named tuple: recorded orbit prefix, how iteration stopped, the cycle if found."""
 
     steps: list[int]
     terminated: Literal["cycle-found", "max-steps-reached", "left-positive-integers"]
     cycle: Optional[list[int]]
 
 
-@dataclass(frozen=True)
 class TailSumQuery:
-    """Inputs of the large-deviation tail sum: length k, base d, margin eps."""
+    """Inputs of the large-deviation tail sum: length k, base d, margin eps in (0, 1)."""
 
-    k: int
-    d: int
-    eps: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
+    def __init__(self, k: int, d: int, eps):
+        self.k, self.d, self.eps = k, d, Fraction(eps)
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if d < 2:
+            raise ValueError(f"d must be >= 2, got {d}")
         if not 0 < self.eps < 1:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
 

@@ -239,10 +239,8 @@ def format_rational(q) -> str:
     """Serialize as "num/den", or just "num" when the denominator is 1."""
     if type(q) is int:
         return str(q)
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    q = _scalar(q)
+    return str(q) if type(q) is int else f"{q.numerator}/{q.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -250,8 +248,11 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_polynomial(p: Polynomial) -> str:
-    """Serialize as a JSON array of rational strings, ascending degree."""
-    return json.dumps([format_rational(c) for c in p])
+    """Serialize as a JSON array of rational strings, ascending degree.
+
+    A join gives json.dumps' bytes: rational strings need no JSON escapes.
+    """
+    return '["' + '", "'.join(map(format_rational, p)) + '"]' if p else "[]"
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -10,9 +10,10 @@ serialized sides are the same string.  Instances run serially and their
 reports are sorted by (check_name, generation index), so the same seed and
 flags always produce byte-identical output apart from the elapsed_ms field.
 
-Report records carry exactly the fields check_name, params, lhs, rhs,
-equal, elapsed_ms; rationals serialize as "num/den" and polynomials (or
-value tuples) as JSON arrays of rational strings.
+Report records are CheckReport named tuples with exactly the fields
+check_name, params, lhs, rhs, equal, elapsed_ms; rationals serialize as
+"num/den" and polynomials (or value tuples) as JSON arrays of rational
+strings.  CheckInstance and FuzzSource are plain mutable classes.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import beta_dist, collatz_bound, identities
 from .exact_math import (format_polynomial, format_rational, poly_add, poly_compose,
@@ -34,7 +34,6 @@ LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 
 
-@dataclass
 class FuzzSource:
     """64-bit linear congruential generator with pinned constants.
 
@@ -43,10 +42,8 @@ class FuzzSource:
     streams everywhere the harness runs.
     """
 
-    state: int
-
-    def __post_init__(self):
-        self.state &= MASK64
+    def __init__(self, state: int):
+        self.state = state & MASK64
 
     def next_word(self) -> int:
         self.state = (LCG_MULTIPLIER * self.state + LCG_INCREMENT) & MASK64
@@ -97,9 +94,8 @@ def fuzz_probability(src: FuzzSource, den_bound: int, *,
     return Fraction(num, den)
 
 
-@dataclass
-class CheckReport:
-    """One verified identity instance in serialized form."""
+class CheckReport(NamedTuple):
+    """One verified identity instance in serialized form, as a named tuple."""
 
     check_name: str
     params: dict
@@ -120,19 +116,26 @@ def serialize_value(value) -> str:
 _INEQUALITIES = frozenset({"eta_bound", "negbinom_tail_gap", "tailsum_monotone"})
 
 
-@dataclass
 class CheckInstance:
     """A named, parametrized check waiting to run: checker(*args).
 
     run() returns (lhs, rhs, equal) with both sides serialized.  equal
     holds only when the checker's SidePair.equal does and, for every check
     outside _INEQUALITIES, the serialized lhs is the serialized rhs.
+
+    Instances compare equal by their four fields.  The class stays plain and
+    mutable because bench/tracer.py assigns a wrapper to instance.run, until
+    the tracer wraps checker instead (ROADMAP item 1).
     """
 
-    check_name: str
-    params: dict
-    checker: Callable[..., SidePair]
-    args: tuple
+    def __init__(self, check_name: str, params: dict,
+                 checker: Callable[..., SidePair], args: tuple):
+        self.check_name, self.params, self.checker, self.args = check_name, params, checker, args
+
+    def __eq__(self, other):
+        return type(other) is CheckInstance and (
+            (self.check_name, self.params, self.checker, self.args)
+            == (other.check_name, other.params, other.checker, other.args))
 
     def run(self) -> tuple[str, str, bool]:
         pair = self.checker(*self.args)

@@ -49,10 +49,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Literal, Union
+from typing import Literal, NamedTuple, Union
 
 from .exact_math import (
     InternalInconsistencyError,
@@ -81,9 +80,8 @@ class SumFamily(Enum):
 Side = Union[Fraction, Polynomial]
 
 
-@dataclass(frozen=True)
-class SidePair:
-    """Both sides of one identity instance plus the exact-equality verdict."""
+class SidePair(NamedTuple):
+    """Named tuple (lhs, rhs, equal): both sides of one instance and the exact verdict."""
 
     lhs: Side
     rhs: Side

@@ -6,6 +6,7 @@ import pytest
 from ruehrkit.collatz_bound import (
     CLASSICAL,
     GenCollatzConfig,
+    OrbitResult,
     TailSumQuery,
     eta_profile,
     g_step,
@@ -27,6 +28,20 @@ def test_classical_config():
 def test_config_accepts_list_residues():
     cfg = GenCollatzConfig(mult=5, div=3, residues=[0, 1, -1])
     assert cfg.residues == (0, 1, -1)
+
+
+def test_records_are_values_built_by_keyword():
+    cfg = GenCollatzConfig(mult=5, div=3, residues=[0, 1, -1])
+    assert type(cfg.residues) is tuple
+    same = GenCollatzConfig(5, 3, (0, 1, -1))
+    assert cfg == same and hash(cfg) == hash(same)
+    assert cfg != GenCollatzConfig(mult=5, div=3, residues=(0, -1, 1))
+    assert cfg != CLASSICAL
+    assert repr(cfg) == "GenCollatzConfig(mult=5, div=3, residues=(0, 1, -1))"
+    assert TailSumQuery(k=4, d=2, eps="1/4").eps == F(1, 4)
+    result = OrbitResult(steps=[1, 2, 1], terminated="cycle-found", cycle=[1, 2])
+    assert (result.steps, result.terminated, result.cycle) == ([1, 2, 1], "cycle-found", [1, 2])
+    assert orbit(1, CLASSICAL, 10) == result
 
 
 def test_config_validation():

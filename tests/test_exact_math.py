@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 from fractions import Fraction as F
 
@@ -246,6 +247,34 @@ def test_polynomial_serialization():
     assert parse_polynomial("[]") == []
     with pytest.raises(ValueError):
         parse_polynomial('{"not": "a list"}')
+
+
+def _format_polynomial_reference(p):
+    """The JSON encoder route that format_polynomial's string join replaces."""
+    return json.dumps([format_rational(c) for c in p])
+
+
+def test_format_polynomial_matches_json_encoder():
+    cases = [
+        [], [0], [1], [-1, -2, -3], [2 ** 200, -(2 ** 200) - 1, 3 ** 150],
+        [F(1, 2)], [F(-7, 3), F(5, 9), F(-(2 ** 100), 3 ** 70)],
+        [0, F(1, 2), -4, F(-1, 3), 2 ** 64], (1, 6, 39, 258, 1719),
+    ]
+    for p in cases:
+        assert format_polynomial(p) == _format_polynomial_reference(p), p
+    src = FuzzSource(23)
+    for _ in range(50):
+        p = [fuzz_rational(src, 10 ** 30, 10 ** 30) if fuzz_int(src, 0, 1)
+             else fuzz_int(src, -(10 ** 40), 10 ** 40) for _ in range(fuzz_int(src, 0, 12))]
+        assert format_polynomial(p) == _format_polynomial_reference(p), p
+
+
+def test_format_rational_outputs_pinned_for_each_input_type():
+    assert format_rational(-(2 ** 70)) == str(-(2 ** 70))
+    assert format_rational(F(6, 3)) == "2"
+    assert format_rational(F(-10, 4)) == "-5/2"
+    assert format_rational(0.5) == "1/2"
+    assert format_rational(True) == "1"
 
 
 def test_rational_to_float_small_values():

@@ -16,6 +16,7 @@ from ruehrkit import beta_dist, cli, collatz_bound, exact_math, harness
 from ruehrkit.exact_math import parse_polynomial, parse_rational
 from ruehrkit.harness import (
     CheckInstance,
+    CheckReport,
     FuzzSource,
     LCG_INCREMENT,
     LCG_MULTIPLIER,
@@ -143,6 +144,37 @@ def test_build_suites_deterministic_for_seed():
     assert one == two
     other = build_suites(("comtet",), seed=43, trials=8)
     assert [inst.params for inst in one] != [inst.params for inst in other]
+
+
+def test_records_build_by_keyword_and_instances_compare_by_fields():
+    pair = SidePair(lhs=F(1, 2), rhs=[1, 2], equal=False)
+    assert (pair.lhs, pair.rhs, pair.equal) == (F(1, 2), [1, 2], False)
+    report = CheckReport(check_name="c", params={"n": "1"}, lhs="1", rhs="1",
+                         equal=True, elapsed_ms=0)
+    assert (report.check_name, report.params, report.lhs, report.rhs, report.equal,
+            report.elapsed_ms) == ("c", {"n": "1"}, "1", "1", True, 0)
+    inst = CheckInstance("c", {"n": "1"}, compare_sides, (1, 1))
+    assert inst == CheckInstance("c", {"n": "1"}, compare_sides, (1, 1))
+    assert inst != CheckInstance("c", {"n": "1"}, compare_sides, (1, 2))
+    original = inst.run
+    inst.run = lambda: original()  # bench/tracer.py wraps run this way
+    assert inst.run() == ("1", "1", True)
+
+
+def test_cli_start_up_imports_no_dataclasses_inspect_or_csv():
+    'a fresh interpreter running a json verify must not pay for these imports'
+    # -S keeps site-packages .pth hooks, which may import them, out of the measure
+    script = ("import sys\n"
+              "import ruehrkit.cli\n"
+              "code = ruehrkit.cli.main(['verify', 'polynomials', '--max-n', '2',"
+              " '--format', 'json'])\n"
+              "loaded = [m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules]\n"
+              "sys.stderr.write(repr((code, loaded)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ruehrkit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.stderr == "(0, [])"
+    assert len(done.stdout.splitlines()) > 0
 
 
 def _run_cli(capsys, argv):
