@@ -10,14 +10,11 @@ call, and is what the harness's orbit_cycle check counts.
 
 The density argument for these maps needs an exact large-deviation bound:
 the normalized sum of C(k, i) (d-1)^i over indices i deviating from the
-mean (d-1)k/d by more than eps*k.  tail_sum computes it exactly,
-eta_profile witnesses its geometric decay, and partial_sum_sides checks
-the partial sums against the same integral representation verified in
-identities.comtet1_sides.
-
-tail_sum and partial_sum_sides' sum call math.comb (binomial) per term;
-partial_sum_integral, which the harness also sets against tail_sum, takes
-its binomials from one binomial_row (linear_power).
+mean (d-1)k/d by more than eps*k.  tail_sum computes it exactly, one
+math.comb (binomial) per term, and eta_profile witnesses its geometric
+decay.  The leading partial sums sum_{0<=i<=m} C(k, i) (d-1)^i are
+identities.comtet1_sides at a = 1, b = d - 1; the harness checks them
+there and sets tail_sum against identities.comtet1_integral.
 """
 
 from __future__ import annotations
@@ -26,17 +23,7 @@ import math
 from fractions import Fraction
 from typing import Literal, NamedTuple, Optional, Sequence
 
-from .exact_math import (
-    InternalInconsistencyError,
-    Scalar,
-    _powers,
-    binomial,
-    linear_power,
-    poly_definite_integral,
-    poly_shift,
-    rational_to_float,
-)
-from .identities import SidePair, compare_sides
+from .exact_math import InternalInconsistencyError, _powers, binomial, rational_to_float
 
 
 class GenCollatzConfig:
@@ -205,30 +192,3 @@ def eta_profile(d: int, eps, k_values: Sequence[int]) -> list[tuple[int, float]]
     """
     eps = Fraction(eps)
     return [(k, kth_root(tail_sum(TailSumQuery(k=k, d=d, eps=eps)), k)) for k in k_values]
-
-
-def partial_sum_integral(k: int, m: int, d: int) -> Scalar:
-    """(k-m) C(k, m) * integral_(d-1)^d t^m (d-t)^(k-m-1) dt = sum_{0<=i<=m} C(k, i) (d-1)^i.
-
-    Requires d >= 2 and 0 <= m < k.
-    """
-    if d < 2:
-        raise ValueError(f"partial sums require d >= 2, got {d}")
-    if not 0 <= m < k:
-        raise ValueError(f"partial sums require 0 <= m < k, got m={m}, k={k}")
-    integrand = poly_shift(linear_power(d, -1, k - m - 1), m)
-    return (k - m) * binomial(k, m) * poly_definite_integral(integrand, d - 1, d)
-
-
-def partial_sum_sides(k: int, m: int, d: int) -> SidePair:
-    """Leading binomial partial sum versus its integral representation.
-
-    lhs = sum_{0<=i<=m} C(k, i) (d-1)^i, one math.comb per term
-    rhs = partial_sum_integral(k, m, d)
-
-    This is the a=1, b=d-1 instance of identities.comtet1_sides and must
-    agree with it exactly; requires 0 <= m < k.
-    """
-    rhs = partial_sum_integral(k, m, d)
-    total = sum(binomial(k, i) * pw for i, pw in enumerate(_powers(d - 1, m)))
-    return compare_sides(Fraction(total), rhs)

@@ -10,6 +10,12 @@ serialized sides are the same string.  Instances run serially and their
 reports are sorted by (check_name, generation index), so the same seed and
 flags always produce byte-identical output apart from the elapsed_ms field.
 
+The tailsum suite takes its partial sums S(m) = sum_{i<=m} C(k,i) (d-1)^i
+from identities: partial_sum is comtet1_sides at a = 1, b = d - 1,
+tailsum_comtet1 sets comtet1_integral's S(m) against d^k minus the
+integral of the reflected terms i > m, and tailsum_integral sets
+collatz_bound.tail_sum against two such integrals.
+
 Report records are CheckReport named tuples with exactly the fields
 check_name, params, lhs, rhs, equal, elapsed_ms; rationals serialize as
 "num/den" and polynomials (or value tuples) as JSON arrays of rational
@@ -79,18 +85,8 @@ def fuzz_probability(src: FuzzSource, den_bound: int, *,
     """
     if den_bound < 2 and lo_open and hi_open:
         raise ValueError("open-open interval needs den_bound >= 2")
-    if lo_open and hi_open:
-        den = fuzz_int(src, 2, den_bound)
-        num = fuzz_int(src, 1, den - 1)
-    elif lo_open:
-        den = fuzz_int(src, 1, den_bound)
-        num = fuzz_int(src, 1, den)
-    elif hi_open:
-        den = fuzz_int(src, 1, den_bound)
-        num = fuzz_int(src, 0, den - 1)
-    else:
-        den = fuzz_int(src, 1, den_bound)
-        num = fuzz_int(src, 0, den)
+    den = fuzz_int(src, 1 + (lo_open and hi_open), den_bound)
+    num = fuzz_int(src, lo_open, den - hi_open)
     return Fraction(num, den)
 
 
@@ -323,10 +319,14 @@ def _suite_negbinom(src: FuzzSource, max_n: int, trials: int) -> list[CheckInsta
 
 
 def _tailsum_comtet1_sides(k: int, m: int, d: int) -> SidePair:
-    """partial_sum_sides agrees side for side with comtet1_sides at a=1, b=d-1."""
-    ours = collatz_bound.partial_sum_sides(k, m, d)
-    ref = identities.comtet1_sides(k, m, 1, d - 1)
-    return SidePair(ours.rhs, ref.rhs, ours.lhs == ours.rhs == ref.lhs == ref.rhs)
+    """S(m) = sum_{i<=m} C(k,i) (d-1)^i as an integral against its reflection.
+
+    lhs is comtet1_integral(k, m, 1, d-1); the terms i > m, reindexed by
+    j = k - i, are the comtet1 sum at a = d-1, b = 1 up to k-m-1, so the rhs
+    is d^k minus the integral of t^(k-m-1) (d-t)^m over [1, d].
+    """
+    below = identities.comtet1_integral(k, m, 1, d - 1)
+    return compare_sides(below, d ** k - identities.comtet1_integral(k, k - m - 1, d - 1, 1))
 
 
 def _tailsum_monotone_sides(k: int, d: int, eps: Fraction) -> SidePair:
@@ -341,12 +341,12 @@ def _tailsum_integral_sides(k: int, d: int, eps: Fraction) -> SidePair:
 
     The tail holds i <= ceil(c - eps k) - 1 and i >= floor(c + eps k) + 1
     with c = (d-1)k/d; S(j) = sum_{i<=j} C(k,i) (d-1)^i is the integral
-    partial_sum_integral(k, j, d), 0 below j = 0 and d^k from j = k on.
+    comtet1_integral(k, j, 1, d-1), 0 below j = 0 and d^k from j = k on.
     """
     def below(j):
         if j < 0:
             return 0
-        return d ** k if j >= k else collatz_bound.partial_sum_integral(k, j, d)
+        return d ** k if j >= k else identities.comtet1_integral(k, j, 1, d - 1)
     center, margin = Fraction((d - 1) * k, d), eps * k
     outside = below(math.ceil(center - margin) - 1) + d ** k - below(math.floor(center + margin))
     mass = collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=d, eps=eps))
@@ -367,7 +367,7 @@ def _suite_tailsum(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstan
         m = fuzz_int(src, 0, k - 1)
         d = fuzz_int(src, 2, 6)
         params = {"trial": trial, "k": k, "m": m, "d": d}
-        out.append(_check("partial_sum", params, collatz_bound.partial_sum_sides, k, m, d))
+        out.append(_check("partial_sum", params, identities.comtet1_sides, k, m, 1, d - 1))
         out.append(_check("tailsum_comtet1", params, _tailsum_comtet1_sides, k, m, d))
     for trial in range(trials // 2):
         k = fuzz_int(src, 1, max(max_n, 1))

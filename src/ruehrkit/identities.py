@@ -24,11 +24,14 @@ along the top index):
 
 * comtet1: the lhs is a term-by-term sum of math.comb binomials, run in
   integers over the common denominator of a and b (_comtet1_lhs).  The
-  rhs substitutes t = u/q, q the common denominator of b and a + b: the
-  integrand u^k (H-u)^(n-k-1) (a binomial_row, in linear_power) has
-  integer coefficients and bounds L = bq, H = (a+b)q.
-* corollary1: the lhs is ruehr_sums_direct; the rhs is linear_power
-  (a binomial_row), poly_shift and poly_definite_integral.
+  rhs, comtet1_integral, substitutes t = u/q, q the common denominator of
+  b and a + b: the integrand u^k (H-u)^(n-k-1) (a binomial_row, in
+  linear_power) has integer coefficients and bounds L = bq, H = (a+b)q.
+  These two functions are the only copies of the sum and the integral;
+  the harness's partial_sum, tailsum_comtet1 and tailsum_integral checks
+  and beta_dist.binom_tail_sides take their partial sums from them.
+* corollary1: the lhs is ruehr_sums_direct; the rhs scales the two
+  integrals of kimura_ruehr_moments.
 * the Ruehr chain: ruehr_sums_direct against family_polynomial evaluated
   by poly_eval.  family_polynomial takes B and D from binomial_row and A
   and C from walks up the top index; ruehr_sums_direct starts each sum
@@ -55,8 +58,10 @@ from typing import Literal, NamedTuple, Union
 
 from .exact_math import (
     InternalInconsistencyError,
-    _powers,
     Polynomial,
+    Scalar,
+    _powers,
+    _scalar,
     binomial,
     binomial_row,
     linear_power,
@@ -206,7 +211,7 @@ def comtet1_sides(n: int, k: int, a, b) -> SidePair:
     """Partial binomial sum versus its integral representation.
 
     lhs = sum_{0<=i<=k} C(n,i) a^(n-i) b^i
-    rhs = (n-k) C(n,k) * integral_b^(a+b) t^k (a+b-t)^(n-k-1) dt
+    rhs = comtet1_integral(n, k, a, b)
 
     Requires 0 <= k < n (k >= n would put a negative exponent in the
     integrand).  Both sides are exact rationals for any rational a, b.
@@ -217,29 +222,36 @@ def comtet1_sides(n: int, k: int, a, b) -> SidePair:
         raise ValueError(f"comtet1_sides requires 0 <= k < n, got k={k}, n={n}")
     a = Fraction(a)
     b = Fraction(b)
-    lhs = _comtet1_lhs(n, k, a, b)
+    return compare_sides(_comtet1_lhs(n, k, a, b), comtet1_integral(n, k, a, b))
 
+
+def comtet1_integral(n: int, k: int, a, b) -> Scalar:
+    """(n-k) C(n,k) * integral_b^(a+b) t^k (a+b-t)^(n-k-1) dt, for 0 <= k < n.
+
+    a and b are ints or Fractions.  By comtet1_sides this is the partial sum
+    sum_{0<=i<=k} C(n,i) a^(n-i) b^i.
+    """
     # t = u/q: integral_L^H u^k (H-u)^(n-k-1) du / q^n over integers L = bq, H = (a+b)q
     top = a + b
     q = math.lcm(b.denominator, top.denominator)
     lo, hi = b.numerator * (q // b.denominator), top.numerator * (q // top.denominator)
     value = poly_definite_integral(poly_shift(linear_power(hi, -1, n - k - 1), k), lo, hi)
-    rhs = Fraction((n - k) * binomial(n, k) * value.numerator, value.denominator * q ** n)
-    return compare_sides(lhs, rhs)
+    return _scalar(Fraction((n - k) * binomial(n, k) * value.numerator,
+                            value.denominator * q ** n))
 
 
-def _comtet1_lhs(n: int, k: int, a: Fraction, b: Fraction) -> Fraction:
+def _comtet1_lhs(n: int, k: int, a: Fraction, b: Fraction) -> Scalar:
     """sum_{0<=i<=k} C(n,i) a^(n-i) b^i, summed as sum C(n,i) A^(n-i) B^i / D^n.
 
     a = A/D and b = B/D over their least common denominator D, so the sum
-    runs in integers and one Fraction is made at the end.
+    runs in integers and one scalar is made at the end.
     """
     den = math.lcm(a.denominator, b.denominator)
     big_a = a.numerator * (den // a.denominator)
     big_b = b.numerator * (den // b.denominator)
     a_pows, b_pows = _powers(big_a, n), _powers(big_b, k)
     total = sum(binomial(n, i) * a_pows[n - i] * b_pows[i] for i in range(k + 1))
-    return Fraction(total, den ** n)
+    return _scalar(Fraction(total, den ** n))
 
 
 def comtet2_sides(m: int, n: int) -> SidePair:
@@ -311,23 +323,19 @@ def corollary1_sides(n: int, variant: Literal["pos", "neg"]) -> SidePair:
     neg: sum_{0<=j<=2n} (-4)^j C(3n+1, n+1+j)
          = (n+1)/2 C(3n+1, 2n) * integral_(-1/2)^(3/2) (3-2x)^n x^(2n) dx
 
-    The sums are the chain values B_n(2) and D_n(-4) of ruehr_sums_direct.
+    The sums are the chain values B_n(2) and D_n(-4) of ruehr_sums_direct;
+    the integrals are the sides of kimura_ruehr_moments(n), whose rhs is
+    twice integral_0^1 and whose lhs is integral_(-1/2)^(3/2).
     """
     if n < 0:
         raise ValueError(f"corollary1_sides requires n >= 0, got {n}")
-    integrand = poly_shift(linear_power(3, -2, n), 2 * n)
-    scale = (n + 1) * binomial(3 * n + 1, 2 * n)
-    if variant == "pos":
-        total = ruehr_sums_direct(n)[1]
-        rhs = scale * poly_definite_integral(integrand, 0, 1)
-    elif variant == "neg":
-        total = ruehr_sums_direct(n)[2]
-        rhs = Fraction(scale, 2) * poly_definite_integral(
-            integrand, Fraction(-1, 2), Fraction(3, 2)
-        )
-    else:
+    if variant not in ("pos", "neg"):
         raise ValueError(f"corollary1_sides variant must be 'pos' or 'neg', got {variant!r}")
-    return compare_sides(Fraction(total), rhs)
+    moments = kimura_ruehr_moments(n)
+    half_scale = Fraction((n + 1) * binomial(3 * n + 1, 2 * n), 2)
+    if variant == "pos":
+        return compare_sides(Fraction(ruehr_sums_direct(n)[1]), half_scale * moments.rhs)
+    return compare_sides(Fraction(ruehr_sums_direct(n)[2]), half_scale * moments.lhs)
 
 
 def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:

@@ -151,11 +151,10 @@ def test_criterion_7_tail_bound():
         k = fuzz_int(src, 1, 60)
         m = fuzz_int(src, 0, k - 1)
         d = fuzz_int(src, 2, 6)
-        ours = collatz_bound.partial_sum_sides(k, m, d)
-        reference = identities.comtet1_sides(k, m, 1, d - 1)
-        assert ours.equal and reference.equal
-        assert (ours.lhs, ours.rhs) == (reference.lhs, reference.rhs), \
-            f"partial sum disagrees with comtet1 at k={k} m={m} d={d}"
+        pair = identities.comtet1_sides(k, m, 1, d - 1)
+        reflection = d ** k - identities.comtet1_integral(k, k - m - 1, d - 1, 1)
+        assert pair.equal and pair.lhs == reflection, \
+            f"partial sum disagrees with its integral or reflection at k={k} m={m} d={d}"
     profile = collatz_bound.eta_profile(2, F(1, 4), [50, 100, 200, 400])
     max_root = max(root for _, root in profile)
     assert max_root < 0.95, f"decay witness failed: {profile}"

@@ -12,11 +12,10 @@ from ruehrkit.collatz_bound import (
     g_step,
     orbit,
     orbit_fates,
-    partial_sum_sides,
     tail_sum,
 )
 from ruehrkit.harness import FuzzSource, fuzz_int
-from ruehrkit.identities import comtet1_sides
+from ruehrkit.identities import comtet1_integral, comtet1_sides
 
 
 def test_classical_config():
@@ -229,34 +228,32 @@ def test_eta_profile_witnesses_decay_below_one():
 
 
 def test_partial_sum_hand_cases():
-    pair = partial_sum_sides(2, 1, 2)
+    'the leading partial sums sum_{i<=m} C(k,i) (d-1)^i are comtet1 at a = 1, b = d - 1'
+    pair = comtet1_sides(2, 1, 1, 2 - 1)
     assert (pair.lhs, pair.rhs, pair.equal) == (3, 3, True)
-    pair = partial_sum_sides(3, 1, 3)
+    pair = comtet1_sides(3, 1, 1, 3 - 1)
     assert (pair.lhs, pair.rhs, pair.equal) == (7, 7, True)
     for k in range(1, 11):
-        pair = partial_sum_sides(k, 0, 2)
+        pair = comtet1_sides(k, 0, 1, 2 - 1)
         assert pair.lhs == 1
         assert pair.equal
 
 
 def test_partial_sum_validation():
+    'm = k and m = -1 are rejected; d >= 2 is the caller\'s range (the harness draws d from [2, 6])'
     with pytest.raises(ValueError):
-        partial_sum_sides(3, 3, 2)
+        comtet1_sides(3, 3, 1, 2 - 1)
     with pytest.raises(ValueError):
-        partial_sum_sides(3, -1, 2)
-    with pytest.raises(ValueError):
-        partial_sum_sides(3, 1, 1)
+        comtet1_sides(3, -1, 1, 2 - 1)
 
 
 def test_partial_sum_equals_comtet1_instance():
-    'the integral form specializes the a=1, b=d-1 binomial-sum identity'
+    'the leading partial sums of the tail are comtet1 at a=1, b=d-1 and d^k minus the rest'
     src = FuzzSource(47)
     for _ in range(30):
         k = fuzz_int(src, 1, 30)
         m = fuzz_int(src, 0, k - 1)
         d = fuzz_int(src, 2, 6)
-        ours = partial_sum_sides(k, m, d)
-        reference = comtet1_sides(k, m, 1, d - 1)
-        assert ours.equal and reference.equal
-        assert ours.lhs == reference.lhs
-        assert ours.rhs == reference.rhs
+        pair = comtet1_sides(k, m, 1, d - 1)
+        assert pair.equal
+        assert pair.lhs == d ** k - comtet1_integral(k, k - m - 1, d - 1, 1)

@@ -384,6 +384,10 @@ def _binomial_row_dividing_by_i_plus_2(n, top):
     return row
 
 
+def _antiderivative_dividing_by_i_plus_2(integral):
+    return lambda p, lo, hi: integral([c * F(i + 1, i + 2) for i, c in enumerate(p)], lo, hi)
+
+
 _VERIFY_COMTET = ["verify", "comtet", "--format", "json"]
 _VERIFY_ALL = ["verify", "all", "--format", "json"]
 _OFF_BY_ONE_FAULTS = {
@@ -393,9 +397,13 @@ _OFF_BY_ONE_FAULTS = {
                       _VERIFY_COMTET, ("comtet1",)),
     # the antiderivative divides c_i by i + 2 instead of i + 1
     "definite_integral": (exact_math, "poly_definite_integral",
-                          lambda f: lambda p, lo, hi: f([c * F(i + 1, i + 2)
-                                                         for i, c in enumerate(p)], lo, hi),
+                          _antiderivative_dividing_by_i_plus_2,
                           _VERIFY_COMTET, ("comtet1",)),
+    # the same fault under verify all: partial_sum is comtet1 at a = 1, b = d - 1, and
+    # tailsum_comtet1 sets two different integrals of that fault against each other
+    "definite_integral_all": (exact_math, "poly_definite_integral",
+                              _antiderivative_dividing_by_i_plus_2,
+                              _VERIFY_ALL, ("comtet1", "partial_sum", "tailsum_comtet1")),
     # the partial binomial sum stops one term early
     "comtet1_lhs": (ruehrkit.identities, "_comtet1_lhs",
                     lambda f: lambda n, k, a, b: f(n, k - 1, a, b),

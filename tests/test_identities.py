@@ -106,6 +106,7 @@ def test_ruehr_chain_flags_internal_path_mismatch(monkeypatch):
 def test_comtet1_hand_cases():
     pair = comtet1_sides(2, 1, 2, 1)
     assert (pair.lhs, pair.rhs, pair.equal) == (8, 8, True)
+    assert type(pair.lhs) is int and type(pair.rhs) is int
     pair = comtet1_sides(2, 1, 1, 1)
     assert (pair.lhs, pair.rhs, pair.equal) == (3, 3, True)
 
@@ -139,7 +140,7 @@ def test_comtet1_fuzzed_equality():
 
 
 def test_comtet1_integer_lhs_matches_fraction_sum():
-    'the one-denominator lhs equals the plain Fraction sum it replaced, as a Fraction'
+    'the one-denominator lhs equals the plain Fraction sum it replaced, as a scalar'
     src = FuzzSource(43)
     cases = [(3, 1, 0, F(1, 2)), (4, 2, F(2, 3), 0), (5, 4, 2, 1), (6, 3, F(-1, 2), F(1, 2))]
     for _ in range(150):
@@ -152,7 +153,7 @@ def test_comtet1_integer_lhs_matches_fraction_sum():
         for i in range(k + 1):
             want += binomial(n, i) * a ** (n - i) * b ** i
         pair = comtet1_sides(n, k, a, b)
-        assert pair.lhs == want and type(pair.lhs) is F
+        assert pair.lhs == want and type(pair.lhs) is (int if want.denominator == 1 else F)
         assert pair.equal
 
 
@@ -163,7 +164,7 @@ def _comtet1_rhs_fraction_route(n, k, a, b):
 
 
 def test_comtet1_integer_rhs_matches_fraction_route():
-    'the integer rhs over q^n has the value of the Fraction route and is a Fraction, like the lhs'
+    'the integer rhs over q^n has the value of the Fraction route and is a scalar, like the lhs'
     src = FuzzSource(44)
     cases = [(1, 0, F(3, 4), F(-3, 4)), (5, 2, F(-2, 3), F(2, 3)), (6, 5, F(7, 2), F(-7, 2)),
              (4, 0, F(-5, 3), 0), (7, 6, F(2, 9), 0), (3, 1, 0, 0), (8, 0, F(-1, 2), F(-3, 5)),
@@ -177,8 +178,9 @@ def test_comtet1_integer_rhs_matches_fraction_route():
     for n, k, a, b in cases:
         a, b = F(a), F(b)
         rhs = comtet1_sides(n, k, a, b).rhs
-        assert rhs == _comtet1_rhs_fraction_route(n, k, a, b), (n, k, a, b)
-        assert type(rhs) is F
+        want = _comtet1_rhs_fraction_route(n, k, a, b)
+        assert rhs == want, (n, k, a, b)
+        assert type(rhs) is (int if F(want).denominator == 1 else F)
 
 
 def test_comtet2_hand_cases():
