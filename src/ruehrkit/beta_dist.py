@@ -9,8 +9,10 @@ values, and those identities are what the two *_sides checkers verify.
 The primitives each side uses: the lhs of binom_tail_sides and
 negbinom_cdf_sides (and negbinom_tail_partial) is a term-by-term binomial
 sum, run in integers over one power of the denominator v of p = u/v and
-divided once at the end (binom_tail_sides takes the comtet1 partial sum
-of identities, reindexed); the rhs is regularized_beta, an exact integral
+divided once at the end.  Each walks from the far end of its sum by
+exact ratio steps (exact_math's _walked_sum): _negbinom_mass along the
+diagonal C(r+s-1, s), and binom_tail_sides through the comtet1 partial sum
+of identities, reindexed.  The rhs is regularized_beta, an exact integral
 of a linear_power integrand (poly_shift, poly_definite_integral) over
 beta_exact, which is factorials only.
 """
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from .exact_math import (
     Polynomial,
-    _powers,
+    _walked_sum,
     binomial,
     linear_power,
     poly_definite_integral,
@@ -99,12 +101,13 @@ def _negbinom_mass(r: int, lo: int, hi: int, p: Fraction) -> Fraction:
     """sum_{lo<=s<=hi} C(r+s-1, s) p^r (1-p)^s, over the one denominator v^(r+hi).
 
     With p = u/v each term is C(r+s-1, s) u^r (v-u)^s v^(hi-s) / v^(r+hi);
-    the sum runs in integers and one Fraction is made at the end.
+    the sum runs in integers and one Fraction is made at the end.  It starts
+    from C(r+hi-1, hi) and walks down the diagonal by
+    C(r+s-2, s-1) = C(r+s-1, s) s / (r+s-1), in Horner order in v - u.
     """
     u, v = p.numerator, p.denominator
-    w_pows, v_pows = _powers(v - u, hi - lo), _powers(v, hi - lo)
-    total = sum(binomial(r + s - 1, s) * w_pows[s - lo] * v_pows[hi - s]
-                for s in range(lo, hi + 1))
+    total = _walked_sum(binomial(r + hi - 1, hi),
+                        zip(range(hi, lo, -1), range(r + hi - 1, r + lo - 1, -1)), v, v - u)
     return Fraction(u ** r * (v - u) ** lo * total, v ** (r + hi))
 
 

@@ -10,11 +10,12 @@ call, and is what the harness's orbit_cycle check counts.
 
 The density argument for these maps needs an exact large-deviation bound:
 the normalized sum of C(k, i) (d-1)^i over indices i deviating from the
-mean (d-1)k/d by more than eps*k.  tail_sum computes it exactly, one
-math.comb (binomial) per term, and eta_profile witnesses its geometric
-decay.  The leading partial sums sum_{0<=i<=m} C(k, i) (d-1)^i are
-identities.comtet1_sides at a = 1, b = d - 1; the harness checks them
-there and sets tail_sum against identities.comtet1_integral.
+mean (d-1)k/d by more than eps*k.  tail_sum computes it exactly, each
+tail by one exact walk down the row from its far end (exact_math's
+_walked_sum), and eta_profile witnesses its geometric decay.  The leading
+partial sums sum_{0<=i<=m} C(k, i) (d-1)^i are identities.comtet1_sides
+at a = 1, b = d - 1; the harness checks them there and sets tail_sum
+against identities.comtet1_integral.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Literal, NamedTuple, Optional, Sequence
 
-from .exact_math import InternalInconsistencyError, _powers, binomial, rational_to_float
+from .exact_math import InternalInconsistencyError, _walked_sum, binomial, rational_to_float
 
 
 class GenCollatzConfig:
@@ -162,15 +163,23 @@ def tail_sum(query: TailSumQuery) -> Fraction:
     """Exact large-deviation tail mass.
 
     (1/d^k) * sum of C(k, i) (d-1)^i over 0 <= i <= k with
-    |i - (d-1)k/d| > eps*k.  With eps = p/q the membership test is the
-    integer comparison |i*d*q - (d-1)*k*q| > p*k*d, strict and per index,
-    so boundary indices are excluded.
+    |i - (d-1)k/d| > eps*k.  With eps = p/q an index is in the tail when
+    the integer comparison |i*d*q - (d-1)*k*q| > p*k*d holds; it is strict,
+    so boundary indices are excluded.  The tail is i <= low and i >= high:
+    the lower part walks down from C(k, low) to C(k, 0), and the upper part
+    from C(k, k) = 1 down to C(k, high), each in Horner order in d - 1.
     """
-    k, d = query.k, query.d
+    k, d, w = query.k, query.d, query.d - 1
     p, q = query.eps.numerator, query.eps.denominator
-    center, margin = (d - 1) * k * q, p * k * d
-    total = sum(binomial(k, i) * pw for i, pw in enumerate(_powers(d - 1, k))
-                if abs(i * d * q - center) > margin)
+    center, margin, step = w * k * q, p * k * d, d * q
+    low = (center - margin - 1) // step  # the last i with i*d*q < center - margin
+    high = (center + margin) // step + 1  # the first i with i*d*q > center + margin
+    total = 0
+    if low >= 0:
+        total += _walked_sum(binomial(k, low), zip(range(low, 0, -1), range(k - low + 1, k + 1)),
+                             1, w)
+    if high <= k:
+        total += w ** high * _walked_sum(1, zip(range(k, high, -1), range(1, k - high + 1)), 1, w)
     return Fraction(total, d ** k)
 
 

@@ -17,8 +17,11 @@ integration and linear_power carry integer numerators over a common
 integer denominator and normalize only the final value (one gcd per
 result, or per coefficient for linear_power), never an intermediate step.
 
-Binomials come by two routes: binomial is one math.comb call each, and
-binomial_row walks a row along the bottom index (linear_power uses it).
+Binomials come by three routes: binomial is one math.comb call each;
+binomial_row walks a row up the bottom index from C(n, 0) (linear_power
+uses it); and _walked_sum starts from one binomial at the far end of a sum
+and steps back by exact ratios, summing in Horner order as it goes (the
+term-by-term sides in identities, beta_dist and collatz_bound use it).
 The checkers set a side on one route against a side on the other.
 
 Everything in this module is a pure function over values that are never
@@ -27,6 +30,7 @@ mutated after construction, so concurrent callers need no locking.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -67,6 +71,21 @@ def binomial_row(n: int, top: int) -> list[int]:
     for i in range(top):
         row.append(row[-1] * (n - i) // (i + 1))
     return row
+
+
+def _walked_sum(c: int, steps, u: int, v: int) -> int:
+    """sum_j c_j u^j v^(J-j), with c_0 = c and c_(j+1) = c_j * p // q for the j-th (p, q) of steps.
+
+    J is the number of steps.  The sum runs in Horner order in v with one
+    running power of u, so no power list is built.  Every step must divide
+    exactly, as the ratio steps between neighbouring binomials do.
+    """
+    total, u_pow = c, 1
+    for p, q in steps:
+        c = c * p // q
+        u_pow *= u
+        total = total * v + c * u_pow
+    return total
 
 
 def _scalar(c) -> Scalar:
@@ -190,6 +209,10 @@ def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:
 def _horner(nums: list[int], u: int, v: int) -> int:
     """sum nums[i] u^i v^(deg-i): v^deg times the value of nums at u/v, in ints."""
     acc = 0
+    if v == 1:
+        for c in reversed(nums):
+            acc = acc * u + c
+        return acc
     v_pow = 1
     for c in reversed(nums):
         acc = acc * u + c * v_pow
@@ -219,20 +242,47 @@ def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
     Term-by-term antiderivative c_i x^i -> c_i x^(i+1) / (i+1), evaluated
     at hi minus lo.  Reversed bounds (lo > hi) simply flip the sign.  The
     antiderivative's numerators share the denominator den * lcm(1..deg+1);
-    F(hi) - F(lo) is brought over one denominator and divided once.
+    F(hi) - F(lo) is brought over one denominator and divided once.  When
+    p = x^z r(x), as poly_shift makes it, F = x^(z+1) R(x): the z zero
+    coefficients are skipped and x^(z+1) is one power.
     """
     if not p:
         return 0
     nums, den = _over_common_denominator(p)
     top = len(p)  # degree of the antiderivative
-    scale = math.lcm(*range(1, top + 1))
-    anti = [0] + [c * (scale // i) for i, c in enumerate(nums, 1)]
+    low = 0
+    while not nums[low]:
+        low += 1
+    if top <= _FACTOR_MEMO_TOP:
+        factors = _antiderivative_factors(top)
+    else:  # one entry takes about top^2 bits: computed, not kept
+        factors = _antiderivative_factors.__wrapped__(top)
+    scale = factors[0]  # lcm(1..top) // 1
+    anti = [c * factors[i] for i, c in enumerate(nums[low:], low)]
     lo, hi = _scalar(lo), _scalar(hi)
-    v_lo, v_hi = lo.denominator, hi.denominator
-    v = math.lcm(v_lo, v_hi)
-    total = (_horner(anti, hi.numerator, v_hi) * (v // v_hi) ** top
-             - _horner(anti, lo.numerator, v_lo) * (v // v_lo) ** top)
+    v = math.lcm(lo.denominator, hi.denominator)
+    total = _antiderivative_at(anti, low, hi, v, top) - _antiderivative_at(anti, low, lo, v, top)
     return _scalar(Fraction(total, den * scale * v ** top))
+
+
+# Every degree up to this one has its own entry, so the memo never evicts
+# and all 128 entries together take under half a megabyte.
+_FACTOR_MEMO_TOP = 128
+
+
+@functools.lru_cache(maxsize=_FACTOR_MEMO_TOP)
+def _antiderivative_factors(top: int) -> tuple:
+    """(scale // 1, scale // 2, ..., scale // top) with scale = lcm(1..top)."""
+    scale = math.lcm(*range(1, top + 1))
+    return tuple(scale // i for i in range(1, top + 1))
+
+
+def _antiderivative_at(anti: list[int], low: int, x: Scalar, v: int, top: int) -> int:
+    """v^top x^(low+1) sum anti[i] x^i, an integer when v is a multiple of x's denominator."""
+    u, v_x = x.numerator, x.denominator
+    if not u:
+        return 0
+    return u ** (low + 1) * _horner(anti, u, v_x) * (v // v_x) ** top
 
 
 def format_rational(q) -> str:

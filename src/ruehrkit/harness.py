@@ -24,10 +24,10 @@ strings.  CheckInstance and FuzzSource are plain mutable classes.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, NamedTuple, Optional
 
 from . import beta_dist, collatz_bound, identities
@@ -181,7 +181,7 @@ def _ruehr_specialization_sides(n: int, variant: str, point: Fraction, scale: in
     """A corollary2 polynomial at `point`, times scale^n, against a chain sum."""
     poly = identities.corollary2_sides(n, variant).lhs
     lhs = poly_eval(poly, point) * scale ** n
-    return compare_sides(lhs, Fraction(identities.ruehr_sums_direct(n)[chain_index]))
+    return compare_sides(lhs, Fraction(identities.ruehr_sum_direct(n, chain_index)))
 
 
 def _suite_corollaries(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
@@ -456,15 +456,13 @@ def run_instances(instances, jobs: int = 1) -> list[CheckReport]:
 
 
 def report_to_json(report: CheckReport) -> str:
-    payload = {
-        "check_name": report.check_name,
-        "params": {key: report.params[key] for key in sorted(report.params)},
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "equal": report.equal,
-        "elapsed_ms": report.elapsed_ms,
-    }
-    return json.dumps(payload)
+    """The report as json.dumps would write it, params sorted, built by a string join."""
+    params = ", ".join(f"{_json_str(key)}: {_json_str(report.params[key])}"
+                       for key in sorted(report.params))
+    return (f'{{"check_name": {_json_str(report.check_name)}, "params": {{{params}}}, '
+            f'"lhs": {_json_str(report.lhs)}, "rhs": {_json_str(report.rhs)}, '
+            f'"equal": {"true" if report.equal else "false"}, '
+            f'"elapsed_ms": {report.elapsed_ms}}}')
 
 
 CSV_COLUMNS = ("check_name", "params", "lhs", "rhs", "equal", "elapsed_ms")

@@ -19,23 +19,25 @@ The cast of identities:
 * the Kimura-Ruehr moment equality for the kernel 3x^2 - 2x^3.
 
 The primitives each side uses, and the route of its binomials (math.comb
-through binomial, a binomial_row walk along the bottom index, or a walk
-along the top index):
+through binomial, a binomial_row walk up the bottom index, a walk up the
+top index, or a _walked_sum walk back from one math.comb value):
 
-* comtet1: the lhs is a term-by-term sum of math.comb binomials, run in
-  integers over the common denominator of a and b (_comtet1_lhs).  The
+* comtet1: the lhs is a term-by-term sum, run in integers over the common
+  denominator of a and b, that walks down from one math.comb value C(n, k)
+  to C(n, 0) in Horner order (_comtet1_lhs, by _walked_sum).  The
   rhs, comtet1_integral, substitutes t = u/q, q the common denominator of
   b and a + b: the integrand u^k (H-u)^(n-k-1) (a binomial_row, in
   linear_power) has integer coefficients and bounds L = bq, H = (a+b)q.
   These two functions are the only copies of the sum and the integral;
   the harness's partial_sum, tailsum_comtet1 and tailsum_integral checks
   and beta_dist.binom_tail_sides take their partial sums from them.
-* corollary1: the lhs is ruehr_sums_direct; the rhs scales the two
-  integrals of kimura_ruehr_moments.
+* corollary1: the lhs is one chain sum of ruehr_sum_direct; the rhs scales
+  one integral of kimura_ruehr_moments.
 * the Ruehr chain: ruehr_sums_direct against family_polynomial evaluated
   by poly_eval.  family_polynomial takes B and D from binomial_row and A
   and C from walks up the top index; ruehr_sums_direct starts each sum
-  from one math.comb value and walks the other way, term by term.
+  from one math.comb value and walks the other way, term by term, with
+  the same _walked_sum as the comtet1 lhs.
 * kimura_ruehr_moments: poly_definite_integral of one linear_power kernel
   over two intervals.
 
@@ -60,8 +62,8 @@ from .exact_math import (
     InternalInconsistencyError,
     Polynomial,
     Scalar,
-    _powers,
     _scalar,
+    _walked_sum,
     binomial,
     binomial_row,
     linear_power,
@@ -153,28 +155,27 @@ def ruehr_sums_direct(n: int) -> tuple[int, int, int, int]:
 
     Returns (A_n(3), B_n(2), D_n(-4), C_n(-3)) where each entry is the
     corresponding weighted binomial sum, evaluated term by term so no
-    polynomial machinery is involved.  Each sum starts from its j = 0
-    binomial (math.comb) and walks against family_polynomial's direction.
+    polynomial machinery is involved.
+    """
+    return tuple(ruehr_sum_direct(n, index) for index in range(4))
+
+
+def ruehr_sum_direct(n: int, index: int) -> int:
+    """Entry index of ruehr_sums_direct(n), and only that sum.
+
+    The sum starts from its j = 0 binomial (math.comb) and walks against
+    family_polynomial's direction, one _walked_sum with weight^j as u^j.
     """
     if n < 0:
-        raise ValueError(f"ruehr_sums_direct requires n >= 0, got {n}")
+        raise ValueError(f"ruehr_sum_direct requires n >= 0, got {n}")
     n2, n3 = 2 * n, 3 * n
-    return (
-        _walked_sum(3, binomial(n3, n2), zip(range(n, 0, -1), range(n3, n2, -1))),
-        _walked_sum(2, binomial(n3 + 1, n), zip(range(n, 0, -1), range(n2 + 2, n3 + 2))),
-        _walked_sum(-4, binomial(n3 + 1, n + 1), zip(range(n2, 0, -1), range(n + 2, n3 + 2))),
-        _walked_sum(-3, binomial(n3, n), zip(range(n2, 0, -1), range(n3, n, -1))),
-    )
-
-
-def _walked_sum(weight: int, c: int, steps) -> int:
-    """sum_j weight^j c_j with c_0 = c and c_(j+1) = c_j * p // q for the j-th (p, q) of steps."""
-    total, power = c, 1
-    for p, q in steps:
-        c = c * p // q
-        power *= weight
-        total += power * c
-    return total
+    weight, top, low, steps = (
+        (3, n3, n2, zip(range(n, 0, -1), range(n3, n2, -1))),
+        (2, n3 + 1, n, zip(range(n, 0, -1), range(n2 + 2, n3 + 2))),
+        (-4, n3 + 1, n + 1, zip(range(n2, 0, -1), range(n + 2, n3 + 2))),
+        (-3, n3, n, zip(range(n2, 0, -1), range(n3, n, -1))),
+    )[index]
+    return _walked_sum(binomial(top, low), steps, weight, 1)
 
 
 def ruehr_polynomial_values(n: int) -> tuple[int, int, int, int]:
@@ -241,17 +242,19 @@ def comtet1_integral(n: int, k: int, a, b) -> Scalar:
 
 
 def _comtet1_lhs(n: int, k: int, a: Fraction, b: Fraction) -> Scalar:
-    """sum_{0<=i<=k} C(n,i) a^(n-i) b^i, summed as sum C(n,i) A^(n-i) B^i / D^n.
+    """sum_{0<=i<=k} C(n,i) a^(n-i) b^i, summed as A^(n-k) sum C(n,i) A^(k-i) B^i / D^n.
 
     a = A/D and b = B/D over their least common denominator D, so the sum
-    runs in integers and one scalar is made at the end.
+    runs in integers and one scalar is made at the end.  The sum starts
+    from C(n, k) and walks down to C(n, 0) by C(n, i-1) = C(n, i) i / (n-i+1),
+    in Horner order in B: the other direction from binomial_row.
     """
     den = math.lcm(a.denominator, b.denominator)
     big_a = a.numerator * (den // a.denominator)
     big_b = b.numerator * (den // b.denominator)
-    a_pows, b_pows = _powers(big_a, n), _powers(big_b, k)
-    total = sum(binomial(n, i) * a_pows[n - i] * b_pows[i] for i in range(k + 1))
-    return _scalar(Fraction(total, den ** n))
+    total = _walked_sum(binomial(n, k), zip(range(k, 0, -1), range(n - k + 1, n + 1)),
+                        big_a, big_b)
+    return _scalar(Fraction(total * big_a ** (n - k), den ** n))
 
 
 def comtet2_sides(m: int, n: int) -> SidePair:
@@ -323,19 +326,20 @@ def corollary1_sides(n: int, variant: Literal["pos", "neg"]) -> SidePair:
     neg: sum_{0<=j<=2n} (-4)^j C(3n+1, n+1+j)
          = (n+1)/2 C(3n+1, 2n) * integral_(-1/2)^(3/2) (3-2x)^n x^(2n) dx
 
-    The sums are the chain values B_n(2) and D_n(-4) of ruehr_sums_direct;
-    the integrals are the sides of kimura_ruehr_moments(n), whose rhs is
-    twice integral_0^1 and whose lhs is integral_(-1/2)^(3/2).
+    The sums are the chain values B_n(2) and D_n(-4) of ruehr_sum_direct;
+    the integrals are those of kimura_ruehr_moments(n).  Each variant
+    computes only its own sum and its own integral.
     """
     if n < 0:
         raise ValueError(f"corollary1_sides requires n >= 0, got {n}")
     if variant not in ("pos", "neg"):
         raise ValueError(f"corollary1_sides variant must be 'pos' or 'neg', got {variant!r}")
-    moments = kimura_ruehr_moments(n)
-    half_scale = Fraction((n + 1) * binomial(3 * n + 1, 2 * n), 2)
+    scale = (n + 1) * binomial(3 * n + 1, 2 * n)
     if variant == "pos":
-        return compare_sides(Fraction(ruehr_sums_direct(n)[1]), half_scale * moments.rhs)
-    return compare_sides(Fraction(ruehr_sums_direct(n)[2]), half_scale * moments.lhs)
+        (integral,) = _kimura_integrals(n, _UNIT_INTERVAL)
+        return compare_sides(Fraction(ruehr_sum_direct(n, 1)), scale * integral)
+    (integral,) = _kimura_integrals(n, _WIDE_INTERVAL)
+    return compare_sides(Fraction(ruehr_sum_direct(n, 2)), Fraction(scale, 2) * integral)
 
 
 def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:
@@ -378,8 +382,16 @@ def kimura_ruehr_moments(n: int) -> SidePair:
     """
     if n < 0:
         raise ValueError(f"kimura_ruehr_moments requires n >= 0, got {n}")
+    wide, unit = _kimura_integrals(n, _WIDE_INTERVAL, _UNIT_INTERVAL)
+    return compare_sides(wide, 2 * unit)
+
+
+_WIDE_INTERVAL = (Fraction(-1, 2), Fraction(3, 2))
+_UNIT_INTERVAL = (0, 1)
+
+
+def _kimura_integrals(n: int, *intervals) -> tuple:
+    """integral_lo^hi (3x^2 - 2x^3)^n dx for each interval (lo, hi), from one kernel."""
     # (3x^2 - 2x^3)^n = x^(2n) (3 - 2x)^n, expanded by the binomial theorem
     kernel_power = poly_shift(linear_power(3, -2, n), 2 * n)
-    lhs = poly_definite_integral(kernel_power, Fraction(-1, 2), Fraction(3, 2))
-    rhs = 2 * poly_definite_integral(kernel_power, 0, 1)
-    return compare_sides(lhs, rhs)
+    return tuple(poly_definite_integral(kernel_power, lo, hi) for lo, hi in intervals)

@@ -161,6 +161,15 @@ def test_negbinom_integer_sums_match_fraction_sums():
     assert negbinom_cdf_sides(3, 4, F(1)).lhs == _negbinom_fraction_sum(3, 0, 4, F(1)) == 1
 
 
+def test_negbinom_mass_diagonal_walk_edges():
+    'one term, r = 1, s from 0, p = 1 and a long walk down the diagonal C(r+s-1, s)'
+    from ruehrkit.beta_dist import _negbinom_mass
+    cases = [(1, 0, 0, F(1, 3)), (1, 4, 4, F(2, 5)), (4, 0, 0, F(1)), (4, 3, 9, F(1)),
+             (1, 0, 12, F(7, 8)), (7, 5, 5, F(1, 9)), (3, 0, 300, F(1, 50)), (9, 120, 260, F(5, 6))]
+    for r, lo, hi, p in cases:
+        assert _negbinom_mass(r, lo, hi, p) == _negbinom_fraction_sum(r, lo, hi, p), (r, lo, hi, p)
+
+
 def test_negbinom_cdf_hand_values():
     for p in (F(1, 4), F(2, 3), F(1)):
         pair = negbinom_cdf_sides(1, 0, p)

@@ -14,6 +14,7 @@ from ruehrkit.collatz_bound import (
     orbit_fates,
     tail_sum,
 )
+from ruehrkit.exact_math import binomial_row
 from ruehrkit.harness import FuzzSource, fuzz_int
 from ruehrkit.identities import comtet1_integral, comtet1_sides
 
@@ -181,6 +182,16 @@ def test_tail_sum_integer_membership_matches_fraction_comparison():
                 margin = eps * k
                 expected = F(sum(w for gap, w in terms if gap > margin), d ** k)
                 assert tail_sum(TailSumQuery(k=k, d=d, eps=eps)) == expected, (k, d, eps)
+
+
+def test_tail_sum_far_end_walks_match_one_row_at_large_k():
+    'each tail walked down from its far end (none, one or both empty), against one row walked up'
+    for k, d, eps in ((1000, 2, F(1, 4)), (997, 3, F(1, 3)), (1200, 2, F(1, 2)),
+                      (800, 5, F(1, 9)), (600, 4, F(1, 3))):
+        center, margin = F((d - 1) * k, d), eps * k
+        expected = sum(c * (d - 1) ** i for i, c in enumerate(binomial_row(k, k))
+                       if abs(i - center) > margin)
+        assert tail_sum(TailSumQuery(k=k, d=d, eps=eps)) == F(expected, d ** k), (k, d, eps)
 
 
 def test_tail_sum_query_validation():

@@ -354,6 +354,41 @@ def test_poly_definite_integral_matches_fraction_horner(kind):
         assert poly_definite_integral(p, 2, F(1, 3)) == -poly_definite_integral(p, F(1, 3), 2)
 
 
+def _naive_integral(p, lo, hi):
+    'F(hi) - F(lo) with F = sum c_i x^(i+1) / (i+1), every term a Fraction'
+    def anti(x):
+        return sum((F(c) * F(x) ** (i + 1) / (i + 1) for i, c in enumerate(p)), F(0))
+    return anti(hi) - anti(lo)
+
+
+def test_poly_definite_integral_matches_naive_antiderivative():
+    'zero low coefficients, constants, rational, reversed and equal bounds, and long integrands'
+    src = FuzzSource(53)
+    bounds = [(0, 1), (1, 0), (0, F(-5, 3)), (F(-5, 3), 0), (F(-1, 2), F(3, 2)),
+              (F(3, 2), F(-1, 2)), (F(2, 7), F(-9, 4)), (-4, 3), (F(3, 5), F(3, 5)), (0, 0),
+              (-2, -2)]
+    polys = [[F(7)], [-3], [F(-2, 9)], [0, 0, 0, F(5, 4)], [0, 0, 1], [0, F(1, 3), 0, -2]]
+    for _ in range(25):
+        polys.append(poly_shift(fuzz_poly(src), fuzz_int(src, 0, 6)))
+    polys += [poly_shift(linear_power(F(2, 3), -1, 9), 4),
+              poly_shift(linear_power(3, -2, 70), 140),  # degree 210: past the factor memo
+              [fuzz_rational(src, 9, 9) for _ in range(133)]]
+    for p in polys:
+        for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]:
+            got = poly_definite_integral(p, lo, hi)
+            _assert_matches_reference(got, _naive_integral(p, lo, hi))
+
+
+def test_walked_sum_is_a_horner_sum_over_the_walk():
+    'sum_j c_j u^j v^(J-j) over C(n, k), C(n, k-1), ..., C(n, 0), u and v of any sign'
+    from ruehrkit.exact_math import _walked_sum
+    for n, k in ((1, 0), (5, 0), (5, 4), (12, 7), (30, 29)):
+        for u, v in ((1, 1), (2, -3), (-5, 0), (0, 4), (7, 1)):
+            steps = zip(range(k, 0, -1), range(n - k + 1, n + 1))
+            want = sum(binomial(n, k - j) * u ** j * v ** (k - j) for j in range(k + 1))
+            assert _walked_sum(binomial(n, k), steps, u, v) == want, (n, k, u, v)
+
+
 def test_poly_eval_of_int_polynomial_at_int_point_builds_no_fraction(monkeypatch):
     import ruehrkit.exact_math as em
 

@@ -99,6 +99,32 @@ def test_serialize_value_formats():
     assert serialize_value([F(4), F(-3)]) == '["4", "-3"]'
 
 
+def _json_dumps_reference(report):
+    'the renderer the string join replaced'
+    return json.dumps({"check_name": report.check_name,
+                       "params": {key: report.params[key] for key in sorted(report.params)},
+                       "lhs": report.lhs, "rhs": report.rhs, "equal": report.equal,
+                       "elapsed_ms": report.elapsed_ms})
+
+
+def test_report_to_json_is_byte_identical_to_json_dumps():
+    'quotes, backslashes, control and non-ASCII characters escape exactly as json.dumps does'
+    def raising(*args):
+        raise ValueError('bad "quote" in \\path\\ \t tab, caf\u00e9 \u65e5\u672c \U0001d53c \x7f')
+    instances = [CheckInstance("demo", {"n": "1", "a": "-3/4", "\u00e9": 'q"\\'},
+                               compare_sides, (2, 2)),
+                 CheckInstance("demo", {}, compare_sides, (F(1, 3), 2)),
+                 CheckInstance("broken \u00fc", {"z": "0", "b": "\u2028\x01"}, raising, ())]
+    reports = run_instances(instances)
+    error = next(report for report in reports if report.lhs == "error: ValueError")
+    assert '"quote"' in error.rhs and "\u00e9" in error.rhs
+    assert '\\"quote\\"' in report_to_json(error) and "\\u00e9" in report_to_json(error)
+    for report in reports:
+        assert report_to_json(report) == _json_dumps_reference(report)
+    for report in run_instances(build_suites(harness.SUITE_ORDER, 7, max_n=3, trials=3)):
+        assert report_to_json(report) == _json_dumps_reference(report)
+
+
 def test_report_json_field_names_and_order():
     instance = CheckInstance("demo", {"n": "1"}, compare_sides, (2, 2))
     report, = run_instances([instance])
@@ -342,8 +368,9 @@ def test_cli_negative_bound_is_usage_error(capsys, flag, value):
 
 @pytest.fixture
 def fresh_memos():
-    'the f/g members and the (1-x)^r rows are memoized; start and end with empty memos'
-    memos = (ruehrkit.identities._fg_member, ruehrkit.identities._one_minus_x_power)
+    'the f/g members, (1-x)^r rows and antiderivative factors are memoized: start and end empty'
+    memos = (ruehrkit.identities._fg_member, ruehrkit.identities._one_minus_x_power,
+             exact_math._antiderivative_factors)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -382,6 +409,24 @@ def _binomial_row_dividing_by_i_plus_2(n, top):
     for i in range(top):
         row.append(row[-1] * (n - i) // (i + 2))
     return row
+
+
+def _walked_sum_dividing_by_q_plus_1(c, steps, u, v):
+    total, u_pow = c, 1
+    for p, q in steps:
+        c = c * p // (q + 1)
+        u_pow *= u
+        total = total * v + c * u_pow
+    return total
+
+
+def _walked_sum_skipping_the_first_v(c, steps, u, v):
+    total, u_pow = c, 1
+    for j, (p, q) in enumerate(steps):
+        c = c * p // q
+        u_pow *= u
+        total = (total * v if j else total) + c * u_pow
+    return total
 
 
 def _antiderivative_dividing_by_i_plus_2(integral):
@@ -437,6 +482,19 @@ _OFF_BY_ONE_FAULTS = {
     "binomial_row": (exact_math, "binomial_row",
                      lambda f: _binomial_row_dividing_by_i_plus_2,
                      _VERIFY_ALL, ("ruehr_chain", "comtet1")),
+    # each step of the far-end walk divides by one more; it carries every term-by-term
+    # sum side: comtet1 (and partial_sum, binom_tail), tail_sum, the negative binomial
+    # CDF and the chain sums
+    "walked_sum_step": (exact_math, "_walked_sum",
+                        lambda f: _walked_sum_dividing_by_q_plus_1,
+                        _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail", "tailsum_integral",
+                                      "negbinom_cdf", "ruehr_chain", "corollary1")),
+    # the walk's first Horner step leaves out its factor v: the power of v is one short
+    # on the far-end term
+    "walked_sum_horner": (exact_math, "_walked_sum",
+                          lambda f: _walked_sum_skipping_the_first_v,
+                          _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail",
+                                        "tailsum_integral", "negbinom_cdf")),
     # the affine branch of the map comes out one too large, so 1 -> 3 -> 6 -> 3
     "g_step": (collatz_bound, "g_step",
                lambda f: lambda ell, cfg: f(ell, cfg) + 1 if ell % cfg.div else f(ell, cfg),
@@ -508,6 +566,17 @@ def test_cli_verify_all_seed_42_reports_pinned(capsys):
     assert len(older) == 774
     digest = hashlib.sha256("\n".join(older).encode()).hexdigest()
     assert digest == "447bdd9e5eefbd79eb142b4cb8ef37e55053eb53540cf6d6bcb05e519b7c09cb"
+
+
+def test_cli_verify_comtet_large_run_reports_pinned(capsys):
+    'the sum-vs-integral run of the benchmark, elapsed_ms removed, is pinned report for report'
+    code, out, _ = _run_cli(capsys, ["verify", "comtet", "--max-n", "60", "--trials", "2000",
+                                     "--seed", "42", "--format", "json"])
+    assert code == 0
+    lines = _strip_elapsed(out)
+    assert len(lines) == 2000
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d16c065735e7a8d361cde1ad8b75b9f144ad9520cd58e2d92c662ed2802e5fe9"
 
 
 def test_cli_report_values_round_trip(capsys):

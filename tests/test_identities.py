@@ -157,6 +157,43 @@ def test_comtet1_integer_lhs_matches_fraction_sum():
         assert pair.equal
 
 
+def _naive_partial_sum(n, k, a, b):
+    'sum_{0<=i<=k} C(n,i) a^(n-i) b^i, one Fraction term at a time'
+    return sum((F(binomial(n, i)) * F(a) ** (n - i) * F(b) ** i for i in range(k + 1)), F(0))
+
+
+def test_comtet1_lhs_walk_matches_naive_fraction_sum():
+    'the walk down from C(n, k) in Horner order, at zero and negative a, b and at both ends of k'
+    src = FuzzSource(45)
+    cases = [(1, 0, F(3, 4), F(-2, 5)), (1, 0, 0, F(1, 2)), (1, 0, F(-7, 3), 0),
+             (5, 0, 0, 0), (5, 4, 0, 0), (6, 0, F(-2, 3), F(-5, 4)), (6, 5, F(-2, 3), F(-5, 4)),
+             (9, 8, 0, F(-3, 7)), (9, 3, F(-1, 2), 0), (12, 11, -3, -5), (12, 0, 7, 2)]
+    for _ in range(200):
+        n = fuzz_int(src, 1, 45)
+        k = (0, n - 1, fuzz_int(src, 0, n - 1))[fuzz_int(src, 0, 2)]
+        a = (fuzz_rational(src, 9, 9), F(0))[fuzz_int(src, 0, 4) == 0]
+        b = (fuzz_rational(src, 99, 99), F(0))[fuzz_int(src, 0, 4) == 0]
+        cases.append((n, k, a, b))
+    for n, k, a, b in cases:
+        got = identities._comtet1_lhs(n, k, F(a), F(b))
+        want = _naive_partial_sum(n, k, a, b)
+        assert got == want, (n, k, a, b)
+        assert type(got) is (int if want.denominator == 1 else F)
+
+
+def test_comtet1_lhs_uses_neither_the_row_nor_the_horner_kernel(monkeypatch):
+    'the sum side walks the other way from binomial_row and shares no kernel with the integral'
+    import ruehrkit.exact_math as em
+
+    def forbidden(*args):
+        raise AssertionError("the comtet1 lhs reached the integral side's kernels")
+    monkeypatch.setattr(em, "_horner", forbidden)
+    monkeypatch.setattr(em, "binomial_row", forbidden)
+    monkeypatch.setattr(identities, "binomial_row", forbidden)
+    assert identities._comtet1_lhs(30, 17, F(2, 3), F(-5, 7)) == _naive_partial_sum(
+        30, 17, F(2, 3), F(-5, 7))
+
+
 def _comtet1_rhs_fraction_route(n, k, a, b):
     'the comtet1 rhs before the t = u/q substitution: Fraction coefficients and bounds'
     integrand = poly_shift(linear_power(a + b, -1, n - k - 1), k)
@@ -314,6 +351,38 @@ def test_corollary1_equality_sweep():
     for n in range(31):
         assert corollary1_sides(n, "pos").equal
         assert corollary1_sides(n, "neg").equal
+
+
+@pytest.mark.parametrize("variant, chain_index, bounds", [
+    ("pos", 1, [(0, 1)]),
+    ("neg", 2, [(F(-1, 2), F(3, 2))]),
+])
+def test_corollary1_computes_only_its_own_integral_and_chain_sum(monkeypatch, variant,
+                                                                chain_index, bounds):
+    'one integral and one chain sum per variant, and the same sides as the moments give'
+    integrated, walked = [], []
+    integral, walk = identities.poly_definite_integral, identities.ruehr_sum_direct
+
+    def counting_integral(p, lo, hi):
+        integrated.append((lo, hi))
+        return integral(p, lo, hi)
+
+    def counting_walk(n, index):
+        walked.append(index)
+        return walk(n, index)
+    monkeypatch.setattr(identities, "poly_definite_integral", counting_integral)
+    monkeypatch.setattr(identities, "ruehr_sum_direct", counting_walk)
+    monkeypatch.setattr(identities, "ruehr_sums_direct", None)
+    pair = corollary1_sides(7, variant)
+    assert (integrated, walked) == (bounds, [chain_index])
+    assert pair.equal and pair.lhs == ruehr_polynomial_values(7)[chain_index]
+
+
+def test_ruehr_sum_direct_is_one_entry_of_the_four():
+    for n in range(25):
+        assert tuple(identities.ruehr_sum_direct(n, i) for i in range(4)) == ruehr_sums_direct(n)
+    with pytest.raises(ValueError):
+        identities.ruehr_sum_direct(-1, 0)
 
 
 def test_corollary1_validation():
