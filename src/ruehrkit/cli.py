@@ -103,9 +103,11 @@ def cmd_verify(args, stdout, stderr) -> int:
     if not reports:
         print("ruehrkit verify: no checks to run; raise --max-n or --trials", file=stderr)
 
+    # one write per report line: print would make two (the line, then "\n")
+    write = stdout.write
     if args.format == "json":
         for report in reports:
-            print(harness.report_to_json(report), file=stdout)
+            write(harness.report_to_json(report) + "\n")
     elif args.format == "csv":
         import csv  # only this format needs it; kept off the start-up path
         buffer = io.StringIO()
@@ -113,12 +115,12 @@ def cmd_verify(args, stdout, stderr) -> int:
         writer.writerow(harness.CSV_COLUMNS)
         for report in reports:
             writer.writerow(harness.report_to_csv_row(report))
-        stdout.write(buffer.getvalue())
+        write(buffer.getvalue())
     else:
         for report in reports:
-            print(harness.report_to_text(report), file=stdout)
+            write(harness.report_to_text(report) + "\n")
         failed = sum(1 for report in reports if not report.equal)
-        print(f"{len(reports)} checks, {failed} failed", file=stdout)
+        write(f"{len(reports)} checks, {failed} failed\n")
 
     passed = bool(reports) and all(report.equal for report in reports)
     return EXIT_OK if passed else EXIT_CHECK_FAILED

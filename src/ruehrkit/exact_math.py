@@ -10,7 +10,10 @@ The polynomial primitives return coefficients and values under that rule,
 so polynomials with integer coefficients are multiplied and added in
 native ``int`` arithmetic.  Floats are converted exactly on the way in and
 never produced.  Since ``int == Fraction`` compares by value, the rule
-never changes an equality.
+never changes an equality.  It also makes str the serialization: str of an
+int or a Fraction is "num" or "num/den" in lowest terms, so
+format_polynomial joins str texts and format_rational converts only values
+of other types (a float, a bool) before it calls str.
 
 Rational results are computed over one denominator: evaluation,
 integration and linear_power carry integer numerators over a common
@@ -33,6 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -67,9 +71,10 @@ def binomial_row(n: int, top: int) -> list[int]:
     """
     if n < 0 or top < 0:
         raise ValueError(f"binomial_row requires n >= 0 and top >= 0, got n={n}, top={top}")
-    row = [1]
+    c, row = 1, [1]
     for i in range(top):
-        row.append(row[-1] * (n - i) // (i + 1))
+        c = c * (n - i) // (i + 1)
+        row.append(c)
     return row
 
 
@@ -148,12 +153,19 @@ def poly_pow(p: Polynomial, exponent: int) -> Polynomial:
     return out
 
 
-def _powers(base: int, exponent: int) -> list[int]:
-    """[base^0, base^1, ..., base^exponent]."""
-    out = [1]
-    for _ in range(exponent):
-        out.append(out[-1] * base)
-    return out
+def _times_powers(values: list, base: int, indices: range) -> None:
+    """values[i] *= base^j for the j-th index i of indices (j = 1, 2, ...), in place.
+
+    One running power; a base of -1 negates every other entry instead.
+    """
+    if base == -1:
+        for i in indices[::2]:
+            values[i] = -values[i]
+    elif base != 1:
+        power = 1
+        for i in indices:
+            power *= base
+            values[i] *= power
 
 
 def linear_power(c0, c1, exponent: int) -> Polynomial:
@@ -162,21 +174,27 @@ def linear_power(c0, c1, exponent: int) -> Polynomial:
     Equivalent to poly_pow([c0, c1], exponent) but O(exponent) products,
     which matters when it sits inside a doubly indexed verification sweep.
     With c0 = p0/q0 and c1 = p1/q1, coefficient i is the integer
-    C(e, i) p0^(e-i) p1^i divided once by q0^(e-i) q1^i; the C(e, i) are
-    one binomial_row.
+    C(e, i) p0^(e-i) p1^i divided once by q0^(e-i) q1^i.  The C(e, i) are
+    one binomial_row, and each power is one running product over the row:
+    up it for p1, down it for p0.
     """
     if exponent < 0:
         raise ValueError(f"linear_power requires exponent >= 0, got {exponent}")
     c0 = _scalar(c0)
     c1 = _scalar(c1)
     e = exponent
-    p0, p1 = _powers(c0.numerator, e), _powers(c1.numerator, e)
-    nums = [c * p0[e - i] * p1[i] for i, c in enumerate(binomial_row(e, e))]
+    up, down = range(1, e + 1), range(e - 1, -1, -1)
+    nums = binomial_row(e, e)
+    _times_powers(nums, c1.numerator, up)
+    _times_powers(nums, c0.numerator, down)
     if c0.denominator == c1.denominator == 1:
-        return poly_normalize(nums)
-    q0, q1 = _powers(c0.denominator, e), _powers(c1.denominator, e)
-    return poly_normalize([_scalar(Fraction(num, q0[e - i] * q1[i]))
-                           for i, num in enumerate(nums)])
+        while nums and not nums[-1]:  # every entry is an int already
+            nums.pop()
+        return nums
+    dens = [1] * (e + 1)
+    _times_powers(dens, c1.denominator, up)
+    _times_powers(dens, c0.denominator, down)
+    return poly_normalize([_scalar(Fraction(num, den)) for num, den in zip(nums, dens)])
 
 
 def poly_shift(p: Polynomial, k: int) -> Polynomial:
@@ -200,7 +218,7 @@ def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:
     """(nums, den): p's coefficients are nums[i] / den, den their least common denominator."""
-    if all(type(c) is int for c in p):
+    if all(map(int.__instancecheck__, p)):  # one C-level pass, zeros from poly_shift included
         return p, 1
     den = math.lcm(*[c.denominator for c in p])
     return [c.numerator * (den // c.denominator) for c in p], den
@@ -255,10 +273,10 @@ def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
         low += 1
     if top <= _FACTOR_MEMO_TOP:
         factors = _antiderivative_factors(top)
-    else:  # one entry takes about top^2 bits: computed, not kept
-        factors = _antiderivative_factors.__wrapped__(top)
+    else:
+        factors = _large_antiderivative_factors(top)
     scale = factors[0]  # lcm(1..top) // 1
-    anti = [c * factors[i] for i, c in enumerate(nums[low:], low)]
+    anti = list(map(operator.mul, nums[low:], factors[low:]))
     lo, hi = _scalar(lo), _scalar(hi)
     v = math.lcm(lo.denominator, hi.denominator)
     total = _antiderivative_at(anti, low, hi, v, top) - _antiderivative_at(anti, low, lo, v, top)
@@ -277,6 +295,13 @@ def _antiderivative_factors(top: int) -> tuple:
     return tuple(scale // i for i in range(1, top + 1))
 
 
+# Above _FACTOR_MEMO_TOP an entry takes about top^2 bits (3 MB at top = 4000),
+# so only the latest is kept: the callers that integrate twice at one degree
+# (tailsum_integral, kimura_ruehr_moments) reuse it.
+_large_antiderivative_factors = functools.lru_cache(maxsize=1)(
+    _antiderivative_factors.__wrapped__)
+
+
 def _antiderivative_at(anti: list[int], low: int, x: Scalar, v: int, top: int) -> int:
     """v^top x^(low+1) sum anti[i] x^i, an integer when v is a multiple of x's denominator."""
     u, v_x = x.numerator, x.denominator
@@ -286,11 +311,14 @@ def _antiderivative_at(anti: list[int], low: int, x: Scalar, v: int, top: int) -
 
 
 def format_rational(q) -> str:
-    """Serialize as "num/den", or just "num" when the denominator is 1."""
-    if type(q) is int:
+    """Serialize as "num/den", or just "num" when the denominator is 1.
+
+    For an int or a Fraction that text is str(q); any other type (a float,
+    a bool) is converted under the scalar rule first.
+    """
+    if type(q) is int or type(q) is Fraction:
         return str(q)
-    q = _scalar(q)
-    return str(q) if type(q) is int else f"{q.numerator}/{q.denominator}"
+    return str(_scalar(q))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -300,9 +328,11 @@ def parse_rational(text: str) -> Fraction:
 def format_polynomial(p: Polynomial) -> str:
     """Serialize as a JSON array of rational strings, ascending degree.
 
-    A join gives json.dumps' bytes: rational strings need no JSON escapes.
+    Coefficients follow the scalar rule, so str gives format_rational's
+    text, and a join gives json.dumps' bytes: rational strings need no JSON
+    escapes.
     """
-    return '["' + '", "'.join(map(format_rational, p)) + '"]' if p else "[]"
+    return '["' + '", "'.join(map(str, p)) + '"]' if p else "[]"
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -140,9 +140,11 @@ class CheckInstance:
 
 
 def _check(check_name: str, params: dict, checker, *args) -> CheckInstance:
-    """The instance that runs checker(*args); params become report strings."""
-    texts = {key: value if isinstance(value, str) else format_rational(value)
-             for key, value in params.items()}
+    """The instance that runs checker(*args); params become report strings.
+
+    Every param is a string, an int or a Fraction, so str gives its text.
+    """
+    texts = {key: str(value) for key, value in params.items()}
     return CheckInstance(check_name, texts, checker, args)
 
 
@@ -179,7 +181,7 @@ def _suite_comtet(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstanc
 def _ruehr_specialization_sides(n: int, variant: str, point: Fraction, scale: int,
                                 chain_index: int) -> SidePair:
     """A corollary2 polynomial at `point`, times scale^n, against a chain sum."""
-    poly = identities.corollary2_sides(n, variant).lhs
+    poly = identities.corollary2_lhs(n, variant)
     lhs = poly_eval(poly, point) * scale ** n
     return compare_sides(lhs, Fraction(identities.ruehr_sum_direct(n, chain_index)))
 
@@ -440,6 +442,7 @@ def run_instances(instances, jobs: int = 1) -> list[CheckReport]:
     check that raises becomes a failed report whose lhs names the exception
     type.  The final order is (check_name, generation index): generation
     order already enumerates parameters ascending and the sort is stable.
+    Each report holds its instance's params dict itself, not a copy.
     """
     reports = []
     for inst in instances:
@@ -449,8 +452,7 @@ def run_instances(instances, jobs: int = 1) -> list[CheckReport]:
         except Exception as exc:  # one broken check must not end the run
             lhs, rhs, equal = f"error: {type(exc).__name__}", " ".join(str(exc).split()), False
         elapsed_ms = int((time.perf_counter() - started) * 1000)
-        reports.append(CheckReport(inst.check_name, dict(inst.params),
-                                   lhs, rhs, equal, elapsed_ms))
+        reports.append(CheckReport(inst.check_name, inst.params, lhs, rhs, equal, elapsed_ms))
     reports.sort(key=lambda report: report.check_name)
     return reports
 

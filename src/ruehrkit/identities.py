@@ -25,9 +25,10 @@ top index, or a _walked_sum walk back from one math.comb value):
 * comtet1: the lhs is a term-by-term sum, run in integers over the common
   denominator of a and b, that walks down from one math.comb value C(n, k)
   to C(n, 0) in Horner order (_comtet1_lhs, by _walked_sum).  The
-  rhs, comtet1_integral, substitutes t = u/q, q the common denominator of
-  b and a + b: the integrand u^k (H-u)^(n-k-1) (a binomial_row, in
-  linear_power) has integer coefficients and bounds L = bq, H = (a+b)q.
+  rhs, comtet1_integral, substitutes t = u/q, q the least common
+  denominator of a and b: the integrand u^k (H-u)^(n-k-1) (a binomial_row,
+  in linear_power) has integer coefficients and integer bounds L = bq and
+  H = L + aq, and its antiderivative is evaluated at both.
   These two functions are the only copies of the sum and the integral;
   the harness's partial_sum, tailsum_comtet1 and tailsum_integral checks
   and beta_dist.binom_tail_sides take their partial sums from them.
@@ -97,7 +98,7 @@ class SidePair(NamedTuple):
 
 def compare_sides(lhs: Side, rhs: Side) -> SidePair:
     """Pair two exactly computed sides; equality is exact, never approximate."""
-    return SidePair(lhs=lhs, rhs=rhs, equal=(lhs == rhs))
+    return SidePair(lhs, rhs, lhs == rhs)
 
 
 def _bernstein_sum(terms) -> Polynomial:
@@ -221,8 +222,10 @@ def comtet1_sides(n: int, k: int, a, b) -> SidePair:
         raise ValueError(f"comtet1_sides requires n >= 0, got n={n}")
     if not 0 <= k < n:
         raise ValueError(f"comtet1_sides requires 0 <= k < n, got k={k}, n={n}")
-    a = Fraction(a)
-    b = Fraction(b)
+    if type(a) is not int and type(a) is not Fraction:
+        a = Fraction(a)
+    if type(b) is not int and type(b) is not Fraction:
+        b = Fraction(b)
     return compare_sides(_comtet1_lhs(n, k, a, b), comtet1_integral(n, k, a, b))
 
 
@@ -230,18 +233,20 @@ def comtet1_integral(n: int, k: int, a, b) -> Scalar:
     """(n-k) C(n,k) * integral_b^(a+b) t^k (a+b-t)^(n-k-1) dt, for 0 <= k < n.
 
     a and b are ints or Fractions.  By comtet1_sides this is the partial sum
-    sum_{0<=i<=k} C(n,i) a^(n-i) b^i.
+    sum_{0<=i<=k} C(n,i) a^(n-i) b^i.  With t = u/q, q the least common
+    denominator of a and b, it is integral_L^H u^k (H-u)^(n-k-1) du / q^n
+    over the integer bounds L = bq and H = L + aq, and the antiderivative is
+    evaluated at both of them.
     """
-    # t = u/q: integral_L^H u^k (H-u)^(n-k-1) du / q^n over integers L = bq, H = (a+b)q
-    top = a + b
-    q = math.lcm(b.denominator, top.denominator)
-    lo, hi = b.numerator * (q // b.denominator), top.numerator * (q // top.denominator)
+    q = math.lcm(a.denominator, b.denominator)
+    lo = b.numerator * (q // b.denominator)
+    hi = lo + a.numerator * (q // a.denominator)
     value = poly_definite_integral(poly_shift(linear_power(hi, -1, n - k - 1), k), lo, hi)
     return _scalar(Fraction((n - k) * binomial(n, k) * value.numerator,
                             value.denominator * q ** n))
 
 
-def _comtet1_lhs(n: int, k: int, a: Fraction, b: Fraction) -> Scalar:
+def _comtet1_lhs(n: int, k: int, a: Scalar, b: Scalar) -> Scalar:
     """sum_{0<=i<=k} C(n,i) a^(n-i) b^i, summed as A^(n-k) sum C(n,i) A^(k-i) B^i / D^n.
 
     a = A/D and b = B/D over their least common denominator D, so the sum
@@ -358,20 +363,31 @@ def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:
     values at x = 2/3 and x = 4/3 that recover the chain are kept as
     separate checks in the harness.
     """
+    return compare_sides(corollary2_lhs(n, variant), corollary2_rhs(n, variant))
+
+
+def corollary2_lhs(n: int, variant: Literal["first", "second"]) -> Polynomial:
+    """The lhs of corollary2_sides: sum_{0<=j<=top} C(3n-j, low) (1-x)^(top-j)."""
+    top, low = _corollary2_range(n, variant)
+    return _bernstein_sum((binomial(3 * n - j, low), 0, top - j) for j in range(top + 1))
+
+
+def corollary2_rhs(n: int, variant: Literal["first", "second"]) -> Polynomial:
+    """The rhs of corollary2_sides: sum_{0<=j<=top} C(3n+1, low+1+j) x^j (1-x)^(top-j)."""
+    top, low = _corollary2_range(n, variant)
+    return _bernstein_sum((binomial(3 * n + 1, low + 1 + j), j, top - j)
+                          for j in range(top + 1))
+
+
+def _corollary2_range(n: int, variant: str) -> tuple[int, int]:
+    """(top, low) = (n, 2n) for the first variant and (2n, n) for the second."""
     if n < 0:
         raise ValueError(f"corollary2_sides requires n >= 0, got {n}")
-    tops = {"first": n, "second": 2 * n}
-    if variant not in tops:
-        raise ValueError(
-            f"corollary2_sides variant must be 'first' or 'second', got {variant!r}"
-        )
-    top = tops[variant]
-    low = 3 * n - top
-    js = range(top + 1)
-    return compare_sides(
-        _bernstein_sum((binomial(3 * n - j, low), 0, top - j) for j in js),
-        _bernstein_sum((binomial(3 * n + 1, low + 1 + j), j, top - j) for j in js),
-    )
+    if variant == "first":
+        return n, 2 * n
+    if variant == "second":
+        return 2 * n, n
+    raise ValueError(f"corollary2_sides variant must be 'first' or 'second', got {variant!r}")
 
 
 def kimura_ruehr_moments(n: int) -> SidePair:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ruehrkit import exact_math
 from ruehrkit.exact_math import (
     binomial,
     binomial_row,
@@ -132,6 +133,13 @@ def test_linear_power_matches_poly_pow():
         assert linear_power(c0, c1, e) == poly_pow(poly_normalize([c0, c1]), e)
     assert linear_power(0, 2, 3) == [F(0), F(0), F(0), F(8)]
     assert linear_power(2, 0, 3) == [F(8)]
+    # int bases -1, 0 and 1 take their own branches of the running powers
+    for c0 in (-3, -1, 0, 1, 2):
+        for c1 in (-2, -1, 0, 1, 5):
+            for e in range(10):
+                got = linear_power(c0, c1, e)
+                assert got == poly_pow(poly_normalize([c0, c1]), e), (c0, c1, e)
+                assert all(type(c) is int for c in got)
 
 
 def test_poly_compose_shift_examples():
@@ -269,6 +277,23 @@ def test_format_polynomial_matches_json_encoder():
         assert format_polynomial(p) == _format_polynomial_reference(p), p
 
 
+def _format_rational_reference(q):
+    'num/den from the normalized Fraction, or num alone when the denominator is 1'
+    q = F(q)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def test_str_is_the_serialization_of_ints_and_fractions():
+    'str gives format_rational\'s text for every int and Fraction, unreduced input included'
+    values = [0, 7, -7, 2 ** 200, -(3 ** 150), F(6, 3), F(-10, 4), F(0, 5), F(4, -6),
+              F(-(2 ** 100), 3 ** 70), F(10 ** 40, 10 ** 38)]
+    src = FuzzSource(31)
+    values += [F(fuzz_int(src, -(10 ** 30), 10 ** 30), fuzz_int(src, 1, 10 ** 30))
+               for _ in range(100)]
+    for q in values:
+        assert str(q) == format_rational(q) == _format_rational_reference(q), q
+
+
 def test_format_rational_outputs_pinned_for_each_input_type():
     assert format_rational(-(2 ** 70)) == str(-(2 ** 70))
     assert format_rational(F(6, 3)) == "2"
@@ -359,6 +384,23 @@ def _naive_integral(p, lo, hi):
     def anti(x):
         return sum((F(c) * F(x) ** (i + 1) / (i + 1) for i, c in enumerate(p)), F(0))
     return anti(hi) - anti(lo)
+
+
+def test_antiderivative_factors_above_the_memo_keep_only_the_latest_tuple():
+    'past _FACTOR_MEMO_TOP one tuple is kept: two integrals at one degree build it once'
+    large = exact_math._large_antiderivative_factors
+    top = exact_math._FACTOR_MEMO_TOP + 1
+    large.cache_clear()
+    try:
+        for size, lo, hi, misses, hits in ((top, 0, 1, 1, 0), (top, 1, 2, 1, 1),
+                                           (top + 1, 0, 1, 2, 1), (top - 1, 0, 1, 2, 1)):
+            ones = [1] * size  # sum of x^i, i < size: the antiderivative has degree size
+            want = sum(F(hi ** (i + 1) - lo ** (i + 1), i + 1) for i in range(size))
+            assert poly_definite_integral(ones, lo, hi) == want
+            info = large.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (misses, hits, 1)
+    finally:
+        large.cache_clear()
 
 
 def test_poly_definite_integral_matches_naive_antiderivative():

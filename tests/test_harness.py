@@ -13,7 +13,7 @@ import pytest
 
 import ruehrkit.identities
 from ruehrkit import beta_dist, cli, collatz_bound, exact_math, harness
-from ruehrkit.exact_math import parse_polynomial, parse_rational
+from ruehrkit.exact_math import format_rational, parse_polynomial, parse_rational
 from ruehrkit.harness import (
     CheckInstance,
     CheckReport,
@@ -368,9 +368,9 @@ def test_cli_negative_bound_is_usage_error(capsys, flag, value):
 
 @pytest.fixture
 def fresh_memos():
-    'the f/g members, (1-x)^r rows and antiderivative factors are memoized: start and end empty'
+    'f/g members, (1-x)^r rows and both antiderivative factor memos: start and end empty'
     memos = (ruehrkit.identities._fg_member, ruehrkit.identities._one_minus_x_power,
-             exact_math._antiderivative_factors)
+             exact_math._antiderivative_factors, exact_math._large_antiderivative_factors)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -449,6 +449,18 @@ _OFF_BY_ONE_FAULTS = {
     "definite_integral_all": (exact_math, "poly_definite_integral",
                               _antiderivative_dividing_by_i_plus_2,
                               _VERIFY_ALL, ("comtet1", "partial_sum", "tailsum_comtet1")),
+    # the antiderivative is evaluated at 0 instead of the lower bound: comtet1 moved to
+    # [0, aq] would be blind to it
+    "definite_integral_lower_bound": (exact_math, "poly_definite_integral",
+                                      lambda f: lambda p, lo, hi: f(p, 0, hi),
+                                      _VERIFY_COMTET, ("comtet1",)),
+    # the same fault under verify all: every check whose integral has a lower bound other
+    # than 0 on one side only
+    "definite_integral_lower_bound_all": (exact_math, "poly_definite_integral",
+                                          lambda f: lambda p, lo, hi: f(p, 0, hi),
+                                          _VERIFY_ALL, ("comtet1", "partial_sum",
+                                                        "tailsum_comtet1", "tailsum_integral",
+                                                        "corollary1", "kimura_ruehr_moments")),
     # the partial binomial sum stops one term early
     "comtet1_lhs": (ruehrkit.identities, "_comtet1_lhs",
                     lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
@@ -577,6 +589,68 @@ def test_cli_verify_comtet_large_run_reports_pinned(capsys):
     assert len(lines) == 2000
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "d16c065735e7a8d361cde1ad8b75b9f144ad9520cd58e2d92c662ed2802e5fe9"
+
+
+def test_check_param_texts_are_their_format_rational_texts(monkeypatch):
+    'str serializes every param of every suite at seed 42 as format_rational would'
+    made = []
+    check = harness._check
+
+    def recording(check_name, params, checker, *args):
+        instance = check(check_name, params, checker, *args)
+        made.append((params, instance.params))
+        return instance
+    monkeypatch.setattr(harness, "_check", recording)
+    build_suites(harness.SUITE_ORDER, 42)
+    assert len(made) == 784
+    for params, texts in made:
+        assert texts == {key: value if isinstance(value, str) else format_rational(value)
+                         for key, value in params.items()}
+
+
+class _WriteOnlySink:
+    'the part of a text stream bench/child.py\'s HashSink offers: write and flush'
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt, render, summary", [
+    ("json", report_to_json, False),
+    ("text", harness.report_to_text, True),
+])
+def test_cli_writes_one_line_per_report_with_the_bytes_of_print(monkeypatch, fmt, render,
+                                                                summary):
+    'one write per report line to a sink that has only write and flush, as print would write'
+    reports = run_instances(build_suites(harness.SUITE_ORDER, 42))
+    monkeypatch.setattr(harness, "run_instances", lambda instances, jobs=1: reports)
+    sink = _WriteOnlySink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["verify", "all", "--seed", "42", "--format", fmt]) == 0
+    expected = io.StringIO()
+    for report in reports:
+        print(render(report), file=expected)
+    if summary:
+        print(f"{len(reports)} checks, 0 failed", file=expected)
+    assert "".join(sink.writes) == expected.getvalue()
+    assert len(sink.writes) == len(reports) + summary
+    assert all(text.count("\n") == 1 and text.endswith("\n") for text in sink.writes)
+
+
+def test_ruehr_specialization_builds_only_the_corollary2_lhs(monkeypatch):
+    def forbidden(n, variant):
+        raise AssertionError("the specialization built the corollary2 rhs")
+    monkeypatch.setattr(ruehrkit.identities, "corollary2_rhs", forbidden)
+    for n in range(8):
+        assert harness._ruehr_specialization_sides(n, "first", F(2, 3), 3, 0).equal
+        assert harness._ruehr_specialization_sides(n, "second", F(4, 3), 9, 2).equal
 
 
 def test_cli_report_values_round_trip(capsys):

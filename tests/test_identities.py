@@ -24,6 +24,8 @@ from ruehrkit.identities import (
     comtet2_sides,
     comtet3_sides,
     corollary1_sides,
+    corollary2_lhs,
+    corollary2_rhs,
     corollary2_sides,
     family_polynomial,
     kimura_ruehr_moments,
@@ -109,6 +111,15 @@ def test_comtet1_hand_cases():
     assert type(pair.lhs) is int and type(pair.rhs) is int
     pair = comtet1_sides(2, 1, 1, 1)
     assert (pair.lhs, pair.rhs, pair.equal) == (3, 3, True)
+
+
+def test_comtet1_converts_only_what_is_neither_int_nor_fraction():
+    'floats and strings are converted exactly; ints and Fractions go in as they are'
+    want = comtet1_sides(5, 2, F(1, 2), F(-3, 4))
+    assert comtet1_sides(5, 2, 0.5, "-3/4") == want
+    assert comtet1_sides(5, 2, "1/2", -0.75) == want
+    pair = comtet1_sides(6, 3, 2, -1)
+    assert pair == comtet1_sides(6, 3, F(2), F(-1)) and type(pair.rhs) is int
 
 
 def test_comtet1_single_term_case():
@@ -401,6 +412,18 @@ def test_corollary2_hand_cases():
     assert pair.equal
     # x = 4/3 with the 9^n rescale recovers the chain value 6
     assert poly_eval(pair.lhs, F(4, 3)) * 9 == 6
+
+
+def test_corollary2_sides_are_one_function_each():
+    for n in range(10):
+        for variant in ("first", "second"):
+            pair = corollary2_sides(n, variant)
+            assert (pair.lhs, pair.rhs) == (corollary2_lhs(n, variant), corollary2_rhs(n, variant))
+    for side in (corollary2_sides, corollary2_lhs, corollary2_rhs):
+        with pytest.raises(ValueError, match="n >= 0"):
+            side(-1, "first")
+        with pytest.raises(ValueError, match="'first' or 'second'"):
+            side(1, "third")
 
 
 def test_corollary2_equality_sweep():
