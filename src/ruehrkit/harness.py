@@ -24,6 +24,7 @@ strings.  CheckInstance and FuzzSource are plain mutable classes.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from fractions import Fraction
@@ -224,16 +225,33 @@ def _recurrence_sides(kind: str, j: int, big_n: int) -> SidePair:
 
 
 def _telescoping_sides(m: int, big_n: int) -> SidePair:
-    """Both sides of the telescoping consequence of the f/g recurrences."""
+    """Both sides of the telescoping consequence of the f/g recurrences.
+
+    lhs   = sum_{1<=j<=m} (f(j+1,N) - f(j,N)) - (g(j+1,N) - g(j,N))
+    rhs   = (1-x) sum_{1<=j<=m} f(j+1,N-1) - g(j+1,N-1)
+
+    Both running sums come from the memoized chain for N, which is extended
+    bottom-up by one j-term per sum until it reaches m.
+    """
+    sums = _telescoping_chain(big_n)
     helper = identities.proof_helper
-    lhs: list = []
-    inner: list = []
-    for j in range(1, m + 1):
+    for j in range(len(sums), m + 1):
+        lhs, inner = sums[j - 1]
         lhs = poly_add(lhs, poly_sub(helper("f", j + 1, big_n), helper("f", j, big_n)))
         lhs = poly_sub(lhs, poly_sub(helper("g", j + 1, big_n), helper("g", j, big_n)))
         inner = poly_add(inner, poly_sub(helper("f", j + 1, big_n - 1),
                                          helper("g", j + 1, big_n - 1)))
-    return compare_sides(lhs, poly_mul(_ONE_MINUS_X, inner))
+        sums.setdefault(j, (tuple(lhs), tuple(inner)))
+    lhs, inner = sums[m]
+    return compare_sides(list(lhs), poly_mul(_ONE_MINUS_X, list(inner)))
+
+
+# The suite asks for every N at one m before the next m, so it keeps one chain
+# per N <= max_n // 2 in use: 128 chains hold all of them up to max_n = 257.
+@functools.lru_cache(maxsize=128)
+def _telescoping_chain(big_n: int) -> dict:
+    """The (lhs, inner) running sums of _telescoping_sides for N built so far, by m from 0."""
+    return {0: ((), ())}
 
 
 def _suite_polynomials(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:

@@ -43,12 +43,20 @@ top index, or a _walked_sum walk back from one math.comb value):
   over two intervals.
 
 Where both sides are polynomials in x (comtet2, comtet3 and corollary2),
-each side is a sum of terms c x^s (1-x)^r, and both sides are built by
-one function, _bernstein_sum, from their (c, s, r) triples; the sides
-differ only in their math.comb coefficients c and exponents, and each
-(1-x)^r is a binomial_row.  The f/g recurrence checks in the harness
-multiply by 1 - x on their own, with poly_mul, and add with poly_add, so
-a fault in _bernstein_sum surfaces there.
+each side is a sum of terms c x^s (1-x)^r, built by one function,
+_bernstein_sum, from their (c, s, r) triples; the sides differ only in
+their math.comb coefficients c and exponents, and each (1-x)^r is a
+binomial_row.  The f/g members of comtet3 are built incrementally, each
+from the one before it in its own family and one new _bernstein_sum term:
+
+  f(m, N) = f(m, N-1) + C(m-1+N, N) (1-x)^N
+  g(m, N) = x g(m+1, N-1) + C(N+m, N) (1-x)^N   (x by poly_shift)
+
+g is never built by f's rule g(m, N) = g(m, N-1) + C(m-1+N, N) (1-x)^N,
+though it holds too: then comtet3 would hold by construction.  The f/g
+recurrence checks in the harness multiply by 1 - x on their own, with
+poly_mul, and add with poly_add, so a fault in _bernstein_sum surfaces
+there, and a fault in poly_shift parts g from f.
 """
 
 from __future__ import annotations
@@ -297,9 +305,10 @@ def proof_helper(kind: Literal["f", "g"], m: int, big_n: int) -> Polynomial:
     Both satisfy a Pascal-rule recurrence in m (checked in the tests), and
     f(1,N) = g(1,N) for every N, which together give f = g everywhere.
 
-    The recurrence and telescoping checks ask for the same members many
-    times, so they are memoized; every call returns a fresh list, which the
-    caller may change without touching the memo.
+    Each member is built from the one before it in its own family (see
+    _fg_member), and the recurrence and telescoping checks ask for the same
+    members many times, so they are memoized; every call returns a fresh
+    list, which the caller may change without touching the memo.
     """
     if kind not in ("f", "g"):
         raise ValueError(f"proof_helper kind must be 'f' or 'g', got {kind!r}")
@@ -310,17 +319,67 @@ def proof_helper(kind: Literal["f", "g"], m: int, big_n: int) -> Polynomial:
     return list(_fg_member(kind, m, big_n))
 
 
-# 4096 members hold the whole f/g grid for m, N <= 44 (2 * 44 * 45 members);
-# beyond that, the recurrence checks (j, then N) reuse only recent members.
-@functools.lru_cache(maxsize=4096)
+# A chain stores its members up to this N.  A deeper member is carried on from
+# the chain's last stored member in a local, so one deep request does not keep
+# a chain that long (all 1501 members of g(1, 1500) take about 300 MB).
+_STORED_N = 128
+
+
 def _fg_member(kind: str, m: int, big_n: int) -> tuple:
-    """proof_helper's value as an immutable tuple."""
-    js = range(big_n + 1)
-    if kind == "f":
-        terms = ((binomial(m - 1 + j, m - 1), 0, j) for j in js)
-    else:
-        terms = ((binomial(big_n + m, j), big_n - j, j) for j in js)
-    return tuple(_bernstein_sum(terms))
+    """proof_helper's value as an immutable tuple.
+
+    f(m, N) = f(m, N-1) + C(m-1+N, N) (1-x)^N
+    g(m, N) = x g(m+1, N-1) + C(N+m, N) (1-x)^N
+
+    Along an f chain m stays fixed, along a g chain m + N does.  One loop
+    extends the chain bottom-up from its last stored member, so no call
+    recurses; each family takes only members of its own chains.
+    """
+    key = m if kind == "f" else m + big_n
+    chain = _fg_chain(kind, key)
+    n = min(len(chain) - 1, big_n)
+    member = chain[n]
+    for n in range(n + 1, big_n + 1):
+        if kind == "f":
+            term = _bernstein_sum(((binomial(m - 1 + n, m - 1), 0, n),))
+        else:
+            term = _bernstein_sum(((binomial(key, n), 0, n),))
+            member = poly_shift(member, 1)
+        member = _plus(term, member)
+        if n <= _STORED_N:
+            member = chain.setdefault(n, member)
+    return member
+
+
+# The polynomial suite walks the f chains m <= max_n + 1 and the g chains
+# m + N <= 2 max_n + 1, 62 chains at max_n = 20, in passes over a window of
+# max_n + 3 chains.  A memo smaller than the window would lose every chain
+# before its next pass and rebuild it from N = 0; 256 chains hold the window up
+# to max_n = 253, and at most 256 * 129 members.
+@functools.lru_cache(maxsize=256)
+def _fg_chain(kind: str, key: int) -> dict:
+    """The stored members of one chain, by N from 0: f(key, N), or g(key - N, N) for g.
+
+    setdefault keeps the first of two concurrent builds of a member, so
+    threads that share a chain agree on it.
+    """
+    return {0: (1,)}
+
+
+def _plus(out: list, base) -> tuple:
+    """out + base for integer coefficient lists, as a tuple without trailing zeros.
+
+    A member step adds in place instead of by poly_add, which copies and then
+    type-checks every coefficient: that made the members for m, N <= 21 about
+    a fifth slower to build.
+    """
+    if len(out) < len(base):
+        out += [0] * (len(base) - len(out))
+    for i, c in enumerate(base):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def corollary1_sides(n: int, variant: Literal["pos", "neg"]) -> SidePair:
@@ -368,8 +427,17 @@ def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:
 
 def corollary2_lhs(n: int, variant: Literal["first", "second"]) -> Polynomial:
     """The lhs of corollary2_sides: sum_{0<=j<=top} C(3n-j, low) (1-x)^(top-j)."""
+    return list(_corollary2_lhs(n, variant))
+
+
+# Per n, the suite checks corollary2 for both variants and then the two
+# ruehr_specialization checks, which evaluate these same two polynomials.
+@functools.lru_cache(maxsize=2)
+def _corollary2_lhs(n: int, variant: str) -> tuple:
+    """corollary2_lhs's value as an immutable tuple."""
     top, low = _corollary2_range(n, variant)
-    return _bernstein_sum((binomial(3 * n - j, low), 0, top - j) for j in range(top + 1))
+    return tuple(_bernstein_sum((binomial(3 * n - j, low), 0, top - j)
+                                for j in range(top + 1)))
 
 
 def corollary2_rhs(n: int, variant: Literal["first", "second"]) -> Polynomial:

@@ -1,0 +1,18 @@
+import pytest
+
+from ruehrkit import exact_math, harness, identities
+
+# Every functools.lru_cache of the package; test_harness checks that none is missing.
+MEMOS = (identities._fg_chain, identities._one_minus_x_power, identities._corollary2_lhs,
+         harness._telescoping_chain, exact_math._antiderivative_factors,
+         exact_math._large_antiderivative_factors)
+
+
+@pytest.fixture
+def fresh_memos():
+    'every memo of the package starts and ends empty, so no warm entry hides a fault'
+    for memo in MEMOS:
+        memo.cache_clear()
+    yield
+    for memo in MEMOS:
+        memo.cache_clear()

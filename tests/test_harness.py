@@ -366,18 +366,6 @@ def test_cli_negative_bound_is_usage_error(capsys, flag, value):
     assert flag in err and ">= 0" in err
 
 
-@pytest.fixture
-def fresh_memos():
-    'f/g members, (1-x)^r rows and both antiderivative factor memos: start and end empty'
-    memos = (ruehrkit.identities._fg_member, ruehrkit.identities._one_minus_x_power,
-             exact_math._antiderivative_factors, exact_math._large_antiderivative_factors)
-    for memo in memos:
-        memo.cache_clear()
-    yield
-    for memo in memos:
-        memo.cache_clear()
-
-
 def test_cli_corrupted_one_minus_x_row_fails_the_recurrences(capsys, monkeypatch,
                                                              fresh_memos):
     'every polynomial side is one _bernstein_sum; the recurrences multiply by 1-x on their own'
@@ -433,8 +421,16 @@ def _antiderivative_dividing_by_i_plus_2(integral):
     return lambda p, lo, hi: integral([c * F(i + 1, i + 2) for i, c in enumerate(p)], lo, hi)
 
 
+def _adding_one_to_the_top(add):
+    def faulty(a, b):
+        out = add(a, b)
+        return out[:-1] + [out[-1] + 1] if out else out
+    return faulty
+
+
 _VERIFY_COMTET = ["verify", "comtet", "--format", "json"]
 _VERIFY_ALL = ["verify", "all", "--format", "json"]
+_VERIFY_POLYNOMIALS = ["verify", "polynomials", "--max-n", "8", "--format", "json"]
 _OFF_BY_ONE_FAULTS = {
     # the integer Horner kernel skips the leading coefficient
     "horner_kernel": (exact_math, "_horner",
@@ -507,6 +503,15 @@ _OFF_BY_ONE_FAULTS = {
                           lambda f: _walked_sum_skipping_the_first_v,
                           _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail",
                                         "tailsum_integral", "negbinom_cdf")),
+    # x^k p is shifted one place too far; in this suite only the x of g's chain step
+    # g(m, N) = x g(m+1, N-1) + ... goes through it, so f and g part
+    "poly_shift": (exact_math, "poly_shift",
+                   lambda f: lambda p, k: f(p, k + 1),
+                   _VERIFY_POLYNOMIALS, ("comtet3", "fg_base")),
+    # the top coefficient of a sum comes out one too large: poly_compose and poly_sub
+    # add through it, the f/g members do not
+    "poly_add": (exact_math, "poly_add", _adding_one_to_the_top, _VERIFY_POLYNOMIALS,
+                 ("alzer_shift", "recurrence_f", "recurrence_g", "telescoping")),
     # the affine branch of the map comes out one too large, so 1 -> 3 -> 6 -> 3
     "g_step": (collatz_bound, "g_step",
                lambda f: lambda ell, cfg: f(ell, cfg) + 1 if ell % cfg.div else f(ell, cfg),
@@ -546,6 +551,34 @@ def test_harness_decides_equality_when_compare_sides_trusts_every_pair(capsys, m
     failed = {r["check_name"] for r in reports if not r["equal"]}
     assert {"comtet1", "corollary1", "beta_cross", "binom_tail", "negbinom_cdf",
             "partial_sum", "tailsum_integral"} <= failed
+
+
+def test_fresh_memos_clears_every_memo_of_the_package(capsys, request):
+    'every functools.lru_cache of a ruehrkit module is one fresh_memos clears'
+    for argv in (["verify", "polynomials", "--max-n", "6"], ["verify", "all", "--seed", "42"]):
+        _run_cli(capsys, argv + ["--format", "json"])
+    found = {(name, key): value for name, module in list(sys.modules.items())
+             if name.startswith("ruehrkit")
+             for key, value in vars(module).items() if hasattr(value, "cache_info")}
+    assert all(memo.cache_info().currsize for memo in (
+        ruehrkit.identities._fg_chain, ruehrkit.identities._corollary2_lhs,
+        harness._telescoping_chain, ruehrkit.identities._one_minus_x_power))
+    request.getfixturevalue("fresh_memos")
+    assert [key for key, memo in found.items() if memo.cache_info().currsize] == []
+
+
+def test_telescoping_sides_cold_equal_their_warm_values(fresh_memos):
+    'a running sum taken from the memo is the sum made from nothing'
+    cold = {}
+    for m in range(1, 7):
+        for big_n in range(1, 7):
+            harness._telescoping_chain.cache_clear()
+            ruehrkit.identities._fg_chain.cache_clear()
+            cold[m, big_n] = harness._telescoping_sides(m, big_n)
+    warm = {(m, big_n): harness._telescoping_sides(m, big_n)
+            for m in range(1, 7) for big_n in range(1, 7)}
+    assert warm == cold
+    assert all(pair.equal for pair in warm.values())
 
 
 def test_tailsum_integral_matches_tail_sum():
@@ -651,6 +684,15 @@ def test_ruehr_specialization_builds_only_the_corollary2_lhs(monkeypatch):
     for n in range(8):
         assert harness._ruehr_specialization_sides(n, "first", F(2, 3), 3, 0).equal
         assert harness._ruehr_specialization_sides(n, "second", F(4, 3), 9, 2).equal
+
+
+def test_corollary2_lhs_results_cannot_poison_the_memo():
+    truth = ruehrkit.identities.corollary2_lhs(4, "second")
+    first = ruehrkit.identities.corollary2_lhs(4, "second")
+    first[0] += 1
+    first.append(7)
+    assert ruehrkit.identities.corollary2_lhs(4, "second") == truth
+    assert harness._ruehr_specialization_sides(4, "second", F(4, 3), 9, 2).equal
 
 
 def test_cli_report_values_round_trip(capsys):

@@ -1,3 +1,7 @@
+import functools
+import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -317,6 +321,86 @@ def test_proof_helper_results_cannot_poison_the_memo():
         first[0] += 1
         first.append(F(7))
         assert proof_helper(kind, 3, 5) == truth
+
+
+def _fg_definition(kind, m, big_n):
+    'f(m, N) or g(m, N) from its full term list, in one _bernstein_sum'
+    js = range(big_n + 1)
+    if kind == "f":
+        return identities._bernstein_sum([(binomial(m - 1 + j, m - 1), 0, j) for j in js])
+    return identities._bernstein_sum([(binomial(big_n + m, j), big_n - j, j) for j in js])
+
+
+def test_fg_members_asked_for_in_any_order_match_their_definition(fresh_memos):
+    'each member extends its own chain; in any order it is its full term list'
+    keys = [(kind, m, big_n) for kind in "fg" for m in range(1, 13) for big_n in range(13)]
+    random.Random(13).shuffle(keys)
+    for key in keys:
+        assert proof_helper(*key) == _fg_definition(*key), key
+
+
+def test_fg_members_match_their_definition_past_eviction_and_the_stored_depth(
+        monkeypatch, fresh_memos):
+    'two chains in the memo and three members stored per chain: every member still right'
+    monkeypatch.setattr(identities, "_fg_chain",
+                        functools.lru_cache(maxsize=2)(identities._fg_chain.__wrapped__))
+    monkeypatch.setattr(identities, "_STORED_N", 3)
+    keys = [(kind, m, big_n) for kind in "fg" for m in range(1, 9) for big_n in range(13)]
+    random.Random(14).shuffle(keys)
+    for key in keys:
+        assert proof_helper(*key) == _fg_definition(*key), key
+    assert identities._fg_chain.cache_info().currsize == 2
+    proof_helper("f", 5, 12)
+    proof_helper("g", 1, 12)
+    assert [len(identities._fg_chain(kind, key)) for kind, key in (("f", 5), ("g", 13))] \
+        == [4, 4]
+
+
+def test_fg_chains_extended_by_several_threads_agree_with_their_definition(fresh_memos):
+    'threads that extend the same chains at once put every member in its place'
+    keys = [(kind, m, big_n) for kind in "fg" for m in range(1, 9) for big_n in range(25)]
+    expected = {key: _fg_definition(*key) for key in keys}
+    results, errors = [], []
+
+    def ask(seed):
+        order = random.Random(seed).sample(keys, len(keys))
+        try:
+            results.append({key: proof_helper(*key) for key in order})
+        except Exception as exc:  # reported below, with the thread's results
+            errors.append(exc)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 6 and all(result == expected for result in results)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_fg_members_need_no_deep_recursion(fresh_memos):
+    'a cold chain is filled by a loop, and carried on past its last stored member'
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        deep = [proof_helper(kind, 1, 1500) for kind in "fg"]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert deep[0] == deep[1] and len(deep[0]) == 1501
+    assert [len(identities._fg_chain(kind, key)) for kind, key in (("f", 1), ("g", 1501))] \
+        == [identities._STORED_N + 1] * 2
 
 
 def test_fg_recurrences():
