@@ -11,10 +11,7 @@ explicitly approximate decay-rate profile.
 from .exact_math import (
     InternalInconsistencyError,
     Polynomial,
-    Rational,
     binomial,
-    format_rational,
-    parse_rational,
 )
 from .identities import SidePair, SumFamily, compare_sides
 
@@ -23,12 +20,9 @@ __version__ = "0.1.0"
 __all__ = [
     "InternalInconsistencyError",
     "Polynomial",
-    "Rational",
     "SidePair",
     "SumFamily",
     "binomial",
     "compare_sides",
-    "format_rational",
-    "parse_rational",
     "__version__",
 ]

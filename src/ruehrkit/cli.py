@@ -19,9 +19,9 @@ import argparse
 import io
 import os
 import sys
+from fractions import Fraction
 
 from . import collatz_bound, harness
-from .exact_math import format_rational, parse_rational
 
 SEED_ENV_VAR = "RUEHRKIT_SEED"
 DEFAULT_SEED = 42
@@ -128,7 +128,7 @@ def cmd_verify(args, stdout, stderr) -> int:
 
 def cmd_tailsum(args, stdout, stderr) -> int:
     try:
-        eps = parse_rational(args.eps)
+        eps = Fraction(args.eps)
         k_values = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
         if not k_values:
             raise ValueError("empty --k-list")
@@ -137,10 +137,10 @@ def cmd_tailsum(args, stdout, stderr) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"ruehrkit tailsum: {exc}", file=stderr)
         return EXIT_USAGE
-    print(f"d={args.d} eps={format_rational(eps)}", file=stdout)
+    print(f"d={args.d} eps={eps}", file=stdout)
     roots = [collatz_bound.kth_root(mass, k) for k, mass in zip(k_values, masses)]
     for k, mass, root in zip(k_values, masses, roots):
-        print(f"k={k} tail_sum={format_rational(mass)} kth_root={root:.12g}",
+        print(f"k={k} tail_sum={mass} kth_root={root:.12g}",
               file=stdout)
     print(f"max kth_root: {max(roots):.12g}", file=stdout)
     return EXIT_OK

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Literal, NamedTuple, Optional, Sequence
 
-from .exact_math import InternalInconsistencyError, _walked_sum, binomial, rational_to_float
+from .exact_math import InternalInconsistencyError, _walked_sum, binomial
 
 
 class GenCollatzConfig:
@@ -186,11 +186,12 @@ def tail_sum(query: TailSumQuery) -> Fraction:
 def kth_root(mass: Fraction, k: int) -> float:
     """mass^(1/k) as a float, 0.0 for a zero mass.
 
-    The exact mass is converted to float through leading-64-bit scaling
-    (relative error below 1e-12 regardless of magnitude) before taking the
-    k-th root.
+    The root is exp((log num - log den) / k): math.log takes ints of any
+    size, so a mass far below the float range keeps its full precision.
     """
-    return 0.0 if mass == 0 else rational_to_float(mass) ** (1.0 / k)
+    if mass == 0:
+        return 0.0
+    return math.exp((math.log(mass.numerator) - math.log(mass.denominator)) / k)
 
 
 def eta_profile(d: int, eps, k_values: Sequence[int]) -> list[tuple[int, float]]:

@@ -11,9 +11,9 @@ so polynomials with integer coefficients are multiplied and added in
 native ``int`` arithmetic.  Floats are converted exactly on the way in and
 never produced.  Since ``int == Fraction`` compares by value, the rule
 never changes an equality.  It also makes str the serialization: str of an
-int or a Fraction is "num" or "num/den" in lowest terms, so
-format_polynomial joins str texts and format_rational converts only values
-of other types (a float, a bool) before it calls str.
+int or a Fraction is "num" or "num/den" in lowest terms, so a scalar is
+serialized by str and a polynomial by format_polynomial, which joins those
+texts.
 
 Rational results are computed over one denominator: evaluation,
 integration and linear_power carry integer numerators over a common
@@ -34,13 +34,11 @@ mutated after construction, so concurrent callers need no locking.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 Polynomial = list[Scalar]
 
@@ -108,10 +106,6 @@ def poly_normalize(coeffs) -> Polynomial:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def poly_degree(p: Polynomial) -> int:
-    return len(p) - 1
 
 
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -310,52 +304,11 @@ def _antiderivative_at(anti: list[int], low: int, x: Scalar, v: int, top: int) -
     return u ** (low + 1) * _horner(anti, u, v_x) * (v // v_x) ** top
 
 
-def format_rational(q) -> str:
-    """Serialize as "num/den", or just "num" when the denominator is 1.
-
-    For an int or a Fraction that text is str(q); any other type (a float,
-    a bool) is converted under the scalar rule first.
-    """
-    if type(q) is int or type(q) is Fraction:
-        return str(q)
-    return str(_scalar(q))
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def format_polynomial(p: Polynomial) -> str:
     """Serialize as a JSON array of rational strings, ascending degree.
 
-    Coefficients follow the scalar rule, so str gives format_rational's
-    text, and a join gives json.dumps' bytes: rational strings need no JSON
+    Coefficients follow the scalar rule, so str gives each "num/den" text,
+    and a join gives json.dumps' bytes: rational strings need no JSON
     escapes.
     """
     return '["' + '", "'.join(map(str, p)) + '"]' if p else "[]"
-
-
-def parse_polynomial(text: str) -> Polynomial:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError(f"polynomial serialization must be a JSON array, got {text!r}")
-    return poly_normalize(Fraction(item) for item in data)
-
-
-def rational_to_float(q: Fraction) -> float:
-    """Convert to float with relative error below 1e-12.
-
-    Works for numerators and denominators far beyond the float range by
-    keeping only the leading 64 bits of each and re-applying the dropped
-    power of two with ldexp.  Truncation contributes < 2**-63 relative
-    error per operand and the 64-bit division is correctly rounded, so the
-    total error is around 1e-16.
-    """
-    num, den = q.numerator, q.denominator
-    if num == 0:
-        return 0.0
-    sign = -1.0 if num < 0 else 1.0
-    num = abs(num)
-    drop_num = max(num.bit_length() - 64, 0)
-    drop_den = max(den.bit_length() - 64, 0)
-    return sign * math.ldexp((num >> drop_num) / (den >> drop_den), drop_num - drop_den)

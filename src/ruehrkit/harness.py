@@ -32,8 +32,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, NamedTuple, Optional
 
 from . import beta_dist, collatz_bound, identities
-from .exact_math import (format_polynomial, format_rational, poly_add, poly_compose,
-                         poly_eval, poly_mul, poly_sub)
+from .exact_math import (format_polynomial, poly_add, poly_compose, poly_eval, poly_mul,
+                         poly_sub)
 from .identities import SidePair, SumFamily, compare_sides
 
 MASK64 = (1 << 64) - 1
@@ -106,7 +106,7 @@ def serialize_value(value) -> str:
     """Rational -> "num/den"; list/tuple of rationals -> JSON array of them."""
     if isinstance(value, (list, tuple)):
         return format_polynomial(value)
-    return format_rational(value)
+    return str(value)
 
 
 # The only checks whose rhs is a bound rather than a value equal to the lhs.
@@ -231,7 +231,9 @@ def _telescoping_sides(m: int, big_n: int) -> SidePair:
     rhs   = (1-x) sum_{1<=j<=m} f(j+1,N-1) - g(j+1,N-1)
 
     Both running sums come from the memoized chain for N, which is extended
-    bottom-up by one j-term per sum until it reaches m.
+    bottom-up by one j-term per sum until it reaches m.  Whenever comtet3
+    holds (f = g), both sums are the zero polynomial, so this check splits
+    only on faults in the poly_add, poly_sub and poly_mul it calls itself.
     """
     sums = _telescoping_chain(big_n)
     helper = identities.proof_helper
@@ -241,7 +243,7 @@ def _telescoping_sides(m: int, big_n: int) -> SidePair:
         lhs = poly_sub(lhs, poly_sub(helper("g", j + 1, big_n), helper("g", j, big_n)))
         inner = poly_add(inner, poly_sub(helper("f", j + 1, big_n - 1),
                                          helper("g", j + 1, big_n - 1)))
-        sums.setdefault(j, (tuple(lhs), tuple(inner)))
+        sums[j] = (tuple(lhs), tuple(inner))
     lhs, inner = sums[m]
     return compare_sides(list(lhs), poly_mul(_ONE_MINUS_X, list(inner)))
 

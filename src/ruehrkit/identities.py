@@ -34,11 +34,13 @@ top index, or a _walked_sum walk back from one math.comb value):
   and beta_dist.binom_tail_sides take their partial sums from them.
 * corollary1: the lhs is one chain sum of ruehr_sum_direct; the rhs scales
   one integral of kimura_ruehr_moments.
-* the Ruehr chain: ruehr_sums_direct against family_polynomial evaluated
-  by poly_eval.  family_polynomial takes B and D from binomial_row and A
-  and C from walks up the top index; ruehr_sums_direct starts each sum
-  from one math.comb value and walks the other way, term by term, with
-  the same _walked_sum as the comtet1 lhs.
+* the Ruehr chain: ruehr_sums_direct against ruehr_polynomial_values,
+  family_polynomial evaluated by poly_eval; the harness's ruehr_chain
+  check sets the two against each other and gives the one verdict.
+  family_polynomial takes B and D from binomial_row and A and C from
+  walks up the top index; ruehr_sums_direct starts each sum from one
+  math.comb value and walks the other way, term by term, with the same
+  _walked_sum as the comtet1 lhs.
 * kimura_ruehr_moments: poly_definite_integral of one linear_power kernel
   over two intervals.
 
@@ -47,7 +49,8 @@ each side is a sum of terms c x^s (1-x)^r, built by one function,
 _bernstein_sum, from their (c, s, r) triples; the sides differ only in
 their math.comb coefficients c and exponents, and each (1-x)^r is a
 binomial_row.  The f/g members of comtet3 are built incrementally, each
-from the one before it in its own family and one new _bernstein_sum term:
+from the one before it in its own family and one new _bernstein_sum term,
+added by poly_add:
 
   f(m, N) = f(m, N-1) + C(m-1+N, N) (1-x)^N
   g(m, N) = x g(m+1, N-1) + C(N+m, N) (1-x)^N   (x by poly_shift)
@@ -68,7 +71,6 @@ from fractions import Fraction
 from typing import Literal, NamedTuple, Union
 
 from .exact_math import (
-    InternalInconsistencyError,
     Polynomial,
     Scalar,
     _scalar,
@@ -76,6 +78,7 @@ from .exact_math import (
     binomial,
     binomial_row,
     linear_power,
+    poly_add,
     poly_definite_integral,
     poly_eval,
     poly_mul,  # noqa: F401  (not called here; bench/test_bench.py rebinds identities.poly_mul)
@@ -195,26 +198,6 @@ def ruehr_polynomial_values(n: int) -> tuple[int, int, int, int]:
         poly_eval(family_polynomial(SumFamily.D, n), -4),
         poly_eval(family_polynomial(SumFamily.C, n), -3),
     )
-
-
-def ruehr_chain(n: int) -> tuple[int, int, int, int]:
-    """(A_n(3), B_n(2), D_n(-4), C_n(-3)), each computed by both paths.
-
-    Raises InternalInconsistencyError if the direct-summation path and the
-    polynomial-evaluation path disagree on any single component; that would
-    be an implementation bug, not a failure of the chain identity.  Whether
-    the four returned components are equal to each other is the caller's
-    check.
-    """
-    direct = ruehr_sums_direct(n)
-    via_poly = ruehr_polynomial_values(n)
-    for label, d, e in zip(("A(3)", "B(2)", "D(-4)", "C(-3)"), direct, via_poly):
-        if d != e:
-            raise InternalInconsistencyError(
-                f"ruehr_chain n={n}: summation and polynomial paths disagree "
-                f"on {label}: {d} vs {e}"
-            )
-    return direct
 
 
 def comtet1_sides(n: int, k: int, a, b) -> SidePair:
@@ -345,9 +328,9 @@ def _fg_member(kind: str, m: int, big_n: int) -> tuple:
         else:
             term = _bernstein_sum(((binomial(key, n), 0, n),))
             member = poly_shift(member, 1)
-        member = _plus(term, member)
+        member = tuple(poly_add(term, member))
         if n <= _STORED_N:
-            member = chain.setdefault(n, member)
+            chain[n] = member
     return member
 
 
@@ -358,28 +341,8 @@ def _fg_member(kind: str, m: int, big_n: int) -> tuple:
 # to max_n = 253, and at most 256 * 129 members.
 @functools.lru_cache(maxsize=256)
 def _fg_chain(kind: str, key: int) -> dict:
-    """The stored members of one chain, by N from 0: f(key, N), or g(key - N, N) for g.
-
-    setdefault keeps the first of two concurrent builds of a member, so
-    threads that share a chain agree on it.
-    """
+    """The stored members of one chain, by N from 0: f(key, N), or g(key - N, N) for g."""
     return {0: (1,)}
-
-
-def _plus(out: list, base) -> tuple:
-    """out + base for integer coefficient lists, as a tuple without trailing zeros.
-
-    A member step adds in place instead of by poly_add, which copies and then
-    type-checks every coefficient: that made the members for m, N <= 21 about
-    a fifth slower to build.
-    """
-    if len(out) < len(base):
-        out += [0] * (len(base) - len(out))
-    for i, c in enumerate(base):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
 
 
 def corollary1_sides(n: int, variant: Literal["pos", "neg"]) -> SidePair:

@@ -23,12 +23,11 @@ def _passed(number, elapsed, detail):
 
 def test_criterion_1_ruehr_chain_to_200():
     started = time.perf_counter()
-    assert identities.ruehr_chain(0) == (1, 1, 1, 1)
-    assert identities.ruehr_chain(1) == (6, 6, 6, 6)
-    assert identities.ruehr_chain(2) == (39, 39, 39, 39)
+    for n, value in ((0, 1), (1, 6), (2, 39)):
+        assert harness._ruehr_chain_sides(n).lhs == (value, value, value, value)
     for n in range(201):
-        values = identities.ruehr_chain(n)  # raises on any path disagreement
-        assert len(set(values)) == 1, f"chain broken at n={n}: {values}"
+        pair = harness._ruehr_chain_sides(n)  # equal: both paths agree, all four one value
+        assert pair.equal, f"chain broken at n={n}: {pair.lhs} vs {pair.rhs}"
     elapsed = time.perf_counter() - started
     assert elapsed < 60
     _passed(1, elapsed, "four-way chain equal, both paths agree, n <= 200")
@@ -194,8 +193,9 @@ def test_criterion_8_harness_determinism_and_fault_injection(capsys, monkeypatch
 
 def test_criterion_9_ruehr_chain_at_2000():
     started = time.perf_counter()
-    values = identities.ruehr_chain(2000)  # raises on any path disagreement
-    assert len(set(values)) == 1, "chain broken at n=2000"
+    pair = harness._ruehr_chain_sides(2000)  # equal: both paths agree, all four one value
+    assert pair.equal, "chain broken at n=2000"
+    values = pair.lhs
     elapsed = time.perf_counter() - started
     assert elapsed < 30
     _passed(9, elapsed, f"four-way chain equal at n=2000 ({values[0].bit_length()} bits)")

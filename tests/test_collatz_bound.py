@@ -10,6 +10,7 @@ from ruehrkit.collatz_bound import (
     TailSumQuery,
     eta_profile,
     g_step,
+    kth_root,
     orbit,
     orbit_fates,
     tail_sum,
@@ -226,6 +227,15 @@ def test_eta_profile_values():
     (_, root8), = eta_profile(2, F(1, 4), [8])
     assert root8 == pytest.approx((18 / 256) ** 0.125, rel=1e-12)
     assert round(root8, 4) == 0.7176
+
+
+@pytest.mark.parametrize("k, eps, root", [
+    (8000, F(1, 4), 0.876880918317923),  # mass about 3e-457, below every float
+    (3000, F(1, 3), 0.783386423531309),  # mass about 8.5e-319, a subnormal float
+])
+def test_kth_root_keeps_its_precision_below_the_float_range(k, eps, root):
+    'the roots agree with mpmath at 40 digits: 0.87688091831792317... and 0.78338642353130949...'
+    assert abs(kth_root(tail_sum(TailSumQuery(k, 2, eps)), k) - root) < 1e-12
 
 
 def test_eta_profile_zero_tail_gives_zero_root():

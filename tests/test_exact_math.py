@@ -1,7 +1,9 @@
-import decimal
+import ast
+import inspect
 import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -10,14 +12,10 @@ from ruehrkit.exact_math import (
     binomial,
     binomial_row,
     format_polynomial,
-    format_rational,
     linear_power,
-    parse_polynomial,
-    parse_rational,
     poly_add,
     poly_compose,
     poly_definite_integral,
-    poly_degree,
     poly_eval,
     poly_mul,
     poly_neg,
@@ -25,7 +23,6 @@ from ruehrkit.exact_math import (
     poly_pow,
     poly_shift,
     poly_sub,
-    rational_to_float,
 )
 from ruehrkit.harness import FuzzSource, fuzz_int, fuzz_rational
 
@@ -102,8 +99,7 @@ def test_binomial_large_operands_exact():
 def test_poly_normalize_strips_trailing_zeros():
     assert poly_normalize([1, 2, 0, 0]) == [F(1), F(2)]
     assert poly_normalize([0, 0]) == []
-    assert poly_degree([]) == -1
-    assert poly_degree(poly_normalize([5])) == 0
+    assert poly_normalize([5]) == [5]
 
 
 def test_poly_mul_difference_of_squares():
@@ -213,7 +209,7 @@ def test_primitives_return_int_or_fraction_never_float(p, q, c, x):
     polys = [
         poly_normalize(p), poly_add(p, q), poly_sub(p, q), poly_neg(p),
         poly_mul(p, q), poly_pow(q, 3), poly_shift(p, 2),
-        poly_compose(p, q), linear_power(c, x, 4), parse_polynomial(format_polynomial(p)),
+        poly_compose(p, q), linear_power(c, x, 4), _parse_polynomial(format_polynomial(p)),
     ]
     for poly in polys:
         _assert_scalar_rule(poly)
@@ -234,32 +230,41 @@ def test_rational_arithmetic_exact_under_fuzz():
 
 
 def test_rational_serialization():
-    assert format_rational(F(26, 35)) == "26/35"
-    assert format_rational(F(5)) == "5"
-    assert format_rational(F(-3, 7)) == "-3/7"
-    assert format_rational(0) == "0"
-    assert parse_rational("26/35") == F(26, 35)
-    assert parse_rational("-12") == F(-12)
+    'str writes a scalar and Fraction reads it back'
+    assert str(F(26, 35)) == "26/35"
+    assert str(F(5)) == "5"
+    assert str(F(-3, 7)) == "-3/7"
+    assert str(0) == "0"
+    assert F("26/35") == F(26, 35)
+    assert F("-12") == F(-12)
     src = FuzzSource(19)
     for _ in range(50):
         q = fuzz_rational(src, 999, 999)
-        assert parse_rational(format_rational(q)) == q
+        assert F(str(q)) == q
+
+
+def _parse_polynomial(text):
+    'a JSON array of rational strings back to a polynomial under the scalar rule'
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError(f"polynomial serialization must be a JSON array, got {text!r}")
+    return poly_normalize(F(item) for item in data)
 
 
 def test_polynomial_serialization():
     p = poly_normalize([F(4), F(-3), F(1, 2)])
     text = format_polynomial(p)
     assert text == '["4", "-3", "1/2"]'
-    assert parse_polynomial(text) == p
+    assert _parse_polynomial(text) == p
     assert format_polynomial([]) == "[]"
-    assert parse_polynomial("[]") == []
+    assert _parse_polynomial("[]") == []
     with pytest.raises(ValueError):
-        parse_polynomial('{"not": "a list"}')
+        _parse_polynomial('{"not": "a list"}')
 
 
 def _format_polynomial_reference(p):
     """The JSON encoder route that format_polynomial's string join replaces."""
-    return json.dumps([format_rational(c) for c in p])
+    return json.dumps([_format_rational_reference(c) for c in p])
 
 
 def test_format_polynomial_matches_json_encoder():
@@ -284,43 +289,14 @@ def _format_rational_reference(q):
 
 
 def test_str_is_the_serialization_of_ints_and_fractions():
-    'str gives format_rational\'s text for every int and Fraction, unreduced input included'
+    'str gives the num/den text for every int and Fraction, unreduced input included'
     values = [0, 7, -7, 2 ** 200, -(3 ** 150), F(6, 3), F(-10, 4), F(0, 5), F(4, -6),
               F(-(2 ** 100), 3 ** 70), F(10 ** 40, 10 ** 38)]
     src = FuzzSource(31)
     values += [F(fuzz_int(src, -(10 ** 30), 10 ** 30), fuzz_int(src, 1, 10 ** 30))
                for _ in range(100)]
     for q in values:
-        assert str(q) == format_rational(q) == _format_rational_reference(q), q
-
-
-def test_format_rational_outputs_pinned_for_each_input_type():
-    assert format_rational(-(2 ** 70)) == str(-(2 ** 70))
-    assert format_rational(F(6, 3)) == "2"
-    assert format_rational(F(-10, 4)) == "-5/2"
-    assert format_rational(0.5) == "1/2"
-    assert format_rational(True) == "1"
-
-
-def test_rational_to_float_small_values():
-    assert rational_to_float(F(0)) == 0.0
-    assert rational_to_float(F(1, 8)) == 0.125
-    assert rational_to_float(F(-3, 4)) == -0.75
-
-
-def test_rational_to_float_huge_operands():
-    'relative error stays below 1e-12 far beyond the float range'
-    decimal.getcontext().prec = 60
-    cases = [
-        F(3 ** 500 + 1, 7 ** 400),
-        F(-(2 ** 1000) - 12345, 3 ** 600),
-        F(10 ** 400 + 17, 10 ** 400),
-        F(1, 2 ** 900),
-    ]
-    for q in cases:
-        got = rational_to_float(q)
-        want = float(decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert str(q) == _format_rational_reference(q), q
 
 
 def _reference_eval(p, x):
@@ -454,3 +430,26 @@ def test_linear_power_with_fraction_coefficients_matches_poly_pow():
             assert got == want
             assert [type(c) for c in got] == [type(c) for c in want]
             _assert_scalar_rule(got)
+
+
+def _names_read(path):
+    'every name a module reads or takes as an attribute; def lines, imports and text do not count'
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_exact_math_function_is_used_by_the_package_or_the_benchmark():
+    'a function that only the tests call belongs in the tests'
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "ruehrkit").glob("*.py"), *(root / "bench").glob("*.py")]
+    used = set().union(*map(_names_read, paths))
+    public = [name for name, value in vars(exact_math).items()
+              if inspect.isfunction(value) and value.__module__ == exact_math.__name__
+              and not name.startswith("_")]
+    assert "poly_add" in public and "format_polynomial" in public
+    assert [name for name in public if name not in used] == []

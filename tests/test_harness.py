@@ -13,7 +13,6 @@ import pytest
 
 import ruehrkit.identities
 from ruehrkit import beta_dist, cli, collatz_bound, exact_math, harness
-from ruehrkit.exact_math import format_rational, parse_polynomial, parse_rational
 from ruehrkit.harness import (
     CheckInstance,
     CheckReport,
@@ -581,6 +580,13 @@ def test_telescoping_sides_cold_equal_their_warm_values(fresh_memos):
     assert all(pair.equal for pair in warm.values())
 
 
+def test_telescoping_sides_compare_zero_with_zero(fresh_memos):
+    'f = g makes every term of both running sums vanish: the check sees only its own arithmetic'
+    pair = harness._telescoping_sides(3, 4)
+    assert pair.lhs == pair.rhs == []
+    assert pair.equal
+
+
 def test_tailsum_integral_matches_tail_sum():
     'eps = 1/4 or 1/2 puts indices exactly on the boundary c +- eps k, which must stay out'
     for k in range(1, 30):
@@ -624,8 +630,14 @@ def test_cli_verify_comtet_large_run_reports_pinned(capsys):
     assert digest == "d16c065735e7a8d361cde1ad8b75b9f144ad9520cd58e2d92c662ed2802e5fe9"
 
 
+def _rational_text(q):
+    'num/den of the normalized Fraction, or num alone when the denominator is 1'
+    q = F(q)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
 def test_check_param_texts_are_their_format_rational_texts(monkeypatch):
-    'str serializes every param of every suite at seed 42 as format_rational would'
+    'str serializes every param of every suite at seed 42 as num/den or num'
     made = []
     check = harness._check
 
@@ -637,7 +649,7 @@ def test_check_param_texts_are_their_format_rational_texts(monkeypatch):
     build_suites(harness.SUITE_ORDER, 42)
     assert len(made) == 784
     for params, texts in made:
-        assert texts == {key: value if isinstance(value, str) else format_rational(value)
+        assert texts == {key: value if isinstance(value, str) else _rational_text(value)
                          for key, value in params.items()}
 
 
@@ -701,10 +713,8 @@ def test_cli_report_values_round_trip(capsys):
     for line in out.splitlines():
         record = json.loads(line)
         for side in (record["lhs"], record["rhs"]):
-            if side.startswith("["):
-                parse_polynomial(side)
-            else:
-                parse_rational(side)
+            values = json.loads(side) if side.startswith("[") else [side]
+            assert all(_rational_text(F(value)) == value for value in values), side
 
 
 def test_cli_tailsum_subcommand(capsys):
@@ -714,6 +724,14 @@ def test_cli_tailsum_subcommand(capsys):
     assert "k=4 tail_sum=1/8" in out
     assert "k=8 tail_sum=9/128" in out
     assert "max kth_root:" in out
+
+
+def test_cli_tailsum_prints_the_root_of_a_mass_below_the_float_range(capsys):
+    'the k = 8000 mass is about 3e-457, below the float range; its root is 0.876880918318'
+    code, out, _ = _run_cli(capsys, ["tailsum", "--d", "2", "--eps", "1/4",
+                                     "--k-list", "8000"])
+    assert code == 0
+    assert "kth_root=0.876880918318\n" in out
 
 
 def test_cli_tailsum_computes_each_tail_sum_once(capsys, monkeypatch):

@@ -6,9 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from ruehrkit import identities
+from ruehrkit import harness, identities
 from ruehrkit.exact_math import (
-    InternalInconsistencyError,
     binomial,
     linear_power,
     poly_add,
@@ -34,7 +33,6 @@ from ruehrkit.identities import (
     family_polynomial,
     kimura_ruehr_moments,
     proof_helper,
-    ruehr_chain,
     ruehr_polynomial_values,
     ruehr_sums_direct,
 )
@@ -86,15 +84,17 @@ def test_family_polynomial_rejects_negative():
 
 
 def test_ruehr_chain_pinned_values():
-    assert ruehr_chain(0) == (1, 1, 1, 1)
-    assert ruehr_chain(1) == (6, 6, 6, 6)
-    assert ruehr_chain(2) == (39, 39, 39, 39)
+    for n, value in ((0, 1), (1, 6), (2, 39)):
+        pair = harness._ruehr_chain_sides(n)
+        assert pair.equal
+        assert pair.lhs == (value, value, value, value)
 
 
 def test_ruehr_chain_four_way_equality():
     for n in range(61):
-        values = ruehr_chain(n)
-        assert len(set(values)) == 1
+        pair = harness._ruehr_chain_sides(n)
+        assert pair.equal
+        assert len(set(pair.lhs)) == 1
 
 
 def test_ruehr_paths_agree_componentwise():
@@ -103,10 +103,8 @@ def test_ruehr_paths_agree_componentwise():
 
 
 def test_ruehr_chain_flags_internal_path_mismatch(monkeypatch):
-    import ruehrkit.identities as identities
     monkeypatch.setattr(identities, "ruehr_sums_direct", lambda n: (1, 2, 3, 4))
-    with pytest.raises(InternalInconsistencyError):
-        identities.ruehr_chain(1)
+    assert harness._ruehr_chain_sides(1).equal is False
 
 
 def test_comtet1_hand_cases():
