@@ -8,21 +8,4 @@ independent computational paths; nothing is floating point except the
 explicitly approximate decay-rate profile.
 """
 
-from .exact_math import (
-    InternalInconsistencyError,
-    Polynomial,
-    binomial,
-)
-from .identities import SidePair, SumFamily, compare_sides
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "InternalInconsistencyError",
-    "Polynomial",
-    "SidePair",
-    "SumFamily",
-    "binomial",
-    "compare_sides",
-    "__version__",
-]

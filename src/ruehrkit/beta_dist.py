@@ -23,7 +23,6 @@ import math
 from fractions import Fraction
 
 from .exact_math import (
-    Polynomial,
     _walked_sum,
     binomial,
     linear_power,
@@ -38,28 +37,17 @@ def _require_positive_params(x: int, y: int) -> None:
         raise ValueError(f"beta parameters must be integers >= 1, got x={x}, y={y}")
 
 
-def _beta_integrand(x: int, y: int) -> Polynomial:
-    """t^(x-1) (1-t)^(y-1) as an exact polynomial in t."""
-    return poly_shift(linear_power(1, -1, y - 1), x - 1)
-
-
 def beta_exact(x: int, y: int) -> Fraction:
-    """B(x, y) = (x-1)! (y-1)! / (x+y-1)! for integer x, y >= 1."""
+    """B(x, y) = (x-1)! (y-1)! / (x+y-1)! for integer x, y >= 1.
+
+    The integral route to the same value is incomplete_beta(1, x, y).  A
+    widely reprinted "closed form" (x+y)/x * C(x+y, x)^-1 equals neither
+    (try x=2, y=3: 1/4 versus 1/12), and the test suite pins the
+    discrepancy.
+    """
     _require_positive_params(x, y)
     return Fraction(math.factorial(x - 1) * math.factorial(y - 1),
                     math.factorial(x + y - 1))
-
-
-def beta_via_integral(x: int, y: int) -> Fraction:
-    """Independent cross-check path for beta_exact: integrate the density.
-
-    B(x, y) = integral_0^1 t^(x-1) (1-t)^(y-1) dt.  A widely reprinted
-    "closed form" (x+y)/x * C(x+y, x)^-1 does NOT equal this (try x=2,
-    y=3: 1/4 versus 1/12); the factorial form in beta_exact does, and the
-    test suite pins the discrepancy.
-    """
-    _require_positive_params(x, y)
-    return poly_definite_integral(_beta_integrand(x, y), 0, 1)
 
 
 def incomplete_beta(p, x: int, y: int) -> Fraction:
@@ -68,7 +56,7 @@ def incomplete_beta(p, x: int, y: int) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"incomplete_beta requires p in [0, 1], got {p}")
-    return poly_definite_integral(_beta_integrand(x, y), 0, p)
+    return poly_definite_integral(poly_shift(linear_power(1, -1, y - 1), x - 1), 0, p)
 
 
 def regularized_beta(p, x: int, y: int) -> Fraction:

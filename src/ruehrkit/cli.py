@@ -16,7 +16,6 @@ seed comes from --seed, else the RUEHRKIT_SEED environment variable, else
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from fractions import Fraction
@@ -41,6 +40,23 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational such as 1/4, got {text!r}") from None
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruehrkit",
@@ -60,13 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("json", "csv", "text"), default="text")
     verify.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; checks always run serially")
+    verify.set_defaults(run=cmd_verify)
 
     tailsum = sub.add_parser("tailsum", help="exact tail sums and k-th roots")
     tailsum.add_argument("--d", type=int, required=True)
-    tailsum.add_argument("--eps", type=str, required=True,
+    tailsum.add_argument("--eps", type=_rational, required=True,
                          help="rational margin, e.g. 1/4")
-    tailsum.add_argument("--k-list", type=str, required=True,
+    tailsum.add_argument("--k-list", type=_int_list, required=True,
                          help="comma-separated k values, e.g. 50,100,200")
+    tailsum.set_defaults(run=cmd_tailsum)
 
     orbit = sub.add_parser("orbit", help="orbit of a value under the map")
     orbit.add_argument("--value", type=int, required=True)
@@ -76,27 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
     orbit.add_argument("--residues", type=str, default=None,
                        help="comma-separated complete residue system, e.g. 0,-1")
     orbit.add_argument("--max-steps", type=int, default=10_000)
+    orbit.set_defaults(run=cmd_orbit)
     return parser
 
 
-def _resolve_seed(flag_value, stderr) -> int:
-    if flag_value is not None:
-        return flag_value
-    env_value = os.environ.get(SEED_ENV_VAR)
-    if env_value is None:
-        return DEFAULT_SEED
-    try:
-        return int(env_value)
-    except ValueError:
-        print(f"ruehrkit: invalid {SEED_ENV_VAR}={env_value!r}", file=stderr)
-        raise
-
-
 def cmd_verify(args, stdout, stderr) -> int:
-    try:
-        seed = _resolve_seed(args.seed, stderr)
-    except ValueError:
-        return EXIT_USAGE
+    seed = args.seed
+    if seed is None:
+        env_value = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+        try:
+            seed = int(env_value)
+        except ValueError:
+            print(f"ruehrkit: invalid {SEED_ENV_VAR}={env_value!r}", file=stderr)
+            return EXIT_USAGE
     names = harness.SUITE_ORDER if args.suite == "all" else (args.suite,)
     instances = harness.build_suites(names, seed, max_n=args.max_n, trials=args.trials)
     reports = harness.run_instances(instances)
@@ -110,12 +120,9 @@ def cmd_verify(args, stdout, stderr) -> int:
             write(harness.report_to_json(report) + "\n")
     elif args.format == "csv":
         import csv  # only this format needs it; kept off the start-up path
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        writer = csv.writer(stdout, lineterminator="\n")
         writer.writerow(harness.CSV_COLUMNS)
-        for report in reports:
-            writer.writerow(harness.report_to_csv_row(report))
-        write(buffer.getvalue())
+        writer.writerows(map(harness.report_to_csv_row, reports))
     else:
         for report in reports:
             write(harness.report_to_text(report) + "\n")
@@ -128,18 +135,14 @@ def cmd_verify(args, stdout, stderr) -> int:
 
 def cmd_tailsum(args, stdout, stderr) -> int:
     try:
-        eps = Fraction(args.eps)
-        k_values = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
-        if not k_values:
-            raise ValueError("empty --k-list")
-        masses = [collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=args.d, eps=eps))
-                  for k in k_values]
-    except (ValueError, ZeroDivisionError) as exc:
+        masses = [collatz_bound.tail_sum(collatz_bound.TailSumQuery(k=k, d=args.d, eps=args.eps))
+                  for k in args.k_list]
+    except ValueError as exc:
         print(f"ruehrkit tailsum: {exc}", file=stderr)
         return EXIT_USAGE
-    print(f"d={args.d} eps={eps}", file=stdout)
-    roots = [collatz_bound.kth_root(mass, k) for k, mass in zip(k_values, masses)]
-    for k, mass, root in zip(k_values, masses, roots):
+    print(f"d={args.d} eps={args.eps}", file=stdout)
+    roots = [collatz_bound.kth_root(mass, k) for k, mass in zip(args.k_list, masses)]
+    for k, mass, root in zip(args.k_list, masses, roots):
         print(f"k={k} tail_sum={mass} kth_root={root:.12g}",
               file=stdout)
     print(f"max kth_root: {max(roots):.12g}", file=stdout)
@@ -183,17 +186,8 @@ def cmd_orbit(args, stdout, stderr) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    stdout, stderr = sys.stdout, sys.stderr
-    if args.command == "verify":
-        return cmd_verify(args, stdout, stderr)
-    if args.command == "tailsum":
-        return cmd_tailsum(args, stdout, stderr)
-    if args.command == "orbit":
-        return cmd_orbit(args, stdout, stderr)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    args = build_parser().parse_args(argv)
+    return args.run(args, sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -12,48 +12,41 @@ The density argument for these maps needs an exact large-deviation bound:
 the normalized sum of C(k, i) (d-1)^i over indices i deviating from the
 mean (d-1)k/d by more than eps*k.  tail_sum computes it exactly, each
 tail by one exact walk down the row from its far end (exact_math's
-_walked_sum), and eta_profile witnesses its geometric decay.  The leading
-partial sums sum_{0<=i<=m} C(k, i) (d-1)^i are identities.comtet1_sides
-at a = 1, b = d - 1; the harness checks them there and sets tail_sum
-against identities.comtet1_integral.
+_walked_sum), and kth_root gives its k-th root, the decay rate that the
+tailsum subcommand prints.  The leading partial sums
+sum_{0<=i<=m} C(k, i) (d-1)^i are identities.comtet1_sides at a = 1,
+b = d - 1; the harness checks them there and sets tail_sum against
+identities.comtet1_integral.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from fractions import Fraction
 from typing import Literal, NamedTuple, Optional, Sequence
 
-from .exact_math import InternalInconsistencyError, _walked_sum, binomial
+from .exact_math import _walked_sum, binomial
 
 
-class GenCollatzConfig:
-    """Parameters (mult, div, residues) of a divide-or-affine map; a value, hashable."""
+class GenCollatzConfig(collections.namedtuple("GenCollatzConfig", "mult div residues")):
+    """Parameters (mult, div, residues) of a divide-or-affine map; an immutable named tuple."""
 
-    __slots__ = ("mult", "div", "residues")
+    __slots__ = ()  # no instance dict: the named fields are all there is
 
-    def __init__(self, mult: int, div: int, residues: Sequence[int]):
-        self.mult, self.div, self.residues = mult, div, tuple(residues)
+    def __new__(cls, mult: int, div: int, residues: Sequence[int]):
+        residues = tuple(residues)
         if mult < 1:
             raise ValueError(f"mult must be >= 1, got {mult}")
         if div < 2:
             raise ValueError(f"div must be >= 2, got {div}")
         if math.gcd(div, mult) != 1:
             raise ValueError(f"mult={mult} and div={div} must be coprime")
-        if len(self.residues) != div:
-            raise ValueError(f"need exactly div={div} residues, got {len(self.residues)}")
-        if len({r % div for r in self.residues}) != div:
-            raise ValueError(f"residues {self.residues} are not pairwise distinct modulo {div}")
-
-    def __eq__(self, other):
-        return type(other) is GenCollatzConfig and (
-            (self.mult, self.div, self.residues) == (other.mult, other.div, other.residues))
-
-    def __hash__(self):
-        return hash((self.mult, self.div, self.residues))
-
-    def __repr__(self):
-        return f"GenCollatzConfig(mult={self.mult!r}, div={self.div!r}, residues={self.residues!r})"
+        if len(residues) != div:
+            raise ValueError(f"need exactly div={div} residues, got {len(residues)}")
+        if len({r % div for r in residues}) != div:
+            raise ValueError(f"residues {residues} are not pairwise distinct modulo {div}")
+        return super().__new__(cls, mult, div, residues)
 
 
 CLASSICAL = GenCollatzConfig(mult=3, div=2, residues=(0, -1))
@@ -90,9 +83,7 @@ def g_step(ell: int, cfg: GenCollatzConfig) -> int:
     for r in cfg.residues:
         if (scaled - r) % cfg.div == 0:
             return (scaled - r) // cfg.div
-    raise InternalInconsistencyError(
-        f"no residue matches {scaled} modulo {cfg.div}; residue system invalid: {cfg}"
-    )
+    raise ValueError(f"no residue in {cfg.residues} matches {scaled} modulo {cfg.div}")
 
 
 def orbit(ell: int, cfg: GenCollatzConfig, max_steps: int) -> OrbitResult:
@@ -193,12 +184,3 @@ def kth_root(mass: Fraction, k: int) -> float:
         return 0.0
     return math.exp((math.log(mass.numerator) - math.log(mass.denominator)) / k)
 
-
-def eta_profile(d: int, eps, k_values: Sequence[int]) -> list[tuple[int, float]]:
-    """(k, tail_sum^(1/k)) for each requested k, as floats.
-
-    A decay rate below 1 over the profile witnesses the geometric bound on
-    the tested range; max over the pairs gives it.
-    """
-    eps = Fraction(eps)
-    return [(k, kth_root(tail_sum(TailSumQuery(k=k, d=d, eps=eps)), k)) for k in k_values]

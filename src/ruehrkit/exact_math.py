@@ -43,10 +43,6 @@ Scalar = Union[int, Fraction]
 Polynomial = list[Scalar]
 
 
-class InternalInconsistencyError(RuntimeError):
-    """Two redundant computation paths disagreed: an implementation bug."""
-
-
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), with C(n, k) = 0 for k < 0 or k > n.
 
@@ -116,12 +112,8 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     return poly_normalize(out)
 
 
-def poly_neg(p: Polynomial) -> Polynomial:
-    return [-c for c in p]
-
-
 def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
-    return poly_add(a, poly_neg(b))
+    return poly_add(a, [-c for c in b])
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -120,19 +120,14 @@ class CheckInstance:
     holds only when the checker's SidePair.equal does and, for every check
     outside _INEQUALITIES, the serialized lhs is the serialized rhs.
 
-    Instances compare equal by their four fields.  The class stays plain and
-    mutable because bench/tracer.py assigns a wrapper to instance.run, until
-    the tracer wraps checker instead (ROADMAP item 1).
+    The class stays plain and mutable because bench/tracer.py assigns a
+    wrapper to instance.run, until the tracer wraps checker instead
+    (ROADMAP item 1).
     """
 
     def __init__(self, check_name: str, params: dict,
                  checker: Callable[..., SidePair], args: tuple):
         self.check_name, self.params, self.checker, self.args = check_name, params, checker, args
-
-    def __eq__(self, other):
-        return type(other) is CheckInstance and (
-            (self.check_name, self.params, self.checker, self.args)
-            == (other.check_name, other.params, other.checker, other.args))
 
     def run(self) -> tuple[str, str, bool]:
         pair = self.checker(*self.args)
@@ -285,8 +280,8 @@ def _suite_polynomials(src: FuzzSource, max_n: int, trials: int) -> list[CheckIn
 
 
 def _beta_cross_sides(x: int, y: int) -> SidePair:
-    """B(x, y) from factorials against the exact integral."""
-    return compare_sides(beta_dist.beta_exact(x, y), beta_dist.beta_via_integral(x, y))
+    """B(x, y) from factorials against the exact integral over [0, 1]."""
+    return compare_sides(beta_dist.beta_exact(x, y), beta_dist.incomplete_beta(1, x, y))
 
 
 def _beta_complement_sides(x: int, y: int, p: Fraction) -> SidePair:

@@ -112,16 +112,17 @@ def compare_sides(lhs: Side, rhs: Side) -> SidePair:
     return SidePair(lhs, rhs, lhs == rhs)
 
 
-def _bernstein_sum(terms) -> Polynomial:
+def _bernstein_sum(terms, store: bool = True) -> Polynomial:
     """sum c x^s (1-x)^r over integer triples (c, s, r), as one coefficient list.
 
     (1-x)^r contributes its signed binomial row (-1)^i C(r, i) to degrees
-    s..s+r.
+    s..s+r.  The rows go into the row memo unless store is false.
     """
+    row = _one_minus_x_power if store else _one_minus_x_power.__wrapped__
     terms = list(terms)
     out = [0] * max((s + r + 1 for _, s, r in terms), default=0)
     for c, s, r in terms:
-        for i, entry in enumerate(_one_minus_x_power(r), s):
+        for i, entry in enumerate(row(r), s):
             out[i] += c * entry
     return poly_normalize(out)
 
@@ -304,7 +305,8 @@ def proof_helper(kind: Literal["f", "g"], m: int, big_n: int) -> Polynomial:
 
 # A chain stores its members up to this N.  A deeper member is carried on from
 # the chain's last stored member in a local, so one deep request does not keep
-# a chain that long (all 1501 members of g(1, 1500) take about 300 MB).
+# a chain that long (all 1501 members of g(1, 1500) take about 300 MB), and
+# the rows of its deeper terms stay out of the row memo (about 60 MB there).
 _STORED_N = 128
 
 
@@ -323,10 +325,9 @@ def _fg_member(kind: str, m: int, big_n: int) -> tuple:
     n = min(len(chain) - 1, big_n)
     member = chain[n]
     for n in range(n + 1, big_n + 1):
-        if kind == "f":
-            term = _bernstein_sum(((binomial(m - 1 + n, m - 1), 0, n),))
-        else:
-            term = _bernstein_sum(((binomial(key, n), 0, n),))
+        terms = ((binomial(m - 1 + n, m - 1) if kind == "f" else binomial(key, n), 0, n),)
+        term = _bernstein_sum(terms, store=n <= _STORED_N)
+        if kind == "g":
             member = poly_shift(member, 1)
         member = tuple(poly_add(term, member))
         if n <= _STORED_N:

@@ -134,7 +134,7 @@ def test_criterion_6_distribution_identities():
     # the reprinted ratio form is wrong; the implementation follows the integral
     ratio_form = F(2 + 3, 2) / math.comb(5, 2)
     assert ratio_form == F(1, 4)
-    assert beta_dist.beta_via_integral(2, 3) == F(1, 12)
+    assert beta_dist.incomplete_beta(1, 2, 3) == F(1, 12)
     assert beta_dist.beta_exact(2, 3) == F(1, 12)
     elapsed = time.perf_counter() - started
     _passed(6, elapsed, "binomial/negative-binomial beta identities, gap decay, "
@@ -154,9 +154,11 @@ def test_criterion_7_tail_bound():
         reflection = d ** k - identities.comtet1_integral(k, k - m - 1, d - 1, 1)
         assert pair.equal and pair.lhs == reflection, \
             f"partial sum disagrees with its integral or reflection at k={k} m={m} d={d}"
-    profile = collatz_bound.eta_profile(2, F(1, 4), [50, 100, 200, 400])
-    max_root = max(root for _, root in profile)
-    assert max_root < 0.95, f"decay witness failed: {profile}"
+    roots = {k: collatz_bound.kth_root(
+        collatz_bound.tail_sum(collatz_bound.TailSumQuery(k, 2, F(1, 4))), k)
+        for k in (50, 100, 200, 400)}
+    max_root = max(roots.values())
+    assert max_root < 0.95, f"decay witness failed: {roots}"
     elapsed = time.perf_counter() - started
     assert elapsed < 120
     _passed(7, elapsed, f"tail sums pinned, integral form cross-checked, "

@@ -5,7 +5,6 @@ import pytest
 
 from ruehrkit.beta_dist import (
     beta_exact,
-    beta_via_integral,
     binom_tail_sides,
     incomplete_beta,
     negbinom_cdf_sides,
@@ -34,13 +33,13 @@ def test_beta_rejects_nonpositive_params():
         with pytest.raises(ValueError):
             beta_exact(*bad)
         with pytest.raises(ValueError):
-            beta_via_integral(*bad)
+            incomplete_beta(1, *bad)
 
 
 def test_beta_factorial_path_equals_integral_path():
     for x in range(1, 31):
         for y in range(1, 31):
-            assert beta_exact(x, y) == beta_via_integral(x, y)
+            assert beta_exact(x, y) == incomplete_beta(1, x, y)
 
 
 def test_beta_printed_ratio_form_is_wrong():
@@ -52,8 +51,8 @@ def test_beta_printed_ratio_form_is_wrong():
     """
     ratio_form = F(2 + 3, 2) / math.comb(2 + 3, 2)
     assert ratio_form == F(1, 4)
-    assert beta_via_integral(2, 3) == F(1, 12)
-    assert beta_exact(2, 3) == beta_via_integral(2, 3)
+    assert incomplete_beta(1, 2, 3) == F(1, 12)
+    assert beta_exact(2, 3) == incomplete_beta(1, 2, 3)
     assert ratio_form != beta_exact(2, 3)
 
 

@@ -8,7 +8,6 @@ from ruehrkit.collatz_bound import (
     GenCollatzConfig,
     OrbitResult,
     TailSumQuery,
-    eta_profile,
     g_step,
     kth_root,
     orbit,
@@ -43,6 +42,21 @@ def test_records_are_values_built_by_keyword():
     result = OrbitResult(steps=[1, 2, 1], terminated="cycle-found", cycle=[1, 2])
     assert (result.steps, result.terminated, result.cycle) == ([1, 2, 1], "cycle-found", [1, 2])
     assert orbit(1, CLASSICAL, 10) == result
+
+
+def test_config_is_immutable():
+    cfg = GenCollatzConfig(mult=5, div=3, residues=(0, 1, -1))
+    with pytest.raises(AttributeError):
+        cfg.mult = 7
+    assert cfg.mult == 5
+
+
+def test_g_step_rejects_residues_that_miss_a_class():
+    'a config that bypasses validation (namedtuple _replace does) fails with ValueError'
+    broken = CLASSICAL._replace(residues=(0, 2))
+    assert g_step(4, broken) == 2
+    with pytest.raises(ValueError, match=r"no residue in \(0, 2\) matches 9 modulo 2"):
+        g_step(3, broken)
 
 
 def test_config_validation():
@@ -219,12 +233,16 @@ def test_tail_sum_nonincreasing_in_eps():
         assert wide >= narrow
 
 
+def _eta(d, eps, k):
+    'the decay rate that ruehrkit tailsum prints: the k-th root of the tail mass'
+    return kth_root(tail_sum(TailSumQuery(k=k, d=d, eps=eps)), k)
+
+
 def test_eta_profile_values():
-    (k, root), = eta_profile(2, F(1, 4), [4])
-    assert k == 4
+    root = _eta(2, F(1, 4), 4)
     assert root == pytest.approx(0.125 ** 0.25, rel=1e-12)
     assert round(root, 4) == 0.5946
-    (_, root8), = eta_profile(2, F(1, 4), [8])
+    root8 = _eta(2, F(1, 4), 8)
     assert root8 == pytest.approx((18 / 256) ** 0.125, rel=1e-12)
     assert round(root8, 4) == 0.7176
 
@@ -239,13 +257,11 @@ def test_kth_root_keeps_its_precision_below_the_float_range(k, eps, root):
 
 
 def test_eta_profile_zero_tail_gives_zero_root():
-    (_, root), = eta_profile(2, F(1, 2), [4])
-    assert root == 0.0
+    assert _eta(2, F(1, 2), 4) == 0.0
 
 
 def test_eta_profile_witnesses_decay_below_one():
-    profile = eta_profile(2, F(1, 4), [50, 100, 200])
-    assert max(root for _, root in profile) < 0.95
+    assert max(_eta(2, F(1, 4), k) for k in (50, 100, 200)) < 0.95
 
 
 def test_partial_sum_hand_cases():

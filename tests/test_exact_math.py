@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from ruehrkit import exact_math
+import ruehrkit
+from ruehrkit import beta_dist, cli, collatz_bound, exact_math, harness, identities
 from ruehrkit.exact_math import (
     binomial,
     binomial_row,
@@ -18,7 +19,6 @@ from ruehrkit.exact_math import (
     poly_definite_integral,
     poly_eval,
     poly_mul,
-    poly_neg,
     poly_normalize,
     poly_pow,
     poly_shift,
@@ -207,7 +207,7 @@ def _assert_scalar_rule(values):
 ])
 def test_primitives_return_int_or_fraction_never_float(p, q, c, x):
     polys = [
-        poly_normalize(p), poly_add(p, q), poly_sub(p, q), poly_neg(p),
+        poly_normalize(p), poly_add(p, q), poly_sub(p, q), poly_sub([], p),
         poly_mul(p, q), poly_pow(q, 3), poly_shift(p, 2),
         poly_compose(p, q), linear_power(c, x, 4), _parse_polynomial(format_polynomial(p)),
     ]
@@ -443,13 +443,18 @@ def _names_read(path):
     return names
 
 
-def test_every_public_exact_math_function_is_used_by_the_package_or_the_benchmark():
-    'a function that only the tests call belongs in the tests'
+def test_every_public_function_and_class_is_used_by_the_package_or_the_benchmark():
+    'a function or class that only the tests use belongs in the tests'
     root = Path(__file__).resolve().parents[1]
     paths = [*(root / "src" / "ruehrkit").glob("*.py"), *(root / "bench").glob("*.py")]
     used = set().union(*map(_names_read, paths))
-    public = [name for name, value in vars(exact_math).items()
-              if inspect.isfunction(value) and value.__module__ == exact_math.__name__
-              and not name.startswith("_")]
-    assert "poly_add" in public and "format_polynomial" in public
-    assert [name for name in public if name not in used] == []
+    public = [f"{module.__name__}.{name}"
+              for module in (exact_math, identities, beta_dist, collatz_bound, harness, cli)
+              for name, value in vars(module).items()
+              if (inspect.isfunction(value) or inspect.isclass(value))
+              and value.__module__ == module.__name__ and not name.startswith("_")]
+    assert {"ruehrkit.exact_math.poly_add", "ruehrkit.collatz_bound.GenCollatzConfig",
+            "ruehrkit.cli.cmd_orbit"} <= set(public)
+    assert [name for name in public if name.rpartition(".")[2] not in used] == []
+    assert [name for name, value in vars(ruehrkit).items()
+            if not name.startswith("_") and not inspect.ismodule(value)] == []

@@ -389,7 +389,7 @@ def _stack_depth():
 
 
 def test_deep_fg_members_need_no_deep_recursion(fresh_memos):
-    'a cold chain is filled by a loop, and carried on past its last stored member'
+    'a cold chain is filled by a loop, and carried on past its last stored member and row'
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 50)
     try:
@@ -399,6 +399,8 @@ def test_deep_fg_members_need_no_deep_recursion(fresh_memos):
     assert deep[0] == deep[1] and len(deep[0]) == 1501
     assert [len(identities._fg_chain(kind, key)) for kind, key in (("f", 1), ("g", 1501))] \
         == [identities._STORED_N + 1] * 2
+    # rows 1..128 only: the 1372 deeper rows would hold about 60 MB in the row memo
+    assert identities._one_minus_x_power.cache_info().currsize == identities._STORED_N
 
 
 def test_fg_recurrences():
