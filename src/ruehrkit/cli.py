@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     orbit.add_argument("--preset", choices=("classical",), default=None)
     orbit.add_argument("--mult", type=int, default=None)
     orbit.add_argument("--div", type=int, default=None)
-    orbit.add_argument("--residues", type=str, default=None,
+    orbit.add_argument("--residues", type=_int_list, default=None,
                        help="comma-separated complete residue system, e.g. 0,-1")
     orbit.add_argument("--max-steps", type=int, default=10_000)
     orbit.set_defaults(run=cmd_orbit)
@@ -110,27 +110,26 @@ def cmd_verify(args, stdout, stderr) -> int:
     names = harness.SUITE_ORDER if args.suite == "all" else (args.suite,)
     instances = harness.build_suites(names, seed, max_n=args.max_n, trials=args.trials)
     reports = harness.run_instances(instances)
-    if not reports:
-        print("ruehrkit verify: no checks to run; raise --max-n or --trials", file=stderr)
 
     # one write per report line: print would make two (the line, then "\n")
-    write = stdout.write
-    if args.format == "json":
-        for report in reports:
-            write(harness.report_to_json(report) + "\n")
-    elif args.format == "csv":
+    if args.format == "csv":
         import csv  # only this format needs it; kept off the start-up path
         writer = csv.writer(stdout, lineterminator="\n")
         writer.writerow(harness.CSV_COLUMNS)
-        writer.writerows(map(harness.report_to_csv_row, reports))
+        emit = lambda report: writer.writerow(harness.report_to_csv_row(report))  # noqa: E731
     else:
-        for report in reports:
-            write(harness.report_to_text(report) + "\n")
-        failed = sum(1 for report in reports if not report.equal)
-        write(f"{len(reports)} checks, {failed} failed\n")
-
-    passed = bool(reports) and all(report.equal for report in reports)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+        render = harness.report_to_json if args.format == "json" else harness.report_to_text
+        emit = lambda report: stdout.write(render(report) + "\n")  # noqa: E731
+    count = failed = 0
+    for report in reports:  # each report is written, then dropped
+        emit(report)
+        count += 1
+        failed += not report.equal
+    if args.format == "text":
+        stdout.write(f"{count} checks, {failed} failed\n")
+    if not count:
+        print("ruehrkit verify: no checks to run; raise --max-n or --trials", file=stderr)
+    return EXIT_OK if count and not failed else EXIT_CHECK_FAILED
 
 
 def cmd_tailsum(args, stdout, stderr) -> int:
@@ -157,9 +156,8 @@ def cmd_orbit(args, stdout, stderr) -> int:
                 raise ValueError("--preset cannot be combined with --mult/--div/--residues")
             cfg = collatz_bound.CLASSICAL
         elif all(v is not None for v in custom):
-            residues = tuple(int(tok) for tok in args.residues.split(","))
             cfg = collatz_bound.GenCollatzConfig(mult=args.mult, div=args.div,
-                                                 residues=residues)
+                                                 residues=args.residues)
         else:
             raise ValueError("need --preset classical or all of --mult, --div, --residues")
         if args.value < 1:

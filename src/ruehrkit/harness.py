@@ -6,9 +6,12 @@ expansion.  Each instance is plain data: one pure checker, returning a
 SidePair, and its arguments.  The harness, not the checker, decides each
 verdict: a report is equal only when the checker's relation holds and,
 except for the three inequality checks in _INEQUALITIES, the two
-serialized sides are the same string.  Instances run serially and their
-reports are sorted by (check_name, generation index), so the same seed and
-flags always produce byte-identical output apart from the elapsed_ms field.
+serialized sides are the same string.  run_instances sorts the instances
+by check_name, stably, so generation order holds within a name, then runs
+them one at a time and yields each report as its check finishes; a caller
+that writes each report as it arrives holds none of them.  The same seed
+and flags always produce byte-identical output apart from the elapsed_ms
+field.
 
 The tailsum suite takes its partial sums S(m) = sum_{i<=m} C(k,i) (d-1)^i
 from identities: partial_sum is comtet1_sides at a = 1, b = d - 1,
@@ -19,7 +22,9 @@ collatz_bound.tail_sum against two such integrals.
 Report records are CheckReport named tuples with exactly the fields
 check_name, params, lhs, rhs, equal, elapsed_ms; rationals serialize as
 "num/den" and polynomials (or value tuples) as JSON arrays of rational
-strings.  CheckInstance and FuzzSource are plain mutable classes.
+strings.  An instance keeps its params as values (ints, Fractions and
+strs); their texts are made only when its report is built.  CheckInstance
+and FuzzSource are plain mutable classes.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import beta_dist, collatz_bound, identities
 from .exact_math import (format_polynomial, poly_add, poly_compose, poly_eval, poly_mul,
@@ -116,9 +121,11 @@ _INEQUALITIES = frozenset({"eta_bound", "negbinom_tail_gap", "tailsum_monotone"}
 class CheckInstance:
     """A named, parametrized check waiting to run: checker(*args).
 
-    run() returns (lhs, rhs, equal) with both sides serialized.  equal
-    holds only when the checker's SidePair.equal does and, for every check
-    outside _INEQUALITIES, the serialized lhs is the serialized rhs.
+    params maps each name to its value, an int, a Fraction or a str, whose
+    str is its report text.  run() returns (lhs, rhs, equal) with both sides
+    serialized.  equal holds only when the checker's SidePair.equal does and,
+    for every check outside _INEQUALITIES, the serialized lhs is the
+    serialized rhs.
 
     The class stays plain and mutable because bench/tracer.py assigns a
     wrapper to instance.run, until the tracer wraps checker instead
@@ -136,12 +143,8 @@ class CheckInstance:
 
 
 def _check(check_name: str, params: dict, checker, *args) -> CheckInstance:
-    """The instance that runs checker(*args); params become report strings.
-
-    Every param is a string, an int or a Fraction, so str gives its text.
-    """
-    texts = {key: str(value) for key, value in params.items()}
-    return CheckInstance(check_name, texts, checker, args)
+    """The instance that runs checker(*args), its params kept as values."""
+    return CheckInstance(check_name, params, checker, args)
 
 
 def _ruehr_chain_sides(n: int) -> SidePair:
@@ -450,26 +453,25 @@ def build_suites(names, seed: int,
     return instances
 
 
-def run_instances(instances, jobs: int = 1) -> list[CheckReport]:
-    """Run every instance on the calling thread and sort the reports.
+def run_instances(instances, jobs: int = 1) -> Iterator[CheckReport]:
+    """Sort the instances by check_name, then run and yield them one at a time.
 
-    jobs is accepted for compatibility and does not change execution.  A
-    check that raises becomes a failed report whose lhs names the exception
-    type.  The final order is (check_name, generation index): generation
-    order already enumerates parameters ascending and the sort is stable.
-    Each report holds its instance's params dict itself, not a copy.
+    The sort is stable, so within a name the reports keep generation order,
+    which already enumerates parameters ascending.  Each report is yielded
+    as its check finishes, on the calling thread; jobs is accepted for
+    compatibility and does not change execution.  A check that raises
+    becomes a failed report whose lhs names the exception type.  The params
+    texts are made after the elapsed_ms clock stops.
     """
-    reports = []
-    for inst in instances:
+    for inst in sorted(instances, key=lambda inst: inst.check_name):
         started = time.perf_counter()
         try:
             lhs, rhs, equal = inst.run()
         except Exception as exc:  # one broken check must not end the run
             lhs, rhs, equal = f"error: {type(exc).__name__}", " ".join(str(exc).split()), False
         elapsed_ms = int((time.perf_counter() - started) * 1000)
-        reports.append(CheckReport(inst.check_name, inst.params, lhs, rhs, equal, elapsed_ms))
-    reports.sort(key=lambda report: report.check_name)
-    return reports
+        params = {key: str(value) for key, value in inst.params.items()}
+        yield CheckReport(inst.check_name, params, lhs, rhs, equal, elapsed_ms)
 
 
 def report_to_json(report: CheckReport) -> str:

@@ -336,10 +336,13 @@ def _fg_member(kind: str, m: int, big_n: int) -> tuple:
 
 
 # The polynomial suite walks the f chains m <= max_n + 1 and the g chains
-# m + N <= 2 max_n + 1, 62 chains at max_n = 20, in passes over a window of
-# max_n + 3 chains.  A memo smaller than the window would lose every chain
-# before its next pass and rebuild it from N = 0; 256 chains hold the window up
-# to max_n = 253, and at most 256 * 129 members.
+# m + N <= 2 max_n + 1, 62 chains at max_n = 20.  Its checks run by name: each
+# comtet3 m and each recurrence_g j is a pass over a window of max_n + 2
+# chains, and recurrence_f walks two f chains at a time.  A memo smaller than
+# the window would lose every chain before its next pass and rebuild it from
+# N = 0; 256 chains hold the window up to max_n = 254, and at most 256 * 129
+# members.  Above max_n = 84 the suite has more chains than that, so a later
+# check name rebuilds some of them: 1090 builds of 386 chains at max_n = 128.
 @functools.lru_cache(maxsize=256)
 def _fg_chain(kind: str, key: int) -> dict:
     """The stored members of one chain, by N from 0: f(key, N), or g(key - N, N) for g."""
@@ -391,12 +394,18 @@ def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:
 
 def corollary2_lhs(n: int, variant: Literal["first", "second"]) -> Polynomial:
     """The lhs of corollary2_sides: sum_{0<=j<=top} C(3n-j, low) (1-x)^(top-j)."""
-    return list(_corollary2_lhs(n, variant))
+    build = _corollary2_lhs if n < _COROLLARY2_STORED_N else _corollary2_lhs.__wrapped__
+    return list(build(n, variant))
 
 
-# Per n, the suite checks corollary2 for both variants and then the two
-# ruehr_specialization checks, which evaluate these same two polynomials.
-@functools.lru_cache(maxsize=2)
+# The harness runs the corollary2 checks at every n, both variants, before the
+# ruehr_specialization checks, which evaluate these same two polynomials at
+# every n.  So the memo keeps both variants of each n below this one, about
+# 2 MB in all; a deeper one is built again.
+_COROLLARY2_STORED_N = 128
+
+
+@functools.lru_cache(maxsize=2 * _COROLLARY2_STORED_N)
 def _corollary2_lhs(n: int, variant: str) -> tuple:
     """corollary2_lhs's value as an immutable tuple."""
     top, low = _corollary2_range(n, variant)

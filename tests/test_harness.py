@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -114,7 +115,7 @@ def test_report_to_json_is_byte_identical_to_json_dumps():
                                compare_sides, (2, 2)),
                  CheckInstance("demo", {}, compare_sides, (F(1, 3), 2)),
                  CheckInstance("broken \u00fc", {"z": "0", "b": "\u2028\x01"}, raising, ())]
-    reports = run_instances(instances)
+    reports = list(run_instances(instances))
     error = next(report for report in reports if report.lhs == "error: ValueError")
     assert '"quote"' in error.rhs and "\u00e9" in error.rhs
     assert '\\"quote\\"' in report_to_json(error) and "\\u00e9" in report_to_json(error)
@@ -157,7 +158,7 @@ def test_run_instances_runs_every_check_on_the_calling_thread():
         threads.append(threading.get_ident())
         return compare_sides(i, i)
     instances = [CheckInstance("demo", {"i": str(i)}, checker, (i,)) for i in range(8)]
-    reports = run_instances(instances, jobs=4)
+    reports = list(run_instances(instances, jobs=4))
     assert len(reports) == 8
     assert threads == [threading.get_ident()] * 8
 
@@ -637,21 +638,16 @@ def _rational_text(q):
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def test_check_param_texts_are_their_num_den_texts(monkeypatch):
-    'str serializes every param of every suite at seed 42 as num/den or num'
-    made = []
-    check = harness._check
-
-    def recording(check_name, params, checker, *args):
-        instance = check(check_name, params, checker, *args)
-        made.append((params, instance.params))
-        return instance
-    monkeypatch.setattr(harness, "_check", recording)
-    build_suites(harness.SUITE_ORDER, 42)
-    assert len(made) == 784
-    for params, texts in made:
-        assert texts == {key: value if isinstance(value, str) else _rational_text(value)
-                         for key, value in params.items()}
+def test_check_param_texts_are_their_num_den_texts():
+    'instances keep params as values; str makes each report text num/den or num at seed 42'
+    instances = build_suites(harness.SUITE_ORDER, 42)
+    assert len(instances) == 784
+    assert any(not isinstance(value, str) for inst in instances for value in inst.params.values())
+    by_name = sorted(instances, key=lambda inst: inst.check_name)
+    for inst, report in zip(by_name, run_instances(instances), strict=True):
+        assert report.check_name == inst.check_name
+        assert report.params == {key: value if isinstance(value, str) else _rational_text(value)
+                                 for key, value in inst.params.items()}
 
 
 class _WriteOnlySink:
@@ -675,8 +671,8 @@ class _WriteOnlySink:
 def test_cli_writes_one_line_per_report_with_the_bytes_of_print(monkeypatch, fmt, render,
                                                                 summary):
     'one write per report line to a sink that has only write and flush, as print would write'
-    reports = run_instances(build_suites(harness.SUITE_ORDER, 42))
-    monkeypatch.setattr(harness, "run_instances", lambda instances, jobs=1: reports)
+    reports = list(run_instances(build_suites(harness.SUITE_ORDER, 42)))
+    monkeypatch.setattr(harness, "run_instances", lambda instances, jobs=1: iter(reports))
     sink = _WriteOnlySink()
     monkeypatch.setattr(sys, "stdout", sink)
     assert cli.main(["verify", "all", "--seed", "42", "--format", fmt]) == 0
@@ -688,6 +684,49 @@ def test_cli_writes_one_line_per_report_with_the_bytes_of_print(monkeypatch, fmt
     assert "".join(sink.writes) == expected.getvalue()
     assert len(sink.writes) == len(reports) + summary
     assert all(text.count("\n") == 1 and text.endswith("\n") for text in sink.writes)
+
+
+@pytest.mark.parametrize("fmt, header", [("json", 0), ("text", 0), ("csv", 1)])
+def test_cli_writes_each_report_before_the_next_check_runs(monkeypatch, fmt, header):
+    'check i sees the header and the lines of reports 0..i-1 written, and no more'
+    sink = _WriteOnlySink()
+    seen = []
+
+    def checker(i):
+        seen.append(len(sink.writes))
+        return compare_sides(i, i)
+    instances = [CheckInstance("demo", {"i": i}, checker, (i,)) for i in range(5)]
+    monkeypatch.setattr(harness, "build_suites", lambda *args, **kwargs: instances)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["verify", "all", "--format", fmt]) == 0
+    assert seen == [header + i for i in range(5)]
+    assert len(sink.writes) == header + 5 + (fmt == "text")
+
+
+def test_cli_keeps_no_report_after_writing_it(monkeypatch):
+    'peak traced memory of 2000 checks with 10 KB sides stays far below what their reports take'
+    def checker(i):
+        return compare_sides(f"{i:010d}" * 1000, f"{i:010d}" * 1000)
+    instances = [CheckInstance("demo", {"i": str(i)}, checker, (i,)) for i in range(2000)]
+    monkeypatch.setattr(harness, "build_suites", lambda *args, **kwargs: instances)
+
+    class CountingSink:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+            return len(text)
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert cli.main(["verify", "all", "--format", "json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = 2000 * 2 * 10_000  # the lhs and rhs texts alone, had the reports been kept
+    assert sink.chars > kept
+    assert peak < kept // 10, peak
 
 
 def test_ruehr_specialization_builds_only_the_corollary2_lhs(monkeypatch):
@@ -706,6 +745,14 @@ def test_corollary2_lhs_results_cannot_poison_the_memo():
     first.append(7)
     assert ruehrkit.identities.corollary2_lhs(4, "second") == truth
     assert harness._ruehr_specialization_sides(4, "second", F(4, 3), 9, 2).equal
+
+
+def test_corollaries_suite_builds_each_corollary2_lhs_once(capsys, fresh_memos):
+    'ruehr_specialization runs after every corollary2 check and still finds both polynomials'
+    code, _, _ = _run_cli(capsys, ["verify", "corollaries", "--max-n", "5", "--format", "json"])
+    assert code == 0
+    info = ruehrkit.identities._corollary2_lhs.cache_info()
+    assert (info.misses, info.hits) == (12, 12)
 
 
 def test_cli_report_values_round_trip(capsys):
@@ -776,6 +823,16 @@ def test_cli_orbit_subcommand_custom_config(capsys):
                                      "--div", "2", "--residues", "0,-1"])
     assert code == 0
     assert "cycle found" in out
+
+
+def test_cli_orbit_bad_residues_is_usage_error(capsys):
+    'a --residues text that is not comma-separated integers exits 2 naming the flag and text'
+    for text in ("0,x", ","):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["orbit", "--value", "7", "--mult", "3", "--div", "2", "--residues", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --residues: " in err and repr(text) in err, err
 
 
 def test_cli_orbit_requires_a_config(capsys):
