@@ -112,10 +112,6 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     return poly_normalize(out)
 
 
-def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
-    return poly_add(a, [-c for c in b])
-
-
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     if not a or not b:
         return []

@@ -29,7 +29,6 @@ and FuzzSource are plain mutable classes.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from fractions import Fraction
@@ -37,8 +36,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import beta_dist, collatz_bound, identities
-from .exact_math import (format_polynomial, poly_add, poly_compose, poly_eval, poly_mul,
-                         poly_sub)
+from .exact_math import format_polynomial, poly_add, poly_compose, poly_eval, poly_mul
 from .identities import SidePair, SumFamily, compare_sides
 
 MASK64 = (1 << 64) - 1
@@ -222,38 +220,6 @@ def _recurrence_sides(kind: str, j: int, big_n: int) -> SidePair:
     return compare_sides(lhs, rhs)
 
 
-def _telescoping_sides(m: int, big_n: int) -> SidePair:
-    """Both sides of the telescoping consequence of the f/g recurrences.
-
-    lhs   = sum_{1<=j<=m} (f(j+1,N) - f(j,N)) - (g(j+1,N) - g(j,N))
-    rhs   = (1-x) sum_{1<=j<=m} f(j+1,N-1) - g(j+1,N-1)
-
-    Both running sums come from the memoized chain for N, which is extended
-    bottom-up by one j-term per sum until it reaches m.  Whenever comtet3
-    holds (f = g), both sums are the zero polynomial, so this check splits
-    only on faults in the poly_add, poly_sub and poly_mul it calls itself.
-    """
-    sums = _telescoping_chain(big_n)
-    helper = identities.proof_helper
-    for j in range(len(sums), m + 1):
-        lhs, inner = sums[j - 1]
-        lhs = poly_add(lhs, poly_sub(helper("f", j + 1, big_n), helper("f", j, big_n)))
-        lhs = poly_sub(lhs, poly_sub(helper("g", j + 1, big_n), helper("g", j, big_n)))
-        inner = poly_add(inner, poly_sub(helper("f", j + 1, big_n - 1),
-                                         helper("g", j + 1, big_n - 1)))
-        sums[j] = (tuple(lhs), tuple(inner))
-    lhs, inner = sums[m]
-    return compare_sides(list(lhs), poly_mul(_ONE_MINUS_X, list(inner)))
-
-
-# The suite asks for every N at one m before the next m, so it keeps one chain
-# per N <= max_n // 2 in use: 128 chains hold all of them up to max_n = 257.
-@functools.lru_cache(maxsize=128)
-def _telescoping_chain(big_n: int) -> dict:
-    """The (lhs, inner) running sums of _telescoping_sides for N built so far, by m from 0."""
-    return {0: ((), ())}
-
-
 def _suite_polynomials(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
     out = []
     for n in range(max_n + 1):
@@ -272,13 +238,6 @@ def _suite_polynomials(src: FuzzSource, max_n: int, trials: int) -> list[CheckIn
             for kind in ("f", "g"):
                 out.append(_check(f"recurrence_{kind}", {"j": j, "N": big_n},
                                   _recurrence_sides, kind, j, big_n))
-    # f(1,N) = g(1,N) is the base case of the recurrences: comtet3 at m=1
-    for big_n in range(max_n + 1):
-        out.append(_check("fg_base", {"N": big_n}, identities.comtet3_sides, 1, big_n))
-    for m in range(1, max(max_n // 2, 1) + 1):
-        for big_n in range(1, max(max_n // 2, 1) + 1):
-            out.append(_check("telescoping", {"m": m, "N": big_n},
-                              _telescoping_sides, m, big_n))
     return out
 
 

@@ -59,7 +59,9 @@ g is never built by f's rule g(m, N) = g(m, N-1) + C(m-1+N, N) (1-x)^N,
 though it holds too: then comtet3 would hold by construction.  The f/g
 recurrence checks in the harness multiply by 1 - x on their own, with
 poly_mul, and add with poly_add, so a fault in _bernstein_sum surfaces
-there, and a fault in poly_shift parts g from f.
+there, and a fault in poly_shift parts g from f.  What stays unproved: the
+recurrences are checked at each (j, N) the suite asks for, not for every
+(j, N), and their base case f(1, N) = g(1, N) is comtet3 at m = 1.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ def proof_helper(kind: Literal["f", "g"], m: int, big_n: int) -> Polynomial:
     f(1,N) = g(1,N) for every N, which together give f = g everywhere.
 
     Each member is built from the one before it in its own family (see
-    _fg_member), and the recurrence and telescoping checks ask for the same
+    _fg_member), and the comtet3 and recurrence checks ask for the same
     members many times, so they are memoized; every call returns a fresh
     list, which the caller may change without touching the memo.
     """
@@ -342,7 +344,7 @@ def _fg_member(kind: str, m: int, big_n: int) -> tuple:
 # the window would lose every chain before its next pass and rebuild it from
 # N = 0; 256 chains hold the window up to max_n = 254, and at most 256 * 129
 # members.  Above max_n = 84 the suite has more chains than that, so a later
-# check name rebuilds some of them: 1090 builds of 386 chains at max_n = 128.
+# check name rebuilds some of them: 768 builds of 386 chains at max_n = 128.
 @functools.lru_cache(maxsize=256)
 def _fg_chain(kind: str, key: int) -> dict:
     """The stored members of one chain, by N from 0: f(key, N), or g(key - N, N) for g."""

@@ -18,7 +18,6 @@ from ruehrkit.exact_math import (
     poly_normalize,
     poly_pow,
     poly_shift,
-    poly_sub,
 )
 from ruehrkit.identities import (
     SumFamily,
@@ -415,23 +414,6 @@ def test_fg_recurrences():
             assert g_next == poly_add(
                 proof_helper("g", j, big_n),
                 poly_mul(ONE_MINUS_X, proof_helper("g", j + 1, big_n - 1)))
-
-
-def test_telescoping_identity():
-    'summing the recurrences over j telescopes onto a (1-x)-scaled inner sum'
-    for m in range(1, 11):
-        for big_n in range(1, 11):
-            lhs = []
-            for j in range(1, m + 1):
-                lhs = poly_add(lhs, poly_sub(proof_helper("f", j + 1, big_n),
-                                             proof_helper("f", j, big_n)))
-                lhs = poly_sub(lhs, poly_sub(proof_helper("g", j + 1, big_n),
-                                             proof_helper("g", j, big_n)))
-            inner = []
-            for j in range(1, m + 1):
-                inner = poly_add(inner, poly_sub(proof_helper("f", j + 1, big_n - 1),
-                                                 proof_helper("g", j + 1, big_n - 1)))
-            assert lhs == poly_mul(ONE_MINUS_X, inner)
 
 
 def test_corollary1_hand_cases():
