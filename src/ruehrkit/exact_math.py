@@ -253,10 +253,8 @@ def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
     low = 0
     while not nums[low]:
         low += 1
-    if top <= _FACTOR_MEMO_TOP:
-        factors = _antiderivative_factors(top)
-    else:
-        factors = _large_antiderivative_factors(top)
+    factors = (_antiderivative_factors if top <= _FACTOR_MEMO_TOP
+               else _antiderivative_factors.__wrapped__)(top)
     scale = factors[0]  # lcm(1..top) // 1
     anti = list(map(operator.mul, nums[low:], factors[low:]))
     lo, hi = _scalar(lo), _scalar(hi)
@@ -266,7 +264,9 @@ def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
 
 
 # Every degree up to this one has its own entry, so the memo never evicts
-# and all 128 entries together take under half a megabyte.
+# and all 128 entries together take under half a megabyte.  A higher degree
+# builds its factors on each call: about 0.1 ms at top = 200 and 15 ms at
+# top = 4000, where one entry would hold about 3 MB.
 _FACTOR_MEMO_TOP = 128
 
 
@@ -275,13 +275,6 @@ def _antiderivative_factors(top: int) -> tuple:
     """(scale // 1, scale // 2, ..., scale // top) with scale = lcm(1..top)."""
     scale = math.lcm(*range(1, top + 1))
     return tuple(scale // i for i in range(1, top + 1))
-
-
-# Above _FACTOR_MEMO_TOP an entry takes about top^2 bits (3 MB at top = 4000),
-# so only the latest is kept: the callers that integrate twice at one degree
-# (tailsum_integral, kimura_ruehr_moments) reuse it.
-_large_antiderivative_factors = functools.lru_cache(maxsize=1)(
-    _antiderivative_factors.__wrapped__)
 
 
 def _antiderivative_at(anti: list[int], low: int, x: Scalar, v: int, top: int) -> int:

@@ -140,11 +140,6 @@ class CheckInstance:
         return lhs, rhs, pair.equal and (self.check_name in _INEQUALITIES or lhs == rhs)
 
 
-def _check(check_name: str, params: dict, checker, *args) -> CheckInstance:
-    """The instance that runs checker(*args), its params kept as values."""
-    return CheckInstance(check_name, params, checker, args)
-
-
 def _ruehr_chain_sides(n: int) -> SidePair:
     """Direct chain sums against polynomial values; all must be one value."""
     direct = identities.ruehr_sums_direct(n)
@@ -153,12 +148,12 @@ def _ruehr_chain_sides(n: int) -> SidePair:
 
 
 def _suite_ruehr(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    return [_check("ruehr_chain", {"n": n}, _ruehr_chain_sides, n)
+    return [CheckInstance("ruehr_chain", {"n": n}, _ruehr_chain_sides, (n,))
             for n in range(max_n + 1)]
 
 
 def _suite_moments(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    return [_check("kimura_ruehr_moments", {"n": n}, identities.kimura_ruehr_moments, n)
+    return [CheckInstance("kimura_ruehr_moments", {"n": n}, identities.kimura_ruehr_moments, (n,))
             for n in range(max_n + 1)]
 
 
@@ -170,8 +165,8 @@ def _suite_comtet(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstanc
         k = fuzz_int(src, 0, n - 1)
         a = fuzz_rational(src, 9, 9)
         b = fuzz_rational(src, 9, 9)
-        out.append(_check("comtet1", {"trial": trial, "n": n, "k": k, "a": a, "b": b},
-                          identities.comtet1_sides, n, k, a, b))
+        out.append(CheckInstance("comtet1", {"trial": trial, "n": n, "k": k, "a": a, "b": b},
+                                 identities.comtet1_sides, (n, k, a, b)))
     return out
 
 
@@ -187,18 +182,18 @@ def _suite_corollaries(src: FuzzSource, max_n: int, trials: int) -> list[CheckIn
     out = []
     for n in range(max_n + 1):
         for variant in ("pos", "neg"):
-            out.append(_check("corollary1", {"n": n, "variant": variant},
-                              identities.corollary1_sides, n, variant))
+            out.append(CheckInstance("corollary1", {"n": n, "variant": variant},
+                                     identities.corollary1_sides, (n, variant)))
         for variant in ("first", "second"):
-            out.append(_check("corollary2", {"n": n, "variant": variant},
-                              identities.corollary2_sides, n, variant))
+            out.append(CheckInstance("corollary2", {"n": n, "variant": variant},
+                                     identities.corollary2_sides, (n, variant)))
         # numeric spot checks that recover the chain values from the
         # polynomial identities: x=2/3 scaled by 3^n and x=4/3 by 9^n
         for variant, point, scale, chain_index in (("first", Fraction(2, 3), 3, 0),
                                                    ("second", Fraction(4, 3), 9, 2)):
-            out.append(_check("ruehr_specialization", {"n": n, "point": point},
-                              _ruehr_specialization_sides, n, variant, point, scale,
-                              chain_index))
+            out.append(CheckInstance("ruehr_specialization", {"n": n, "point": point},
+                                     _ruehr_specialization_sides,
+                                     (n, variant, point, scale, chain_index)))
     return out
 
 
@@ -224,20 +219,21 @@ def _suite_polynomials(src: FuzzSource, max_n: int, trials: int) -> list[CheckIn
     out = []
     for n in range(max_n + 1):
         for left, right in ((SumFamily.A, SumFamily.B), (SumFamily.C, SumFamily.D)):
-            out.append(_check("alzer_shift", {"n": n, "pair": left.value + right.value},
-                              _alzer_shift_sides, n, left, right))
+            out.append(CheckInstance("alzer_shift", {"n": n, "pair": left.value + right.value},
+                                     _alzer_shift_sides, (n, left, right)))
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
-            out.append(_check("comtet2", {"m": m, "n": n}, identities.comtet2_sides, m, n))
+            out.append(CheckInstance("comtet2", {"m": m, "n": n},
+                                     identities.comtet2_sides, (m, n)))
     for m in range(1, max_n + 1):
         for big_n in range(max_n + 1):
-            out.append(_check("comtet3", {"m": m, "N": big_n},
-                              identities.comtet3_sides, m, big_n))
+            out.append(CheckInstance("comtet3", {"m": m, "N": big_n},
+                                     identities.comtet3_sides, (m, big_n)))
     for j in range(1, max_n + 1):
         for big_n in range(1, max_n + 1):
             for kind in ("f", "g"):
-                out.append(_check(f"recurrence_{kind}", {"j": j, "N": big_n},
-                                  _recurrence_sides, kind, j, big_n))
+                out.append(CheckInstance(f"recurrence_{kind}", {"j": j, "N": big_n},
+                                         _recurrence_sides, (kind, j, big_n)))
     return out
 
 
@@ -256,19 +252,19 @@ def _suite_beta(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]
     out = []
     for x in range(1, 9):
         for y in range(1, 9):
-            out.append(_check("beta_cross", {"x": x, "y": y}, _beta_cross_sides, x, y))
+            out.append(CheckInstance("beta_cross", {"x": x, "y": y}, _beta_cross_sides, (x, y)))
     for trial in range(trials):
         x = fuzz_int(src, 1, 12)
         y = fuzz_int(src, 1, 12)
         p = fuzz_probability(src, 12)
-        out.append(_check("beta_complement", {"trial": trial, "x": x, "y": y, "p": p},
-                          _beta_complement_sides, x, y, p))
+        out.append(CheckInstance("beta_complement", {"trial": trial, "x": x, "y": y, "p": p},
+                                 _beta_complement_sides, (x, y, p)))
     for trial in range(trials):
         n = fuzz_int(src, 1, max(max_n, 1))
         a = fuzz_int(src, 1, n)
         p = fuzz_probability(src, 9)
-        out.append(_check("binom_tail", {"trial": trial, "n": n, "a": a, "p": p},
-                          beta_dist.binom_tail_sides, n, a, p))
+        out.append(CheckInstance("binom_tail", {"trial": trial, "n": n, "a": a, "p": p},
+                                 beta_dist.binom_tail_sides, (n, a, p)))
     return out
 
 
@@ -287,13 +283,14 @@ def _suite_negbinom(src: FuzzSource, max_n: int, trials: int) -> list[CheckInsta
         r = fuzz_int(src, 1, 10)
         k = fuzz_int(src, 0, max(max_n, 1))
         p = fuzz_probability(src, 9, lo_open=True)
-        out.append(_check("negbinom_cdf", {"trial": trial, "r": r, "k": k, "p": p},
-                          beta_dist.negbinom_cdf_sides, r, k, p))
+        out.append(CheckInstance("negbinom_cdf", {"trial": trial, "r": r, "k": k, "p": p},
+                                 beta_dist.negbinom_cdf_sides, (r, k, p)))
     p_half = Fraction(1, 2)
     for r in range(1, 4):
         for a in range(1, 4):
-            out.append(_check("negbinom_tail_gap", {"r": r, "a": a, "p": p_half, "m_max": 60},
-                              _negbinom_tail_gap_sides, r, a, p_half, 60))
+            out.append(CheckInstance("negbinom_tail_gap",
+                                     {"r": r, "a": a, "p": p_half, "m_max": 60},
+                                     _negbinom_tail_gap_sides, (r, a, p_half, 60)))
     return out
 
 
@@ -346,19 +343,20 @@ def _suite_tailsum(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstan
         m = fuzz_int(src, 0, k - 1)
         d = fuzz_int(src, 2, 6)
         params = {"trial": trial, "k": k, "m": m, "d": d}
-        out.append(_check("partial_sum", params, identities.comtet1_sides, k, m, 1, d - 1))
-        out.append(_check("tailsum_comtet1", params, _tailsum_comtet1_sides, k, m, d))
+        out.append(CheckInstance("partial_sum", params,
+                                 identities.comtet1_sides, (k, m, 1, d - 1)))
+        out.append(CheckInstance("tailsum_comtet1", params, _tailsum_comtet1_sides, (k, m, d)))
     for trial in range(trials // 2):
         k = fuzz_int(src, 1, max(max_n, 1))
         d = fuzz_int(src, 2, 4)
         eps = fuzz_probability(src, 9, lo_open=True, hi_open=True)
         params = {"trial": trial, "k": k, "d": d, "eps": eps}
-        out.append(_check("tailsum_monotone", params, _tailsum_monotone_sides, k, d, eps))
-        out.append(_check("tailsum_integral", params, _tailsum_integral_sides, k, d, eps))
+        out.append(CheckInstance("tailsum_monotone", params, _tailsum_monotone_sides, (k, d, eps)))
+        out.append(CheckInstance("tailsum_integral", params, _tailsum_integral_sides, (k, d, eps)))
     eps, root_bound = Fraction(1, 4), Fraction(19, 20)
     for k in (50, 100, 200, 400):
-        out.append(_check("eta_bound", {"k": k, "d": 2, "eps": eps, "root_bound": root_bound},
-                          _eta_bound_sides, k, 2, eps, root_bound))
+        params = {"k": k, "d": 2, "eps": eps, "root_bound": root_bound}
+        out.append(CheckInstance("eta_bound", params, _eta_bound_sides, (k, 2, eps, root_bound)))
     return out
 
 
@@ -373,9 +371,9 @@ def _suite_orbit(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance
     if max_n < 1:
         return []  # no start value to check
     max_steps = 10_000
-    return [_check("orbit_cycle",
-                   {"max_start": max_n, "max_steps": max_steps, "preset": "classical"},
-                   _orbit_cycle_sides, max_n, max_steps)]
+    return [CheckInstance("orbit_cycle",
+                          {"max_start": max_n, "max_steps": max_steps, "preset": "classical"},
+                          _orbit_cycle_sides, (max_n, max_steps))]
 
 
 # name -> (builder, default max_n, default trials), in the order `all` runs

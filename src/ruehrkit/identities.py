@@ -48,9 +48,10 @@ Where both sides are polynomials in x (comtet2, comtet3 and corollary2),
 each side is a sum of terms c x^s (1-x)^r, built by one function,
 _bernstein_sum, from their (c, s, r) triples; the sides differ only in
 their math.comb coefficients c and exponents, and each (1-x)^r is a
-binomial_row.  The f/g members of comtet3 are built incrementally, each
-from the one before it in its own family and one new _bernstein_sum term,
-added by poly_add:
+binomial_row, memoized up to r = _STORED_N.  Every side is built afresh on
+each call except the f/g members of comtet3, which are memoized in chains
+and built incrementally, each from the one before it in its own family
+and one new _bernstein_sum term, added by poly_add:
 
   f(m, N) = f(m, N-1) + C(m-1+N, N) (1-x)^N
   g(m, N) = x g(m+1, N-1) + C(N+m, N) (1-x)^N   (x by poly_shift)
@@ -114,24 +115,32 @@ def compare_sides(lhs: Side, rhs: Side) -> SidePair:
     return SidePair(lhs, rhs, lhs == rhs)
 
 
-def _bernstein_sum(terms, store: bool = True) -> Polynomial:
+def _bernstein_sum(terms) -> Polynomial:
     """sum c x^s (1-x)^r over integer triples (c, s, r), as one coefficient list.
 
     (1-x)^r contributes its signed binomial row (-1)^i C(r, i) to degrees
-    s..s+r.  The rows go into the row memo unless store is false.
+    s..s+r.  Rows up to r = _STORED_N come from the row memo; a deeper row
+    is built again on each call.
     """
-    row = _one_minus_x_power if store else _one_minus_x_power.__wrapped__
     terms = list(terms)
     out = [0] * max((s + r + 1 for _, s, r in terms), default=0)
     for c, s, r in terms:
-        for i, entry in enumerate(row(r), s):
+        row = _one_minus_x_power(r) if r <= _STORED_N else _one_minus_x_power.__wrapped__(r)
+        for i, entry in enumerate(row, s):
             out[i] += c * entry
     return poly_normalize(out)
 
 
+# Rows and chain members are stored up to this r and N.  A deeper row is built
+# on each call, and a deeper member is carried on from its chain's last stored
+# member in a local, so one deep request does not keep a chain that long (all
+# 1501 members of g(1, 1500) take about 300 MB), nor its rows (about 60 MB).
+_STORED_N = 128
+
+
 # Building a row costs about as much as adding it in, and the same short rows
 # recur, so they are memoized; clear this when binomial_row is swapped out.
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=_STORED_N + 1)
 def _one_minus_x_power(r: int) -> tuple:
     """Coefficients (-1)^i C(r, i), i = 0..r, of (1-x)^r, from one binomial_row."""
     return tuple(-c if i % 2 else c for i, c in enumerate(binomial_row(r, r)))
@@ -305,13 +314,6 @@ def proof_helper(kind: Literal["f", "g"], m: int, big_n: int) -> Polynomial:
     return list(_fg_member(kind, m, big_n))
 
 
-# A chain stores its members up to this N.  A deeper member is carried on from
-# the chain's last stored member in a local, so one deep request does not keep
-# a chain that long (all 1501 members of g(1, 1500) take about 300 MB), and
-# the rows of its deeper terms stay out of the row memo (about 60 MB there).
-_STORED_N = 128
-
-
 def _fg_member(kind: str, m: int, big_n: int) -> tuple:
     """proof_helper's value as an immutable tuple.
 
@@ -328,10 +330,9 @@ def _fg_member(kind: str, m: int, big_n: int) -> tuple:
     member = chain[n]
     for n in range(n + 1, big_n + 1):
         terms = ((binomial(m - 1 + n, m - 1) if kind == "f" else binomial(key, n), 0, n),)
-        term = _bernstein_sum(terms, store=n <= _STORED_N)
         if kind == "g":
             member = poly_shift(member, 1)
-        member = tuple(poly_add(term, member))
+        member = tuple(poly_add(_bernstein_sum(terms), member))
         if n <= _STORED_N:
             chain[n] = member
     return member
@@ -396,23 +397,8 @@ def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:
 
 def corollary2_lhs(n: int, variant: Literal["first", "second"]) -> Polynomial:
     """The lhs of corollary2_sides: sum_{0<=j<=top} C(3n-j, low) (1-x)^(top-j)."""
-    build = _corollary2_lhs if n < _COROLLARY2_STORED_N else _corollary2_lhs.__wrapped__
-    return list(build(n, variant))
-
-
-# The harness runs the corollary2 checks at every n, both variants, before the
-# ruehr_specialization checks, which evaluate these same two polynomials at
-# every n.  So the memo keeps both variants of each n below this one, about
-# 2 MB in all; a deeper one is built again.
-_COROLLARY2_STORED_N = 128
-
-
-@functools.lru_cache(maxsize=2 * _COROLLARY2_STORED_N)
-def _corollary2_lhs(n: int, variant: str) -> tuple:
-    """corollary2_lhs's value as an immutable tuple."""
     top, low = _corollary2_range(n, variant)
-    return tuple(_bernstein_sum((binomial(3 * n - j, low), 0, top - j)
-                                for j in range(top + 1)))
+    return _bernstein_sum((binomial(3 * n - j, low), 0, top - j) for j in range(top + 1))
 
 
 def corollary2_rhs(n: int, variant: Literal["first", "second"]) -> Polynomial:

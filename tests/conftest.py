@@ -3,8 +3,7 @@ import pytest
 from ruehrkit import exact_math, identities
 
 # Every functools.lru_cache of the package; test_harness checks that none is missing.
-MEMOS = (identities._fg_chain, identities._one_minus_x_power, identities._corollary2_lhs,
-         exact_math._antiderivative_factors, exact_math._large_antiderivative_factors)
+MEMOS = (identities._fg_chain, identities._one_minus_x_power, exact_math._antiderivative_factors)
 
 
 @pytest.fixture

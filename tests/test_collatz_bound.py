@@ -238,7 +238,7 @@ def _eta(d, eps, k):
     return kth_root(tail_sum(TailSumQuery(k=k, d=d, eps=eps)), k)
 
 
-def test_eta_profile_values():
+def test_kth_root_of_tail_sum_values():
     root = _eta(2, F(1, 4), 4)
     assert root == pytest.approx(0.125 ** 0.25, rel=1e-12)
     assert round(root, 4) == 0.5946
@@ -256,15 +256,15 @@ def test_kth_root_keeps_its_precision_below_the_float_range(k, eps, root):
     assert abs(kth_root(tail_sum(TailSumQuery(k, 2, eps)), k) - root) < 1e-12
 
 
-def test_eta_profile_zero_tail_gives_zero_root():
+def test_kth_root_of_zero_tail_is_zero():
     assert _eta(2, F(1, 2), 4) == 0.0
 
 
-def test_eta_profile_witnesses_decay_below_one():
+def test_kth_roots_of_tail_sums_witness_decay_below_one():
     assert max(_eta(2, F(1, 4), k) for k in (50, 100, 200)) < 0.95
 
 
-def test_partial_sum_hand_cases():
+def test_comtet1_partial_sum_hand_cases():
     'the leading partial sums sum_{i<=m} C(k,i) (d-1)^i are comtet1 at a = 1, b = d - 1'
     pair = comtet1_sides(2, 1, 1, 2 - 1)
     assert (pair.lhs, pair.rhs, pair.equal) == (3, 3, True)
@@ -276,7 +276,7 @@ def test_partial_sum_hand_cases():
         assert pair.equal
 
 
-def test_partial_sum_validation():
+def test_comtet1_partial_sum_validation():
     'm = k and m = -1 are rejected; d >= 2 is the caller\'s range (the harness draws d from [2, 6])'
     with pytest.raises(ValueError):
         comtet1_sides(3, 3, 1, 2 - 1)
@@ -284,7 +284,7 @@ def test_partial_sum_validation():
         comtet1_sides(3, -1, 1, 2 - 1)
 
 
-def test_partial_sum_equals_comtet1_instance():
+def test_comtet1_partial_sums_equal_d_to_the_k_minus_their_reflection():
     'the leading partial sums of the tail are comtet1 at a=1, b=d-1 and d^k minus the rest'
     src = FuzzSource(47)
     for _ in range(30):

@@ -360,21 +360,13 @@ def _naive_integral(p, lo, hi):
     return anti(hi) - anti(lo)
 
 
-def test_antiderivative_factors_above_the_memo_keep_only_the_latest_tuple():
-    'past _FACTOR_MEMO_TOP one tuple is kept: two integrals at one degree build it once'
-    large = exact_math._large_antiderivative_factors
+def test_antiderivative_factors_above_the_memo_are_built_without_it():
+    'an antiderivative of degree _FACTOR_MEMO_TOP + 1 is exact and leaves the factor memo alone'
     top = exact_math._FACTOR_MEMO_TOP + 1
-    large.cache_clear()
-    try:
-        for size, lo, hi, misses, hits in ((top, 0, 1, 1, 0), (top, 1, 2, 1, 1),
-                                           (top + 1, 0, 1, 2, 1), (top - 1, 0, 1, 2, 1)):
-            ones = [1] * size  # sum of x^i, i < size: the antiderivative has degree size
-            want = sum(F(hi ** (i + 1) - lo ** (i + 1), i + 1) for i in range(size))
-            assert poly_definite_integral(ones, lo, hi) == want
-            info = large.cache_info()
-            assert (info.misses, info.hits, info.currsize) == (misses, hits, 1)
-    finally:
-        large.cache_clear()
+    p = [F(i % 7 - 3, i % 5 + 1) for i in range(top)]  # the antiderivative has degree top
+    before = exact_math._antiderivative_factors.cache_info()
+    assert poly_definite_integral(p, F(-1, 2), F(3, 2)) == _naive_integral(p, F(-1, 2), F(3, 2))
+    assert exact_math._antiderivative_factors.cache_info() == before
 
 
 def test_poly_definite_integral_matches_naive_antiderivative():

@@ -260,30 +260,11 @@ def test_cli_reports_sorted_by_check_name(capsys):
     assert names == sorted(names)
 
 
-def test_cli_seed_env_var_used_when_flag_absent(capsys, monkeypatch):
-    monkeypatch.setenv("RUEHRKIT_SEED", "123")
-    _, via_env, _ = _run_cli(capsys, ["verify", "comtet", "--trials", "5", "--format", "json"])
-    monkeypatch.delenv("RUEHRKIT_SEED")
-    _, via_flag, _ = _run_cli(capsys, ["verify", "comtet", "--trials", "5",
-                                       "--seed", "123", "--format", "json"])
-    assert _strip_elapsed(via_env) == _strip_elapsed(via_flag)
-
-
-def test_cli_seed_flag_overrides_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("RUEHRKIT_SEED", "123")
-    _, with_env, _ = _run_cli(capsys, ["verify", "comtet", "--trials", "5",
-                                       "--seed", "42", "--format", "json"])
-    monkeypatch.delenv("RUEHRKIT_SEED")
-    _, without, _ = _run_cli(capsys, ["verify", "comtet", "--trials", "5",
+def test_cli_without_seed_fuzzes_with_seed_42(capsys):
+    _, without, _ = _run_cli(capsys, ["verify", "comtet", "--trials", "5", "--format", "json"])
+    _, with_42, _ = _run_cli(capsys, ["verify", "comtet", "--trials", "5",
                                       "--seed", "42", "--format", "json"])
-    assert _strip_elapsed(with_env) == _strip_elapsed(without)
-
-
-def test_cli_bad_env_seed_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("RUEHRKIT_SEED", "not-a-number")
-    code, _, err = _run_cli(capsys, ["verify", "ruehr", "--max-n", "1"])
-    assert code == 2
-    assert "RUEHRKIT_SEED" in err
+    assert _strip_elapsed(without) == _strip_elapsed(with_42)
 
 
 def test_cli_csv_format(capsys):
@@ -372,10 +353,10 @@ def test_cli_corrupted_one_minus_x_row_fails_the_recurrences(capsys, monkeypatch
     'every polynomial side is one _bernstein_sum; the recurrences multiply by 1-x on their own'
     build = ruehrkit.identities._bernstein_sum
 
-    def corrupted(terms, **options):
+    def corrupted(terms):
         # (1-x)^2 comes out as 1 - x + x^2: one extra c x^(s+1) per r = 2 term
         terms = list(terms)
-        return build(terms + [(c, s + 1, 0) for c, s, r in terms if r == 2], **options)
+        return build(terms + [(c, s + 1, 0) for c, s, r in terms if r == 2])
     monkeypatch.setattr(ruehrkit.identities, "_bernstein_sum", corrupted)
     code, out, _ = _run_cli(capsys, ["verify", "polynomials", "--max-n", "6",
                                      "--format", "json"])
@@ -574,8 +555,8 @@ def test_fresh_memos_clears_every_memo_of_the_package(capsys, request):
              if name.startswith("ruehrkit")
              for key, value in vars(module).items() if hasattr(value, "cache_info")}
     assert all(memo.cache_info().currsize for memo in (
-        ruehrkit.identities._fg_chain, ruehrkit.identities._corollary2_lhs,
-        ruehrkit.identities._one_minus_x_power))
+        ruehrkit.identities._fg_chain, ruehrkit.identities._one_minus_x_power,
+        ruehrkit.exact_math._antiderivative_factors))
     request.getfixturevalue("fresh_memos")
     assert [key for key, memo in found.items() if memo.cache_info().currsize] == []
 
@@ -595,6 +576,21 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "2 checks, 0 failed"
+
+
+def test_readme_library_examples_give_their_comments():
+    'each line of the README python block runs, and each expression\'s repr is its # comment'
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if comment:
+            assert repr(eval(code, namespace)) == comment.strip(), line
+            checked += 1
+        elif code.strip():
+            exec(code, namespace)
+    assert checked == 5
 
 
 def test_cli_verify_all_seed_42_reports_pinned(capsys):
@@ -736,14 +732,6 @@ def test_corollary2_lhs_results_cannot_poison_the_memo():
     first.append(7)
     assert ruehrkit.identities.corollary2_lhs(4, "second") == truth
     assert harness._ruehr_specialization_sides(4, "second", F(4, 3), 9, 2).equal
-
-
-def test_corollaries_suite_builds_each_corollary2_lhs_once(capsys, fresh_memos):
-    'ruehr_specialization runs after every corollary2 check and still finds both polynomials'
-    code, _, _ = _run_cli(capsys, ["verify", "corollaries", "--max-n", "5", "--format", "json"])
-    assert code == 0
-    info = ruehrkit.identities._corollary2_lhs.cache_info()
-    assert (info.misses, info.hits) == (12, 12)
 
 
 def test_cli_report_values_round_trip(capsys):

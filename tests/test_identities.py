@@ -402,6 +402,12 @@ def test_deep_fg_members_need_no_deep_recursion(fresh_memos):
     assert identities._one_minus_x_power.cache_info().currsize == identities._STORED_N
 
 
+def test_deep_corollary2_rows_stay_out_of_the_row_memo(fresh_memos):
+    'corollary2 at n = 70, second variant, takes the rows r = 0..140; only r <= _STORED_N stay'
+    assert corollary2_lhs(70, "second") == corollary2_rhs(70, "second")
+    assert identities._one_minus_x_power.cache_info().currsize == identities._STORED_N + 1
+
+
 def test_fg_recurrences():
     'f(j+1,N) = (1-x) f(j+1,N-1) + f(j,N), and the mirrored rule for g'
     for j in range(1, 9):
