@@ -24,7 +24,9 @@ Binomials come by three routes: binomial is one math.comb call each;
 binomial_row walks a row up the bottom index from C(n, 0) (linear_power
 uses it); and _walked_sum starts from one binomial at the far end of a sum
 and steps back by exact ratios, summing in Horner order as it goes (the
-term-by-term sides in identities, beta_dist and collatz_bound use it).
+term-by-term sides in identities, beta_dist and collatz_bound use it).  It
+carries one running term c_j u^j, so a step is a small product, one
+exact division and one Horner step, with no big-by-big product.
 The checkers set a side on one route against a side on the other.
 
 Everything in this module is a pure function over values that are never
@@ -76,14 +78,14 @@ def _walked_sum(c: int, steps, u: int, v: int) -> int:
     """sum_j c_j u^j v^(J-j), with c_0 = c and c_(j+1) = c_j * p // q for the j-th (p, q) of steps.
 
     J is the number of steps.  The sum runs in Horner order in v with one
-    running power of u, so no power list is built.  Every step must divide
-    exactly, as the ratio steps between neighbouring binomials do.
+    running term t_j = c_j u^j, stepped as t_(j+1) = t_j (p u) // q, so no
+    power of u is built.  Every step must divide exactly, as the ratio steps
+    between neighbouring binomials do: q divides c_j p, so it divides t_j p u.
     """
-    total, u_pow = c, 1
+    total = term = c
     for p, q in steps:
-        c = c * p // q
-        u_pow *= u
-        total = total * v + c * u_pow
+        term = term * (p * u) // q
+        total = total * v + term
     return total
 
 
@@ -244,15 +246,14 @@ def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
     antiderivative's numerators share the denominator den * lcm(1..deg+1);
     F(hi) - F(lo) is brought over one denominator and divided once.  When
     p = x^z r(x), as poly_shift makes it, F = x^(z+1) R(x): the z zero
-    coefficients are skipped and x^(z+1) is one power.
+    coefficients are skipped and x^(z+1) is one power, and a bound at 0
+    takes no Horner pass.
     """
     if not p:
         return 0
     nums, den = _over_common_denominator(p)
     top = len(p)  # degree of the antiderivative
-    low = 0
-    while not nums[low]:
-        low += 1
+    low = nums.index(next(filter(None, nums)))
     factors = (_antiderivative_factors if top <= _FACTOR_MEMO_TOP
                else _antiderivative_factors.__wrapped__)(top)
     scale = factors[0]  # lcm(1..top) // 1

@@ -26,9 +26,14 @@ top index, or a _walked_sum walk back from one math.comb value):
   denominator of a and b, that walks down from one math.comb value C(n, k)
   to C(n, 0) in Horner order (_comtet1_lhs, by _walked_sum).  The
   rhs, comtet1_integral, substitutes t = u/q, q the least common
-  denominator of a and b: the integrand u^k (H-u)^(n-k-1) (a binomial_row,
-  in linear_power) has integer coefficients and integer bounds L = bq and
-  H = L + aq, and its antiderivative is evaluated at both.
+  denominator of a and b: the integrand u^k (H-u)^e, e = n-k-1, has
+  integer coefficients and integer bounds L = bq and H = L + aq.  The
+  shorter factor is expanded (a binomial_row, in linear_power): with
+  k >= e, (H-u)^e over [L, H], its antiderivative evaluated at both
+  bounds; with k < e, w = H - u turns it into (H-w)^k w^e over
+  [0, H-L], evaluated at H-L only.  That branch cannot see a fault that
+  takes the antiderivative at 0 instead of the lower bound; the [L, H]
+  branch, about half the fuzzed checks, does.
   These two functions are the only copies of the sum and the integral;
   the harness's partial_sum, tailsum_comtet1 and tailsum_integral checks
   and beta_dist.binom_tail_sides take their partial sums from them.
@@ -237,14 +242,20 @@ def comtet1_integral(n: int, k: int, a, b) -> Scalar:
 
     a and b are ints or Fractions.  By comtet1_sides this is the partial sum
     sum_{0<=i<=k} C(n,i) a^(n-i) b^i.  With t = u/q, q the least common
-    denominator of a and b, it is integral_L^H u^k (H-u)^(n-k-1) du / q^n
-    over the integer bounds L = bq and H = L + aq, and the antiderivative is
-    evaluated at both of them.
+    denominator of a and b, it is integral_L^H u^k (H-u)^e du / q^n, e = n-k-1,
+    over the integer bounds L = bq and H = L + aq.  linear_power expands the
+    shorter factor: (H-u)^e when k >= e, integrated over [L, H]; else, with
+    u = H - w, (H-w)^k times w^e, integrated over [0, H-L], so k+1 terms are
+    built and the antiderivative is evaluated at one bound.
     """
     q = math.lcm(a.denominator, b.denominator)
     lo = b.numerator * (q // b.denominator)
     hi = lo + a.numerator * (q // a.denominator)
-    value = poly_definite_integral(poly_shift(linear_power(hi, -1, n - k - 1), k), lo, hi)
+    e = n - k - 1
+    if k < e:  # expand the shorter factor: u = H - w puts it over [0, H - L]
+        value = poly_definite_integral(poly_shift(linear_power(hi, -1, k), e), 0, hi - lo)
+    else:
+        value = poly_definite_integral(poly_shift(linear_power(hi, -1, e), k), lo, hi)
     return _scalar(Fraction((n - k) * binomial(n, k) * value.numerator,
                             value.denominator * q ** n))
 

@@ -1,9 +1,10 @@
 import pytest
 
-from ruehrkit import exact_math, identities
+from ruehrkit import exact_math, harness, identities
 
 # Every functools.lru_cache of the package; test_harness checks that none is missing.
-MEMOS = (identities._fg_chain, identities._one_minus_x_power, exact_math._antiderivative_factors)
+MEMOS = (identities._fg_chain, identities._one_minus_x_power, exact_math._antiderivative_factors,
+         harness._rational)
 
 
 @pytest.fixture

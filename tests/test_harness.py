@@ -427,8 +427,9 @@ _OFF_BY_ONE_FAULTS = {
     "definite_integral_all": (exact_math, "poly_definite_integral",
                               _antiderivative_dividing_by_i_plus_2,
                               _VERIFY_ALL, ("comtet1", "partial_sum", "tailsum_comtet1")),
-    # the antiderivative is evaluated at 0 instead of the lower bound: comtet1 moved to
-    # [0, aq] would be blind to it
+    # the antiderivative is evaluated at 0 instead of the lower bound: only the comtet1
+    # checks with k >= n - k - 1 see it, whose integral runs over [L, H]; the others run
+    # over [0, H - L] and are blind to it
     "definite_integral_lower_bound": (exact_math, "poly_definite_integral",
                                       lambda f: lambda p, lo, hi: f(p, 0, hi),
                                       _VERIFY_COMTET, ("comtet1",)),
@@ -514,6 +515,39 @@ def test_cli_off_by_one_in_a_summation_or_integration_layer_fails(capsys, monkey
     reports = [json.loads(line) for line in out.splitlines()]
     split = {r["check_name"] for r in reports if not r["equal"] and r["lhs"] != r["rhs"]}
     assert set(check_names) <= split
+
+
+def _integrates_the_shorter_factor(params):
+    'comtet1_integral expands (H - w)^k over [0, H - L] when k < e = n - k - 1'
+    k, n = int(params["k"]), int(params["n"])
+    return k < n - k - 1
+
+
+def test_sum_vs_integral_argv_takes_both_comtet1_integral_branches(monkeypatch):
+    'at seed 42, 1006 of the 2000 comtet1 integrals run from 0 and the other 994 from L = bq'
+    integral, lows = ruehrkit.identities.poly_definite_integral, []
+    monkeypatch.setattr(ruehrkit.identities, "poly_definite_integral",
+                        lambda p, lo, hi: lows.append(lo) or integral(p, lo, hi))
+    reports = list(run_instances(build_suites(["comtet"], 42, 60, 2000)))
+    assert all(report.equal for report in reports)
+    shorter = sum(_integrates_the_shorter_factor(report.params) for report in reports)
+    assert (lows.count(0), len(lows) - lows.count(0)) == (shorter, 2000 - shorter) == (1006, 994)
+
+
+def test_lower_bound_fault_splits_only_the_comtet1_integrals_over_l_h(capsys, monkeypatch,
+                                                                      fresh_memos):
+    'an antiderivative taken at 0 for lo is right over [0, H - L]: that branch is blind to it'
+    integral = exact_math.poly_definite_integral
+    _rebind_everywhere(monkeypatch, exact_math, "poly_definite_integral",
+                       lambda p, lo, hi: integral(p, 0, hi))
+    code, out, _ = _run_cli(capsys, ["verify", "comtet", "--max-n", "60", "--trials", "2000",
+                                     "--seed", "42", "--format", "json"])
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    split = [r for r in reports if r["lhs"] != r["rhs"]]
+    assert not any(_integrates_the_shorter_factor(r["params"]) for r in split)
+    assert len(split) == 992
+    assert sum(_integrates_the_shorter_factor(r["params"]) for r in reports) == 1006
 
 
 @pytest.mark.parametrize("argv", [["verify", "all", "--seed", "42"],
@@ -725,7 +759,7 @@ def test_ruehr_specialization_builds_only_the_corollary2_lhs(monkeypatch):
         assert harness._ruehr_specialization_sides(n, "second", F(4, 3), 9, 2).equal
 
 
-def test_corollary2_lhs_results_cannot_poison_the_memo():
+def test_corollary2_lhs_returns_a_fresh_list_and_its_specialization_holds():
     truth = ruehrkit.identities.corollary2_lhs(4, "second")
     first = ruehrkit.identities.corollary2_lhs(4, "second")
     first[0] += 1

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import sys
 import threading
@@ -230,6 +231,29 @@ def test_comtet1_integer_rhs_matches_fraction_route():
         want = _comtet1_rhs_fraction_route(n, k, a, b)
         assert rhs == want, (n, k, a, b)
         assert type(rhs) is (int if F(want).denominator == 1 else F)
+
+
+def _naive_comtet1_integral(n, k, a, b):
+    '(n-k) C(n,k) times the integral of t^k (a+b-t)^(n-k-1) over [b, a+b], term by term'
+    e, top = n - k - 1, F(a) + F(b)
+
+    def anti(t):  # t^k (top - t)^e = sum_j C(e, j) top^(e-j) (-1)^j t^(k+j)
+        return sum((math.comb(e, j) * top ** (e - j) * (-1) ** j * F(t) ** (k + j + 1)
+                    / (k + j + 1) for j in range(e + 1)), F(0))
+    return (n - k) * math.comb(n, k) * (anti(top) - anti(b))
+
+
+def test_comtet1_integral_matches_naive_fraction_integral_on_both_branches():
+    'every k < n <= 14, so both k < n-k-1 (over [0, H-L]) and k >= n-k-1 (over [L, H]) run'
+    pairs = [(F(2, 3), F(-5, 7)), (F(1, 2), F(1, 3)), (3, 2), (F(-3, 4), F(1, 2)),
+             (F(-7, 5), F(-2, 9)), (F(5, 6), F(-5, 6)), (F(-4, 3), F(4, 3)), (-2, 2)]
+    for n in range(1, 15):
+        for k in range(n):
+            for a, b in pairs:
+                got = identities.comtet1_integral(n, k, F(a), F(b))
+                want = _naive_comtet1_integral(n, k, a, b)
+                assert got == want, (n, k, a, b)
+                assert type(got) is (int if want.denominator == 1 else F)
 
 
 def test_comtet2_hand_cases():
