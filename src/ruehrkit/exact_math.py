@@ -29,8 +29,21 @@ carries one running term c_j u^j, so a step is a small product, one
 exact division and one Horner step, with no big-by-big product.
 The checkers set a side on one route against a side on the other.
 
+Composition has two routes.  poly_compose with a linear (or constant) q,
+as the Alzer shifts p(x + 1) use, is a Taylor shift: repeated synthetic
+division in place on a copy of p, then a running power of q's slope
+through _times_powers, which linear_power's powers also go through.  A
+longer q goes by Horner's scheme over poly_mul and poly_add.
+
+poly_normalize copies.  poly_add, poly_mul and poly_compose, and
+identities' _bernstein_sum, build a fresh list and normalize it with
+_normalized, which strips it in place when every entry is exactly an int
+and hands anything else (a Fraction, or a bool such as True) to
+poly_normalize.
+
 Everything in this module is a pure function over values that are never
-mutated after construction, so concurrent callers need no locking.
+mutated after construction (a fresh list is finished before it is
+returned), so concurrent callers need no locking.
 """
 
 from __future__ import annotations
@@ -106,12 +119,26 @@ def poly_normalize(coeffs) -> Polynomial:
     return out
 
 
+def _normalized(out: list) -> Polynomial:
+    """out, a list its caller has just built, under the scalar rule.
+
+    When every entry is exactly an int (so not True), the trailing zeros are
+    stripped in place and out itself is returned; otherwise poly_normalize
+    makes the copy.
+    """
+    if set(map(type, out)) <= {int}:
+        while out and not out[-1]:
+            out.pop()
+        return out
+    return poly_normalize(out)
+
+
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(a) < len(b):
         a, b = b, a
-    out = [x + y for x, y in zip(a, b)]
+    out = list(map(operator.add, a, b))
     out += a[len(b):]
-    return poly_normalize(out)
+    return _normalized(out)
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -124,7 +151,7 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
         for k, cb in enumerate(b, i):
             if cb:
                 out[k] += ca * cb
-    return poly_normalize(out)
+    return _normalized(out)
 
 
 def poly_pow(p: Polynomial, exponent: int) -> Polynomial:
@@ -191,7 +218,23 @@ def poly_shift(p: Polynomial, k: int) -> Polynomial:
 
 
 def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p(q(x)) with exact coefficients, by Horner's scheme over polynomials."""
+    """p(q(x)) with exact coefficients.
+
+    A q of at most two coefficients, q0 + q1 x, is a Taylor shift: p is
+    shifted to p(x + q0) by repeated synthetic division on a copy of its
+    coefficients, in place, and coefficient i is then scaled by q1^i with
+    one running power.  A longer q goes by Horner's scheme over polynomials,
+    through poly_mul and poly_add.
+    """
+    if len(q) <= 2:
+        q0, q1 = (list(map(_scalar, q)) + [0, 0])[:2]
+        out, n = list(p), len(p)
+        if q0:
+            for low in range(n - 1):  # one more division by x - q0, from the top down
+                for k in range(n - 2, low - 1, -1):
+                    out[k] += q0 * out[k + 1]
+        _times_powers(out, q1, range(1, n))
+        return _normalized(out)
     out: Polynomial = []
     for c in reversed(p):
         out = poly_mul(out, q)

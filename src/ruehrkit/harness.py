@@ -210,7 +210,14 @@ _ONE_MINUS_X = [1, -1]
 
 
 def _alzer_shift_sides(n: int, left: SumFamily, right: SumFamily) -> SidePair:
-    """The shift relation left_n(x+1) = right_n(x), coefficient-wise."""
+    """The shift relation left_n(x+1) = right_n(x), coefficient-wise.
+
+    left_n(x+1) is poly_compose with q = 1 + x, a Taylor shift by
+    synthetic division; it goes through neither poly_mul nor poly_add, and
+    its slope of 1 leaves _times_powers nothing to scale.  The right side
+    is built by its own route in family_polynomial (binomial_row for B and
+    D, a walk up the top index for A and C).
+    """
     lhs = poly_compose(identities.family_polynomial(left, n), [1, 1])
     return compare_sides(lhs, identities.family_polynomial(right, n))
 

@@ -81,6 +81,7 @@ from typing import Literal, NamedTuple, Union
 from .exact_math import (
     Polynomial,
     Scalar,
+    _normalized,
     _scalar,
     _walked_sum,
     binomial,
@@ -133,7 +134,7 @@ def _bernstein_sum(terms) -> Polynomial:
         row = _one_minus_x_power(r) if r <= _STORED_N else _one_minus_x_power.__wrapped__(r)
         for i, entry in enumerate(row, s):
             out[i] += c * entry
-    return poly_normalize(out)
+    return _normalized(out)
 
 
 # Rows and chain members are stored up to this r and N.  A deeper row is built

@@ -153,6 +153,43 @@ def test_poly_compose_agrees_with_eval():
         assert poly_eval(poly_compose(p, q), x) == poly_eval(p, poly_eval(q, x))
 
 
+def _composed_by_horner(p, q):
+    'p(q(x)) by Horner over polynomials, each product a plain convolution, as the reference'
+    out = []
+    for c in reversed(p):
+        product = [c] + [0] * (len(out) + len(q))
+        for i, a in enumerate(out):
+            for j, b in enumerate(q):
+                product[i + j] += a * b
+        out = product
+    return poly_normalize(out)
+
+
+@pytest.mark.parametrize("q", [[1, 1], [-1, 1], [2, -3], [F(1, 2), F(-2, 3)], [0, 1], [3, 0], [5],
+                               []])
+def test_poly_compose_with_a_linear_q_is_horner_coefficient_by_coefficient(q):
+    'a q of at most two coefficients takes the Taylor shift; Horner is the reference'
+    src = FuzzSource(29)
+    q = poly_normalize(q)
+    for _ in range(30):
+        ints = poly_normalize([fuzz_int(src, -9, 9) for _ in range(fuzz_int(src, 0, 12))])
+        for p in (ints, fuzz_poly(src, max_degree=12)):
+            got, expected = poly_compose(p, q), _composed_by_horner(p, q)
+            assert got == expected, (p, q)
+            assert list(map(type, got)) == list(map(type, expected)), (p, q)
+            _assert_scalar_rule(got)
+
+
+def test_primitives_turn_true_into_the_int_1():
+    'True passes isinstance(_, int) but is no int by type: it would serialize as "True"'
+    for got, expected in ((poly_add([True], []), [1]), (poly_add([2], [0, True]), [2, 1]),
+                          (poly_mul([True], [True]), [1]), (poly_mul([2, True], [True]), [2, 1]),
+                          (poly_normalize([True, False]), [1]), (poly_compose([True], [0, 1]), [1])):
+        assert got == expected
+        assert set(map(type, got)) == {int}
+        assert format_polynomial(got) == format_polynomial(expected)
+
+
 def test_poly_eval_examples():
     assert poly_eval(poly_normalize([3, 1]), 3) == 6
     assert poly_eval(poly_normalize([6, 4, 1]), -4) == 6

@@ -410,6 +410,14 @@ def _adding_one_to_the_top(add):
     return faulty
 
 
+def _times_powers_one_index_late(values, base, indices):
+    'values[i] *= base^(j-1) for the j-th index i: each power is applied before it is stepped'
+    power = 1
+    for i in indices:
+        values[i] *= power
+        power *= base
+
+
 _VERIFY_COMTET = ["verify", "comtet", "--format", "json"]
 _VERIFY_ALL = ["verify", "all", "--format", "json"]
 _VERIFY_POLYNOMIALS = ["verify", "polynomials", "--max-n", "8", "--format", "json"]
@@ -491,10 +499,22 @@ _OFF_BY_ONE_FAULTS = {
     "poly_shift": (exact_math, "poly_shift",
                    lambda f: lambda p, k: f(p, k + 1),
                    _VERIFY_POLYNOMIALS, ("comtet3",)),
-    # the top coefficient of a sum comes out one too large: poly_compose, the recurrence
-    # rhs and each f/g chain step add through it, and the f and g chains step differently
+    # the top coefficient of a sum comes out one too large: the recurrence rhs and each
+    # f/g chain step add through it, and the f and g chains step differently; alzer_shift
+    # does not see it, since poly_compose shifts by a linear q without poly_add
     "poly_add": (exact_math, "poly_add", _adding_one_to_the_top, _VERIFY_POLYNOMIALS,
-                 ("alzer_shift", "comtet3", "recurrence_f", "recurrence_g")),
+                 ("comtet3", "recurrence_f", "recurrence_g")),
+    # the running power reaches each index one step late; linear_power's powers and the
+    # scaling of poly_compose go through it, but the Alzer shifts scale by 1 and skip it
+    "times_powers": (exact_math, "_times_powers",
+                     lambda f: _times_powers_one_index_late, _VERIFY_COMTET, ("comtet1",)),
+    # the same fault under verify all: every equality with an integral side, each of which
+    # expands its integrand by linear_power
+    "times_powers_all": (exact_math, "_times_powers",
+                         lambda f: _times_powers_one_index_late, _VERIFY_ALL,
+                         ("beta_complement", "beta_cross", "binom_tail", "comtet1", "corollary1",
+                          "kimura_ruehr_moments", "negbinom_cdf", "partial_sum",
+                          "tailsum_comtet1", "tailsum_integral")),
     # the affine branch of the map comes out one too large, so 1 -> 3 -> 6 -> 3
     "g_step": (collatz_bound, "g_step",
                lambda f: lambda ell, cfg: f(ell, cfg) + 1 if ell % cfg.div else f(ell, cfg),
@@ -651,6 +671,17 @@ def test_cli_verify_comtet_large_run_reports_pinned(capsys):
     assert len(lines) == 2000
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "d16c065735e7a8d361cde1ad8b75b9f144ad9520cd58e2d92c662ed2802e5fe9"
+
+
+def test_cli_verify_polynomials_max_n_20_reports_pinned(capsys):
+    'the poly-algebra run of the benchmark, elapsed_ms removed, is pinned report for report'
+    code, out, _ = _run_cli(capsys, ["verify", "polynomials", "--max-n", "20", "--seed", "42",
+                                     "--format", "json"])
+    assert code == 0
+    lines = _strip_elapsed(out)
+    assert len(lines) == 1472
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0c0db4ff813b7fe70c0dab2b8eb7b32f0badecbe3cb87c60a4a7c6840bf0d5c1"
 
 
 def _rational_text(q):
