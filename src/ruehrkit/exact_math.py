@@ -29,11 +29,11 @@ carries one running term c_j u^j, so a step is a small product, one
 exact division and one Horner step, with no big-by-big product.
 The checkers set a side on one route against a side on the other.
 
-Composition has two routes.  poly_compose with a linear (or constant) q,
-as the Alzer shifts p(x + 1) use, is a Taylor shift: repeated synthetic
+Composition is a Taylor shift.  poly_compose takes a linear (or
+constant) q, as the Alzer shifts p(x + 1) use: repeated synthetic
 division in place on a copy of p, then a running power of q's slope
-through _times_powers, which linear_power's powers also go through.  A
-longer q goes by Horner's scheme over poly_mul and poly_add.
+through _times_powers, which linear_power's powers also go through.  No
+caller composes with a longer q, so one raises ValueError.
 
 poly_normalize copies.  poly_add, poly_mul and poly_compose, and
 identities' _bernstein_sum, build a fresh list and normalize it with
@@ -149,8 +149,7 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
         if not ca:
             continue
         for k, cb in enumerate(b, i):
-            if cb:
-                out[k] += ca * cb
+            out[k] += ca * cb
     return _normalized(out)
 
 
@@ -218,29 +217,23 @@ def poly_shift(p: Polynomial, k: int) -> Polynomial:
 
 
 def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p(q(x)) with exact coefficients.
+    """p(q(x)) with exact coefficients, for a q of at most two coefficients.
 
-    A q of at most two coefficients, q0 + q1 x, is a Taylor shift: p is
-    shifted to p(x + q0) by repeated synthetic division on a copy of its
-    coefficients, in place, and coefficient i is then scaled by q1^i with
-    one running power.  A longer q goes by Horner's scheme over polynomials,
-    through poly_mul and poly_add.
+    With q = q0 + q1 x this is a Taylor shift: p is shifted to p(x + q0) by
+    repeated synthetic division on a copy of its coefficients, in place, and
+    coefficient i is then scaled by q1^i with one running power.  A longer q
+    raises ValueError.
     """
-    if len(q) <= 2:
-        q0, q1 = (list(map(_scalar, q)) + [0, 0])[:2]
-        out, n = list(p), len(p)
-        if q0:
-            for low in range(n - 1):  # one more division by x - q0, from the top down
-                for k in range(n - 2, low - 1, -1):
-                    out[k] += q0 * out[k + 1]
-        _times_powers(out, q1, range(1, n))
-        return _normalized(out)
-    out: Polynomial = []
-    for c in reversed(p):
-        out = poly_mul(out, q)
-        if c:
-            out = poly_add(out, [c])
-    return out
+    if len(q) > 2:
+        raise ValueError(f"poly_compose requires len(q) <= 2, got len(q) = {len(q)}")
+    q0, q1 = (list(map(_scalar, q)) + [0, 0])[:2]
+    out, n = list(p), len(p)
+    if q0:
+        for low in range(n - 1):  # one more division by x - q0, from the top down
+            for k in range(n - 2, low - 1, -1):
+                out[k] += q0 * out[k + 1]
+    _times_powers(out, q1, range(1, n))
+    return _normalized(out)
 
 
 def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:

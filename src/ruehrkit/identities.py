@@ -50,24 +50,26 @@ top index, or a _walked_sum walk back from one math.comb value):
   over two intervals.
 
 Where both sides are polynomials in x (comtet2, comtet3 and corollary2),
-each side is a sum of terms c x^s (1-x)^r, built by one function,
-_bernstein_sum, from their (c, s, r) triples; the sides differ only in
-their math.comb coefficients c and exponents, and each (1-x)^r is a
-binomial_row, memoized up to r = _STORED_N.  Every side is built afresh on
-each call except the f/g members of comtet3, which are memoized in chains
-and built incrementally, each from the one before it in its own family
-and one new _bernstein_sum term, added by poly_add:
+each side is a sum of terms c x^s (1-x)^r.  A comtet2 or corollary2 side,
+sum_j c_j x^(low + step*j) (1-x)^(t-j), is built by _bernstein_sum by
+nested multiplication in 1 - x (Schumaker and Volk, CAGD 3 (1986) 149-154).
+Every side is built afresh on each call except the f/g members of comtet3,
+which are memoized in chains and built incrementally, each from the one
+before it in its own family plus the chain's running row (1-x)^N times one
+math.comb value, added by poly_add:
 
   f(m, N) = f(m, N-1) + C(m-1+N, N) (1-x)^N
   g(m, N) = x g(m+1, N-1) + C(N+m, N) (1-x)^N   (x by poly_shift)
 
-g is never built by f's rule g(m, N) = g(m, N-1) + C(m-1+N, N) (1-x)^N,
-though it holds too: then comtet3 would hold by construction.  The f/g
-recurrence checks in the harness multiply by 1 - x on their own, with
-poly_mul, and add with poly_add, so a fault in _bernstein_sum surfaces
-there, and a fault in poly_shift parts g from f.  What stays unproved: the
-recurrences are checked at each (j, N) the suite asks for, not for every
-(j, N), and their base case f(1, N) = g(1, N) is comtet3 at m = 1.
+Both builders multiply by 1 - x in _times_one_minus_x; no side takes a
+binomial_row.  g is never built by f's rule
+g(m, N) = g(m, N-1) + C(m-1+N, N) (1-x)^N, though it holds too: then
+comtet3 would hold by construction.  The f/g recurrence checks in the
+harness multiply by 1 - x on their own, with poly_mul, and add with
+poly_add, so a fault in _times_one_minus_x surfaces there, and a fault in
+poly_shift parts g from f.  What stays unproved: the recurrences are
+checked at each (j, N) the suite asks for, not for every (j, N), and their
+base case f(1, N) = g(1, N) is comtet3 at m = 1.
 """
 
 from __future__ import annotations
@@ -121,35 +123,25 @@ def compare_sides(lhs: Side, rhs: Side) -> SidePair:
     return SidePair(lhs, rhs, lhs == rhs)
 
 
-def _bernstein_sum(terms) -> Polynomial:
-    """sum c x^s (1-x)^r over integer triples (c, s, r), as one coefficient list.
+def _bernstein_sum(coeffs, low: int, step: int) -> Polynomial:
+    """sum_j c_j x^(low + step*j) (1-x)^(t-j) over the t + 1 integers c_j of coeffs.
 
-    (1-x)^r contributes its signed binomial row (-1)^i C(r, i) to degrees
-    s..s+r.  Rows up to r = _STORED_N come from the row memo; a deeper row
-    is built again on each call.
+    Nested multiplication: acc = acc (1-x) + c_j x^(step*j) for j = 0..t,
+    then x^low in front, so no power of 1 - x is built apart.
     """
-    terms = list(terms)
-    out = [0] * max((s + r + 1 for _, s, r in terms), default=0)
-    for c, s, r in terms:
-        row = _one_minus_x_power(r) if r <= _STORED_N else _one_minus_x_power.__wrapped__(r)
-        for i, entry in enumerate(row, s):
-            out[i] += c * entry
-    return _normalized(out)
+    acc = []
+    for j, c in enumerate(coeffs):
+        _times_one_minus_x(acc)
+        acc[step * j] += c
+    acc = _normalized(acc)
+    return [0] * low + acc if acc else acc
 
 
-# Rows and chain members are stored up to this r and N.  A deeper row is built
-# on each call, and a deeper member is carried on from its chain's last stored
-# member in a local, so one deep request does not keep a chain that long (all
-# 1501 members of g(1, 1500) take about 300 MB), nor its rows (about 60 MB).
-_STORED_N = 128
-
-
-# Building a row costs about as much as adding it in, and the same short rows
-# recur, so they are memoized; clear this when binomial_row is swapped out.
-@functools.lru_cache(maxsize=_STORED_N + 1)
-def _one_minus_x_power(r: int) -> tuple:
-    """Coefficients (-1)^i C(r, i), i = 0..r, of (1-x)^r, from one binomial_row."""
-    return tuple(-c if i % 2 else c for i, c in enumerate(binomial_row(r, r)))
+def _times_one_minus_x(acc: list) -> None:
+    """acc = acc (1-x), in place: acc[i] -= acc[i-1] from the top down."""
+    acc.append(0)
+    for i in range(len(acc) - 1, 0, -1):
+        acc[i] -= acc[i - 1]
 
 
 def family_polynomial(fam: SumFamily, n: int) -> Polynomial:
@@ -287,10 +279,9 @@ def comtet2_sides(m: int, n: int) -> SidePair:
     """
     if not 1 <= m <= n:
         raise ValueError(f"comtet2_sides requires 1 <= m <= n, got m={m}, n={n}")
-    ks = range(m, n + 1)
     return compare_sides(
-        _bernstein_sum((binomial(k - 1, m - 1), m, k - m) for k in ks),
-        _bernstein_sum((binomial(n, k), k, n - k) for k in ks),
+        _bernstein_sum([binomial(k - 1, m - 1) for k in range(n, m - 1, -1)], m, 0),
+        _bernstein_sum([binomial(n, k) for k in range(m, n + 1)], m, 1),
     )
 
 
@@ -333,21 +324,31 @@ def _fg_member(kind: str, m: int, big_n: int) -> tuple:
     g(m, N) = x g(m+1, N-1) + C(N+m, N) (1-x)^N
 
     Along an f chain m stays fixed, along a g chain m + N does.  One loop
-    extends the chain bottom-up from its last stored member, so no call
-    recurses; each family takes only members of its own chains.
+    extends the chain from the member n of its row (1-x)^n, times 1 - x per
+    step, so no call recurses; each family takes only its own chains.
     """
     key = m if kind == "f" else m + big_n
     chain = _fg_chain(kind, key)
-    n = min(len(chain) - 1, big_n)
-    member = chain[n]
+    members, (n, row) = chain
+    if big_n in members:
+        return members[big_n]
+    member, row = members[n], list(row)
     for n in range(n + 1, big_n + 1):
-        terms = ((binomial(m - 1 + n, m - 1) if kind == "f" else binomial(key, n), 0, n),)
+        _times_one_minus_x(row)
+        c = binomial(m - 1 + n, m - 1) if kind == "f" else binomial(key, n)
         if kind == "g":
             member = poly_shift(member, 1)
-        member = tuple(poly_add(_bernstein_sum(terms), member))
+        member = tuple(poly_add([c * entry for entry in row], member))
         if n <= _STORED_N:
-            chain[n] = member
+            members[n] = member  # before the row, so the row's member is always stored
+            chain[1] = (n, tuple(row))
     return member
+
+
+# Chain members are stored up to this N.  A deeper member is carried on from
+# its chain's last stored member in a local, so one deep request does not keep
+# a chain that long (all 1501 members of g(1, 1500) take about 300 MB).
+_STORED_N = 128
 
 
 # The polynomial suite walks the f chains m <= max_n + 1 and the g chains
@@ -359,9 +360,9 @@ def _fg_member(kind: str, m: int, big_n: int) -> tuple:
 # members.  Above max_n = 84 the suite has more chains than that, so a later
 # check name rebuilds some of them: 768 builds of 386 chains at max_n = 128.
 @functools.lru_cache(maxsize=256)
-def _fg_chain(kind: str, key: int) -> dict:
-    """The stored members of one chain, by N from 0: f(key, N), or g(key - N, N) for g."""
-    return {0: (1,)}
+def _fg_chain(kind: str, key: int) -> list:
+    """[stored members by N, (n, (1-x)^n)] of f(key, N), or of g(key - N, N) for g."""
+    return [{0: (1,)}, (0, (1,))]
 
 
 def corollary1_sides(n: int, variant: Literal["pos", "neg"]) -> SidePair:
@@ -410,14 +411,13 @@ def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:
 def corollary2_lhs(n: int, variant: Literal["first", "second"]) -> Polynomial:
     """The lhs of corollary2_sides: sum_{0<=j<=top} C(3n-j, low) (1-x)^(top-j)."""
     top, low = _corollary2_range(n, variant)
-    return _bernstein_sum((binomial(3 * n - j, low), 0, top - j) for j in range(top + 1))
+    return _bernstein_sum([binomial(3 * n - j, low) for j in range(top + 1)], 0, 0)
 
 
 def corollary2_rhs(n: int, variant: Literal["first", "second"]) -> Polynomial:
     """The rhs of corollary2_sides: sum_{0<=j<=top} C(3n+1, low+1+j) x^j (1-x)^(top-j)."""
     top, low = _corollary2_range(n, variant)
-    return _bernstein_sum((binomial(3 * n + 1, low + 1 + j), j, top - j)
-                          for j in range(top + 1))
+    return _bernstein_sum([binomial(3 * n + 1, low + 1 + j) for j in range(top + 1)], 0, 1)
 
 
 def _corollary2_range(n: int, variant: str) -> tuple[int, int]:

@@ -3,8 +3,7 @@ import pytest
 from ruehrkit import exact_math, harness, identities
 
 # Every functools.lru_cache of the package; test_harness checks that none is missing.
-MEMOS = (identities._fg_chain, identities._one_minus_x_power, exact_math._antiderivative_factors,
-         harness._rational)
+MEMOS = (identities._fg_chain, exact_math._antiderivative_factors, harness._rational)
 
 
 @pytest.fixture

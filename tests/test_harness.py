@@ -348,22 +348,25 @@ def test_cli_negative_bound_is_usage_error(capsys, flag, value):
     assert flag in err and ">= 0" in err
 
 
-def test_cli_corrupted_one_minus_x_row_fails_the_recurrences(capsys, monkeypatch,
-                                                             fresh_memos):
-    'every polynomial side is one _bernstein_sum; the recurrences multiply by 1-x on their own'
-    build = ruehrkit.identities._bernstein_sum
+def _times_one_minus_x_leaving_out_the_last_step(acc):
+    'acc (1-x) with acc[1] -= acc[0] left out: the x coefficient keeps its old value'
+    acc.append(0)
+    for i in range(len(acc) - 1, 1, -1):
+        acc[i] -= acc[i - 1]
 
-    def corrupted(terms):
-        # (1-x)^2 comes out as 1 - x + x^2: one extra c x^(s+1) per r = 2 term
-        terms = list(terms)
-        return build(terms + [(c, s + 1, 0) for c, s, r in terms if r == 2])
-    monkeypatch.setattr(ruehrkit.identities, "_bernstein_sum", corrupted)
-    code, out, _ = _run_cli(capsys, ["verify", "polynomials", "--max-n", "6",
-                                     "--format", "json"])
-    assert code == 1
-    failed = {json.loads(line)["check_name"] for line in out.splitlines()
-              if not json.loads(line)["equal"]}
-    assert {"recurrence_f", "recurrence_g"} <= failed
+
+def test_cli_corrupted_one_minus_x_step_splits_the_bernstein_checks(capsys, monkeypatch,
+                                                                    fresh_memos):
+    'the comtet2, corollary2 and f/g chain builders multiply by 1-x in one place, and no check hides it'
+    monkeypatch.setattr(ruehrkit.identities, "_times_one_minus_x",
+                        _times_one_minus_x_leaving_out_the_last_step)
+    for suite, split in (("polynomials", {"comtet2", "comtet3", "recurrence_f", "recurrence_g"}),
+                         ("corollaries", {"corollary2", "ruehr_specialization"})):
+        code, out, _ = _run_cli(capsys, ["verify", suite, "--max-n", "6", "--format", "json"])
+        assert code == 1
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert {r["check_name"] for r in reports
+                if not r["equal"] and r["lhs"] != r["rhs"]} == split, suite
 
 
 def _rebind_everywhere(monkeypatch, module, name, replacement):
@@ -609,8 +612,7 @@ def test_fresh_memos_clears_every_memo_of_the_package(capsys, request):
              if name.startswith("ruehrkit")
              for key, value in vars(module).items() if hasattr(value, "cache_info")}
     assert all(memo.cache_info().currsize for memo in (
-        ruehrkit.identities._fg_chain, ruehrkit.identities._one_minus_x_power,
-        ruehrkit.exact_math._antiderivative_factors))
+        ruehrkit.identities._fg_chain, ruehrkit.exact_math._antiderivative_factors))
     request.getfixturevalue("fresh_memos")
     assert [key for key, memo in found.items() if memo.cache_info().currsize] == []
 

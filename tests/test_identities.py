@@ -313,26 +313,37 @@ def test_proof_helper_validation():
         proof_helper("f", 1, -1)
 
 
+@functools.lru_cache(maxsize=None)
+def _one_minus_x_to(r):
+    '(1-x)^r by poly_pow, built once per r for the references below'
+    return tuple(poly_pow(ONE_MINUS_X, r))
+
+
 def _bernstein_reference(terms):
-    'sum c x^s (1-x)^r by poly_pow, poly_shift and poly_mul'
+    'sum c x^s (1-x)^r over triples (c, s, r) by poly_pow, poly_shift and poly_mul'
     out = []
     for c, s, r in terms:
-        out = poly_add(out, poly_mul([c], poly_shift(poly_pow(ONE_MINUS_X, r), s)))
+        out = poly_add(out, poly_mul([c], poly_shift(list(_one_minus_x_to(r)), s)))
     return out
 
 
 def test_bernstein_sum_matches_powers_of_one_minus_x():
-    'the shared builder of every polynomial side against repeated poly_mul'
-    for r in range(31):
-        for c, s in ((1, 0), (-7, 3), (binomial(40, 13), 5)):
-            assert identities._bernstein_sum([(c, s, r)]) == _bernstein_reference([(c, s, r)])
-    overlapping = [(3, 0, 4), (-5, 2, 3), (binomial(20, 7), 1, 6), (2, 4, 0), (-1, 0, 10)]
-    assert identities._bernstein_sum(overlapping) == _bernstein_reference(overlapping)
-    # (1-x) + x cancels to the constant 1; x (1-x) - x + x^2 cancels to zero
-    assert identities._bernstein_sum([(1, 0, 1), (1, 1, 0)]) == [1]
-    assert identities._bernstein_sum([(1, 1, 1), (-1, 1, 0), (1, 2, 0)]) == []
-    assert identities._bernstein_sum(iter([(2, 1, 2)])) == [0, 2, -4, 2]
-    assert identities._bernstein_sum([]) == []
+    'the nested builder of the comtet2 and corollary2 sides against repeated poly_mul'
+    src = FuzzSource(31)
+    for t in range(31):
+        coeffs = [fuzz_int(src, -9, 9) * binomial(40, fuzz_int(src, 0, 40)) for _ in range(t + 1)]
+        for low in (0, 1, 5):
+            for step in (0, 1):
+                expected = _bernstein_reference(
+                    (c, low + step * j, t - j) for j, c in enumerate(coeffs))
+                assert identities._bernstein_sum(coeffs, low, step) == expected, (t, low, step)
+    # (1-x) + x and (1-x)^2 + 2x (1-x) + x^2 cancel to the constant 1, times x^low
+    assert identities._bernstein_sum([1, 1], 0, 1) == [1]
+    assert identities._bernstein_sum([1, 2, 1], 3, 1) == [0, 0, 0, 1]
+    assert identities._bernstein_sum([1, -1, 1], 1, 0) == [0, 1, -1, 1]
+    assert identities._bernstein_sum([0, 0], 3, 1) == []
+    assert identities._bernstein_sum(iter([2, 0, 0]), 1, 0) == [0, 2, -4, 2]
+    assert identities._bernstein_sum([], 4, 1) == []
 
 
 def test_proof_helper_results_cannot_poison_the_memo():
@@ -345,11 +356,11 @@ def test_proof_helper_results_cannot_poison_the_memo():
 
 
 def _fg_definition(kind, m, big_n):
-    'f(m, N) or g(m, N) from its full term list, in one _bernstein_sum'
+    'f(m, N) or g(m, N) from its full term list, by the poly_pow reference'
     js = range(big_n + 1)
     if kind == "f":
-        return identities._bernstein_sum([(binomial(m - 1 + j, m - 1), 0, j) for j in js])
-    return identities._bernstein_sum([(binomial(big_n + m, j), big_n - j, j) for j in js])
+        return _bernstein_reference((binomial(m - 1 + j, m - 1), 0, j) for j in js)
+    return _bernstein_reference((binomial(big_n + m, j), big_n - j, j) for j in js)
 
 
 def test_fg_members_asked_for_in_any_order_match_their_definition(fresh_memos):
@@ -373,8 +384,9 @@ def test_fg_members_match_their_definition_past_eviction_and_the_stored_depth(
     assert identities._fg_chain.cache_info().currsize == 2
     proof_helper("f", 5, 12)
     proof_helper("g", 1, 12)
-    assert [len(identities._fg_chain(kind, key)) for kind, key in (("f", 5), ("g", 13))] \
-        == [4, 4]
+    for kind, key in (("f", 5), ("g", 13)):
+        members, (n, row) = identities._fg_chain(kind, key)
+        assert (sorted(members), n, list(row)) == ([0, 1, 2, 3], 3, poly_pow(ONE_MINUS_X, 3))
 
 
 def test_fg_chains_extended_by_several_threads_agree_with_their_definition(fresh_memos):
@@ -420,16 +432,29 @@ def test_deep_fg_members_need_no_deep_recursion(fresh_memos):
     finally:
         sys.setrecursionlimit(limit)
     assert deep[0] == deep[1] and len(deep[0]) == 1501
-    assert [len(identities._fg_chain(kind, key)) for kind, key in (("f", 1), ("g", 1501))] \
-        == [identities._STORED_N + 1] * 2
-    # rows 1..128 only: the 1372 deeper rows would hold about 60 MB in the row memo
-    assert identities._one_minus_x_power.cache_info().currsize == identities._STORED_N
+    for kind, key in (("f", 1), ("g", 1501)):
+        members, (n, row) = identities._fg_chain(kind, key)
+        assert (len(members), n, len(row)) == (identities._STORED_N + 1, identities._STORED_N,
+                                               identities._STORED_N + 1)
 
 
-def test_deep_corollary2_rows_stay_out_of_the_row_memo(fresh_memos):
-    'corollary2 at n = 70, second variant, takes the rows r = 0..140; only r <= _STORED_N stay'
+def test_deep_corollary2_sides_agree_past_the_old_row_depth():
+    'corollary2 at n = 70, second variant, sums (1-x)^r up to r = 140, deeper than any chain row'
     assert corollary2_lhs(70, "second") == corollary2_rhs(70, "second")
-    assert identities._one_minus_x_power.cache_info().currsize == identities._STORED_N + 1
+
+
+def test_polynomial_sides_take_no_binomial_row(monkeypatch, fresh_memos):
+    'comtet2, the f/g chains and corollary2 multiply by 1-x and take math.comb coefficients'
+    import ruehrkit.exact_math as em
+
+    def forbidden(*args):
+        raise AssertionError("a polynomial side took a binomial_row")
+    monkeypatch.setattr(em, "binomial_row", forbidden)
+    monkeypatch.setattr(identities, "binomial_row", forbidden)
+    for n in range(1, 9):
+        assert all(comtet2_sides(m, n).equal for m in range(1, n + 1))
+        assert all(comtet3_sides(m, n).equal for m in range(1, 9))
+        assert all(corollary2_sides(n, variant).equal for variant in ("first", "second"))
 
 
 def test_fg_recurrences():
