@@ -19,6 +19,9 @@ Rational results are computed over one denominator: evaluation,
 integration and linear_power carry integer numerators over a common
 integer denominator and normalize only the final value (one gcd per
 result, or per coefficient for linear_power), never an intermediate step.
+Integration hands that pair on unreduced through _unreduced_integral, so
+a caller that scales the integral (identities.comtet1_integral) still
+normalizes once, after its own factors.
 
 Binomials come by three routes: binomial is one math.comb call each;
 binomial_row walks a row up the bottom index from C(n, 0) (linear_power
@@ -279,25 +282,34 @@ def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
 
     Term-by-term antiderivative c_i x^i -> c_i x^(i+1) / (i+1), evaluated
     at hi minus lo.  Reversed bounds (lo > hi) simply flip the sign.  The
-    antiderivative's numerators share the denominator den * lcm(1..deg+1);
-    F(hi) - F(lo) is brought over one denominator and divided once.  When
-    p = x^z r(x), as poly_shift makes it, F = x^(z+1) R(x): the z zero
-    coefficients are skipped and x^(z+1) is one power, and a bound at 0
-    takes no Horner pass.
+    integer pair of _unreduced_integral is made one Fraction, so the value
+    takes one gcd.
+    """
+    return _scalar(Fraction(*_unreduced_integral(p, lo, hi)))
+
+
+def _unreduced_integral(p: Polynomial, lo, hi) -> tuple[int, int]:
+    """(total, den) with total / den the integral of p over [lo, hi], not in lowest terms.
+
+    The antiderivative's integer numerators share the denominator
+    d lcm(1..deg+1), d the least common denominator of p's coefficients, and
+    F(hi) - F(lo) is brought over that times v^(deg+1), v the least common
+    denominator of the bounds.  When p = x^z r(x), as poly_shift makes it,
+    F = x^(z+1) R(x): the z leading zeros are skipped before the coefficients
+    are scanned, x^(z+1) is one power, and a bound at 0 takes no Horner pass.
     """
     if not p:
-        return 0
-    nums, den = _over_common_denominator(p)
+        return 0, 1
+    low = p.index(next(filter(None, p)))
+    nums, den = _over_common_denominator(p[low:])
     top = len(p)  # degree of the antiderivative
-    low = nums.index(next(filter(None, nums)))
     factors = (_antiderivative_factors if top <= _FACTOR_MEMO_TOP
                else _antiderivative_factors.__wrapped__)(top)
-    scale = factors[0]  # lcm(1..top) // 1
-    anti = list(map(operator.mul, nums[low:], factors[low:]))
+    anti = list(map(operator.mul, nums, factors[low:]))
     lo, hi = _scalar(lo), _scalar(hi)
     v = math.lcm(lo.denominator, hi.denominator)
     total = _antiderivative_at(anti, low, hi, v, top) - _antiderivative_at(anti, low, lo, v, top)
-    return _scalar(Fraction(total, den * scale * v ** top))
+    return total, den * factors[0] * v ** top  # factors[0] = lcm(1..top) // 1
 
 
 # Every degree up to this one has its own entry, so the memo never evicts

@@ -448,11 +448,17 @@ def run_instances(instances, jobs: int = 1) -> Iterator[CheckReport]:
 
 
 def report_to_json(report: CheckReport) -> str:
-    """The report as json.dumps would write it, params sorted, built by a string join."""
-    params = ", ".join(f"{_json_str(key)}: {_json_str(report.params[key])}"
-                       for key in sorted(report.params))
+    """The report as json.dumps would write it, params sorted, built by a string join.
+
+    An rhs equal to the lhs, as on every passing equality report, reuses the
+    lhs's escaped text.
+    """
+    params = ", ".join([f"{_json_str(key)}: {_json_str(report.params[key])}"
+                        for key in sorted(report.params)])
+    lhs = _json_str(report.lhs)
+    rhs = lhs if report.rhs == report.lhs else _json_str(report.rhs)
     return (f'{{"check_name": {_json_str(report.check_name)}, "params": {{{params}}}, '
-            f'"lhs": {_json_str(report.lhs)}, "rhs": {_json_str(report.rhs)}, '
+            f'"lhs": {lhs}, "rhs": {rhs}, '
             f'"equal": {"true" if report.equal else "false"}, '
             f'"elapsed_ms": {report.elapsed_ms}}}')
 

@@ -33,7 +33,9 @@ top index, or a _walked_sum walk back from one math.comb value):
   bounds; with k < e, w = H - u turns it into (H-w)^k w^e over
   [0, H-L], evaluated at H-L only.  That branch cannot see a fault that
   takes the antiderivative at 0 instead of the lower bound; the [L, H]
-  branch, about half the fuzzed checks, does.
+  branch, about half the fuzzed checks, does.  The integral's unreduced
+  pair from _unreduced_integral is scaled by (n-k) C(n, k) / q^n and made
+  a single Fraction at the end, so each rhs takes one gcd.
   These two functions are the only copies of the sum and the integral;
   the harness's partial_sum, tailsum_comtet1 and tailsum_integral checks
   and beta_dist.binom_tail_sides take their partial sums from them.
@@ -85,6 +87,7 @@ from .exact_math import (
     Scalar,
     _normalized,
     _scalar,
+    _unreduced_integral,
     _walked_sum,
     binomial,
     binomial_row,
@@ -239,18 +242,19 @@ def comtet1_integral(n: int, k: int, a, b) -> Scalar:
     over the integer bounds L = bq and H = L + aq.  linear_power expands the
     shorter factor: (H-u)^e when k >= e, integrated over [L, H]; else, with
     u = H - w, (H-w)^k times w^e, integrated over [0, H-L], so k+1 terms are
-    built and the antiderivative is evaluated at one bound.
+    built and the antiderivative is evaluated at one bound.  The integral's
+    unreduced numerator and denominator are scaled by (n-k) C(n,k) and q^n
+    and made one Fraction.
     """
     q = math.lcm(a.denominator, b.denominator)
     lo = b.numerator * (q // b.denominator)
     hi = lo + a.numerator * (q // a.denominator)
     e = n - k - 1
     if k < e:  # expand the shorter factor: u = H - w puts it over [0, H - L]
-        value = poly_definite_integral(poly_shift(linear_power(hi, -1, k), e), 0, hi - lo)
+        total, den = _unreduced_integral(poly_shift(linear_power(hi, -1, k), e), 0, hi - lo)
     else:
-        value = poly_definite_integral(poly_shift(linear_power(hi, -1, e), k), lo, hi)
-    return _scalar(Fraction((n - k) * binomial(n, k) * value.numerator,
-                            value.denominator * q ** n))
+        total, den = _unreduced_integral(poly_shift(linear_power(hi, -1, e), k), lo, hi)
+    return _scalar(Fraction((n - k) * binomial(n, k) * total, den * q ** n))
 
 
 def _comtet1_lhs(n: int, k: int, a: Scalar, b: Scalar) -> Scalar:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ruehrkit import exact_math, harness, identities
@@ -14,3 +16,15 @@ def fresh_memos():
     yield
     for memo in MEMOS:
         memo.cache_clear()
+
+
+@pytest.fixture
+def fraction_constructions(monkeypatch):
+    'the arguments of every Fraction constructed while the test runs, in order'
+    built, new = [], Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return built

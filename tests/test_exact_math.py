@@ -408,7 +408,7 @@ def test_antiderivative_factors_above_the_memo_are_built_without_it():
 
 
 def test_poly_definite_integral_matches_naive_antiderivative():
-    'zero low coefficients, constants, rational, reversed and equal bounds, and long integrands'
+    'leading zeros, constants, rational, reversed and equal bounds, long integrands; and unreduced'
     src = FuzzSource(53)
     bounds = [(0, 1), (1, 0), (0, F(-5, 3)), (F(-5, 3), 0), (F(-1, 2), F(3, 2)),
               (F(3, 2), F(-1, 2)), (F(2, 7), F(-9, 4)), (-4, 3), (F(3, 5), F(3, 5)), (0, 0),
@@ -423,6 +423,21 @@ def test_poly_definite_integral_matches_naive_antiderivative():
         for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]:
             got = poly_definite_integral(p, lo, hi)
             _assert_matches_reference(got, _naive_integral(p, lo, hi))
+            total, den = exact_math._unreduced_integral(p, lo, hi)
+            assert type(total) is int and type(den) is int and den > 0
+            assert F(total, den) == got
+    assert exact_math._unreduced_integral([], 2, 5) == (0, 1)
+
+
+def test_poly_definite_integral_builds_one_fraction_per_call(fraction_constructions):
+    'the antiderivative runs in integers, int or Fraction coefficients, and is reduced once'
+    cases = [([0, 0, 3, -2], F(-1, 2), F(3, 2)), ([0, F(1, 3), 0, -2], 2, 0),
+             (poly_shift(linear_power(3, -2, 70), 140), F(1, 3), 1), ([F(-2, 9)], -4, F(2, 7))]
+    for case in cases:
+        value = _naive_integral(*case)
+        fraction_constructions.clear()
+        assert poly_definite_integral(*case) == value
+        assert len(fraction_constructions) == 1, fraction_constructions
 
 
 def test_walked_sum_is_a_horner_sum_over_the_walk():

@@ -119,6 +119,10 @@ def test_report_to_json_is_byte_identical_to_json_dumps():
     error = next(report for report in reports if report.lhs == "error: ValueError")
     assert '"quote"' in error.rhs and "\u00e9" in error.rhs
     assert '\\"quote\\"' in report_to_json(error) and "\\u00e9" in report_to_json(error)
+    # an rhs equal to the lhs reuses the lhs's escaped text; a different one is escaped apart
+    sides = ['caf\u00e9 "q" \\ \u65e5', 'caf\u00e9 "q" \\ \u65e6', "7/3"]
+    reports += [CheckReport("demo", {"n": "3"}, lhs, rhs, equal, 0)
+                for lhs in sides for rhs in sides for equal in (True, False)]
     for report in reports:
         assert report_to_json(report) == _json_dumps_reference(report)
     for report in run_instances(build_suites(harness.SUITE_ORDER, 7, max_n=3, trials=3)):
@@ -429,24 +433,32 @@ _OFF_BY_ONE_FAULTS = {
     "horner_kernel": (exact_math, "_horner",
                       lambda f: lambda nums, u, v: f(nums[:-1], u, v),
                       _VERIFY_COMTET, ("comtet1",)),
-    # the antiderivative divides c_i by i + 2 instead of i + 1
-    "definite_integral": (exact_math, "poly_definite_integral",
+    # the antiderivative divides c_i by i + 2 instead of i + 1, in the unreduced integral
+    # that comtet1_integral scales and poly_definite_integral reduces
+    "definite_integral": (exact_math, "_unreduced_integral",
                           _antiderivative_dividing_by_i_plus_2,
                           _VERIFY_COMTET, ("comtet1",)),
     # the same fault under verify all: partial_sum is comtet1 at a = 1, b = d - 1, and
     # tailsum_comtet1 sets two different integrals of that fault against each other
-    "definite_integral_all": (exact_math, "poly_definite_integral",
+    "definite_integral_all": (exact_math, "_unreduced_integral",
                               _antiderivative_dividing_by_i_plus_2,
                               _VERIFY_ALL, ("comtet1", "partial_sum", "tailsum_comtet1")),
+    # the same fault in the public poly_definite_integral only: comtet1_integral goes
+    # round it, and every other equality with an integral side sees it
+    "definite_integral_public_all": (exact_math, "poly_definite_integral",
+                                     _antiderivative_dividing_by_i_plus_2,
+                                     _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail",
+                                                   "corollary1", "kimura_ruehr_moments",
+                                                   "negbinom_cdf", "negbinom_tail_gap")),
     # the antiderivative is evaluated at 0 instead of the lower bound: only the comtet1
     # checks with k >= n - k - 1 see it, whose integral runs over [L, H]; the others run
     # over [0, H - L] and are blind to it
-    "definite_integral_lower_bound": (exact_math, "poly_definite_integral",
+    "definite_integral_lower_bound": (exact_math, "_unreduced_integral",
                                       lambda f: lambda p, lo, hi: f(p, 0, hi),
                                       _VERIFY_COMTET, ("comtet1",)),
     # the same fault under verify all: every check whose integral has a lower bound other
     # than 0 on one side only
-    "definite_integral_lower_bound_all": (exact_math, "poly_definite_integral",
+    "definite_integral_lower_bound_all": (exact_math, "_unreduced_integral",
                                           lambda f: lambda p, lo, hi: f(p, 0, hi),
                                           _VERIFY_ALL, ("comtet1", "partial_sum",
                                                         "tailsum_comtet1", "tailsum_integral",
@@ -548,8 +560,8 @@ def _integrates_the_shorter_factor(params):
 
 def test_sum_vs_integral_argv_takes_both_comtet1_integral_branches(monkeypatch):
     'at seed 42, 1006 of the 2000 comtet1 integrals run from 0 and the other 994 from L = bq'
-    integral, lows = ruehrkit.identities.poly_definite_integral, []
-    monkeypatch.setattr(ruehrkit.identities, "poly_definite_integral",
+    integral, lows = ruehrkit.identities._unreduced_integral, []
+    monkeypatch.setattr(ruehrkit.identities, "_unreduced_integral",
                         lambda p, lo, hi: lows.append(lo) or integral(p, lo, hi))
     reports = list(run_instances(build_suites(["comtet"], 42, 60, 2000)))
     assert all(report.equal for report in reports)
@@ -560,8 +572,8 @@ def test_sum_vs_integral_argv_takes_both_comtet1_integral_branches(monkeypatch):
 def test_lower_bound_fault_splits_only_the_comtet1_integrals_over_l_h(capsys, monkeypatch,
                                                                       fresh_memos):
     'an antiderivative taken at 0 for lo is right over [0, H - L]: that branch is blind to it'
-    integral = exact_math.poly_definite_integral
-    _rebind_everywhere(monkeypatch, exact_math, "poly_definite_integral",
+    integral = exact_math._unreduced_integral
+    _rebind_everywhere(monkeypatch, exact_math, "_unreduced_integral",
                        lambda p, lo, hi: integral(p, 0, hi))
     code, out, _ = _run_cli(capsys, ["verify", "comtet", "--max-n", "60", "--trials", "2000",
                                      "--seed", "42", "--format", "json"])

@@ -256,6 +256,17 @@ def test_comtet1_integral_matches_naive_fraction_integral_on_both_branches():
                 assert type(got) is (int if want.denominator == 1 else F)
 
 
+def test_comtet1_integral_builds_one_fraction_per_call(fraction_constructions):
+    'the unreduced integral is scaled in integers and reduced once, on both branches'
+    cases = [(60, 30, F(3, 7), F(-5, 2)), (60, 10, F(3, 7), F(-5, 2)), (9, 4, 1, 2),
+             (40, 3, F(1, 2), 0), (1, 0, F(2, 3), 1), (5, 2, F(-2, 3), F(2, 3))]
+    for case in cases:
+        value = _naive_comtet1_integral(*case)
+        fraction_constructions.clear()
+        assert identities.comtet1_integral(*case) == value, case
+        assert len(fraction_constructions) == 1, (case, fraction_constructions)
+
+
 def test_comtet2_hand_cases():
     pair = comtet2_sides(1, 2)
     assert pair.lhs == [F(0), F(2), F(-1)]
@@ -389,11 +400,29 @@ def test_fg_members_match_their_definition_past_eviction_and_the_stored_depth(
         assert (sorted(members), n, list(row)) == ([0, 1, 2, 3], 3, poly_pow(ONE_MINUS_X, 3))
 
 
+class _MembersStoredBeforeTheirRow(dict):
+    'the members of one chain, asserting that no store comes after the row reached its N'
+
+    def __init__(self, chain):
+        super().__init__(chain[0])
+        self.chain = chain
+
+    def __setitem__(self, n, member):
+        # another extender may have stored member n and moved the row past it already
+        assert self.chain[1][0] < n or n in self, f"the row reached N = {n} before its member"
+        super().__setitem__(n, member)
+
+
 def test_fg_chains_extended_by_several_threads_agree_with_their_definition(fresh_memos):
     'threads that extend the same chains at once put every member in its place'
     keys = [(kind, m, big_n) for kind in "fg" for m in range(1, 9) for big_n in range(25)]
     expected = {key: _fg_definition(*key) for key in keys}
     results, errors = [], []
+    # a reader takes a chain's row and carries on from the member of its N, so each
+    # member is stored before the row moves to it: one thread first, then all of them
+    chain = identities._fg_chain("f", 3)
+    chain[0] = _MembersStoredBeforeTheirRow(chain)
+    assert proof_helper("f", 3, 12) == expected["f", 3, 12]
 
     def ask(seed):
         order = random.Random(seed).sample(keys, len(keys))
