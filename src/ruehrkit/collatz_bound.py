@@ -11,12 +11,12 @@ call, and is what the harness's orbit_cycle check counts.
 The density argument for these maps needs an exact large-deviation bound:
 the normalized sum of C(k, i) (d-1)^i over indices i deviating from the
 mean (d-1)k/d by more than eps*k.  tail_sum computes it exactly, each
-tail by one exact walk down the row from its far end (exact_math's
-_walked_sum), and kth_root gives its k-th root, the decay rate that the
-tailsum subcommand prints.  The leading partial sums
-sum_{0<=i<=m} C(k, i) (d-1)^i are identities.comtet1_sides at a = 1,
-b = d - 1; the harness checks them there and sets tail_sum against
-identities.comtet1_integral.
+tail as one comtet1 partial sum, sum_{0<=i<=m} C(k, i) a^(k-i) b^i
+(identities' _comtet1_lhs): the lower tail at a = 1, b = d - 1, and the
+upper tail, reindexed by i -> k - i, at a = d - 1, b = 1.  kth_root gives
+the mass's k-th root, the decay rate that the tailsum subcommand prints.
+The harness checks those partial sums as identities.comtet1_sides and sets
+tail_sum against identities.comtet1_integral.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Literal, NamedTuple, Optional, Sequence
 
-from .exact_math import _walked_sum, binomial
+from .identities import _comtet1_lhs
 
 
 class GenCollatzConfig(collections.namedtuple("GenCollatzConfig", "mult div residues")):
@@ -156,9 +156,11 @@ def tail_sum(query: TailSumQuery) -> Fraction:
     (1/d^k) * sum of C(k, i) (d-1)^i over 0 <= i <= k with
     |i - (d-1)k/d| > eps*k.  With eps = p/q an index is in the tail when
     the integer comparison |i*d*q - (d-1)*k*q| > p*k*d holds; it is strict,
-    so boundary indices are excluded.  The tail is i <= low and i >= high:
-    the lower part walks down from C(k, low) to C(k, 0), and the upper part
-    from C(k, k) = 1 down to C(k, high), each in Horner order in d - 1.
+    so boundary indices are excluded.  The tail is i <= low and i >= high,
+    each part one comtet1 partial sum walked from the index nearest the mean
+    out to the end of the row: the lower part from C(k, low) to C(k, 0), and
+    the upper part, the sum of C(k, j) (d-1)^(k-j) over j <= k - high, from
+    C(k, high) to C(k, k) = 1.
     """
     k, d, w = query.k, query.d, query.d - 1
     p, q = query.eps.numerator, query.eps.denominator
@@ -167,10 +169,9 @@ def tail_sum(query: TailSumQuery) -> Fraction:
     high = (center + margin) // step + 1  # the first i with i*d*q > center + margin
     total = 0
     if low >= 0:
-        total += _walked_sum(binomial(k, low), zip(range(low, 0, -1), range(k - low + 1, k + 1)),
-                             1, w)
+        total += _comtet1_lhs(k, low, 1, w)
     if high <= k:
-        total += w ** high * _walked_sum(1, zip(range(k, high, -1), range(1, k - high + 1)), 1, w)
+        total += _comtet1_lhs(k, k - high, w, 1)
     return Fraction(total, d ** k)
 
 

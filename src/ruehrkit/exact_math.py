@@ -10,10 +10,7 @@ The polynomial primitives return coefficients and values under that rule,
 so polynomials with integer coefficients are multiplied and added in
 native ``int`` arithmetic.  Floats are converted exactly on the way in and
 never produced.  Since ``int == Fraction`` compares by value, the rule
-never changes an equality.  It also makes str the serialization: str of an
-int or a Fraction is "num" or "num/den" in lowest terms, so a scalar is
-serialized by str and a polynomial by format_polynomial, which joins those
-texts.
+never changes an equality.
 
 Rational results are computed over one denominator: evaluation,
 integration and linear_power carry integer numerators over a common
@@ -27,10 +24,11 @@ Binomials come by three routes: binomial is one math.comb call each;
 binomial_row walks a row up the bottom index from C(n, 0) (linear_power
 uses it); and _walked_sum starts from one binomial at the far end of a sum
 and steps back by exact ratios, summing in Horner order as it goes (the
-term-by-term sides in identities, beta_dist and collatz_bound use it).  It
-carries one running term c_j u^j, so a step is a small product, one
-exact division and one Horner step, with no big-by-big product.
-The checkers set a side on one route against a side on the other.
+term-by-term sides in identities and beta_dist use it, and collatz_bound
+through identities' comtet1 sum).  It carries one running term c_j u^j,
+so a step is a small product, one exact division and one Horner step,
+with no big-by-big product.  The checkers set a side on one route against
+a side on the other.
 
 Composition is a Taylor shift.  poly_compose takes a linear (or
 constant) q, as the Alzer shifts p(x + 1) use: repeated synthetic
@@ -38,11 +36,11 @@ division in place on a copy of p, then a running power of q's slope
 through _times_powers, which linear_power's powers also go through.  No
 caller composes with a longer q, so one raises ValueError.
 
-poly_normalize copies.  poly_add, poly_mul and poly_compose, and
-identities' _bernstein_sum, build a fresh list and normalize it with
-_normalized, which strips it in place when every entry is exactly an int
-and hands anything else (a Fraction, or a bool such as True) to
-poly_normalize.
+One function normalizes: _normalized takes a list its caller has just
+built, converts its entries by _scalar unless every one is exactly an int
+(a bool such as True is not), and strips the trailing zeros in place.
+poly_add, poly_mul, linear_power and poly_compose, and identities'
+_bernstein_sum, hand it their fresh lists; poly_normalize hands it a copy.
 
 Everything in this module is a pure function over values that are never
 mutated after construction (a fresh list is finished before it is
@@ -115,25 +113,22 @@ def _scalar(c) -> Scalar:
 
 
 def poly_normalize(coeffs) -> Polynomial:
-    """Coefficients under the scalar rule, trailing zeros stripped."""
-    out = [c if type(c) is int else _scalar(c) for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    """Coefficients under the scalar rule, trailing zeros stripped, in a fresh list."""
+    return _normalized(list(coeffs))
 
 
 def _normalized(out: list) -> Polynomial:
-    """out, a list its caller has just built, under the scalar rule.
+    """out, a list its caller has just built, under the scalar rule, in place.
 
-    When every entry is exactly an int (so not True), the trailing zeros are
-    stripped in place and out itself is returned; otherwise poly_normalize
-    makes the copy.
+    Unless every entry is exactly an int (so not True), each entry is
+    converted by _scalar; then the trailing zeros are stripped and out
+    itself is returned.
     """
-    if set(map(type, out)) <= {int}:
-        while out and not out[-1]:
-            out.pop()
-        return out
-    return poly_normalize(out)
+    if not set(map(type, out)) <= {int}:
+        out[:] = map(_scalar, out)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -149,8 +144,6 @@ def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if not ca:
-            continue
         for k, cb in enumerate(b, i):
             out[k] += ca * cb
     return _normalized(out)
@@ -201,13 +194,11 @@ def linear_power(c0, c1, exponent: int) -> Polynomial:
     _times_powers(nums, c1.numerator, up)
     _times_powers(nums, c0.numerator, down)
     if c0.denominator == c1.denominator == 1:
-        while nums and not nums[-1]:  # every entry is an int already
-            nums.pop()
-        return nums
+        return _normalized(nums)
     dens = [1] * (e + 1)
     _times_powers(dens, c1.denominator, up)
     _times_powers(dens, c0.denominator, down)
-    return poly_normalize([_scalar(Fraction(num, den)) for num, den in zip(nums, dens)])
+    return _normalized([Fraction(num, den) for num, den in zip(nums, dens)])
 
 
 def poly_shift(p: Polynomial, k: int) -> Polynomial:
@@ -216,7 +207,9 @@ def poly_shift(p: Polynomial, k: int) -> Polynomial:
         raise ValueError(f"poly_shift requires k >= 0, got {k}")
     if not p:
         return []
-    return [0] * k + list(p)
+    out = [0] * k
+    out += p
+    return out
 
 
 def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -231,10 +224,9 @@ def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
         raise ValueError(f"poly_compose requires len(q) <= 2, got len(q) = {len(q)}")
     q0, q1 = (list(map(_scalar, q)) + [0, 0])[:2]
     out, n = list(p), len(p)
-    if q0:
-        for low in range(n - 1):  # one more division by x - q0, from the top down
-            for k in range(n - 2, low - 1, -1):
-                out[k] += q0 * out[k + 1]
+    for low in range(n - 1):  # one more division by x - q0, from the top down
+        for k in range(n - 2, low - 1, -1):
+            out[k] += q0 * out[k + 1]
     _times_powers(out, q1, range(1, n))
     return _normalized(out)
 
@@ -333,12 +325,3 @@ def _antiderivative_at(anti: list[int], low: int, x: Scalar, v: int, top: int) -
         return 0
     return u ** (low + 1) * _horner(anti, u, v_x) * (v // v_x) ** top
 
-
-def format_polynomial(p: Polynomial) -> str:
-    """Serialize as a JSON array of rational strings, ascending degree.
-
-    Coefficients follow the scalar rule, so str gives each "num/den" text,
-    and a join gives json.dumps' bytes: rational strings need no JSON
-    escapes.
-    """
-    return '["' + '", "'.join(map(str, p)) + '"]' if p else "[]"

@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import beta_dist, collatz_bound, identities
-from .exact_math import format_polynomial, poly_add, poly_compose, poly_eval, poly_mul
+from .exact_math import poly_add, poly_compose, poly_eval, poly_mul
 from .identities import SidePair, SumFamily, compare_sides
 
 MASK64 = (1 << 64) - 1
@@ -115,9 +115,14 @@ class CheckReport(NamedTuple):
 
 
 def serialize_value(value) -> str:
-    """Rational -> "num/den"; list/tuple of rationals -> JSON array of them."""
+    """Rational -> "num/den"; list/tuple of rationals -> JSON array of them.
+
+    Values follow exact_math's scalar rule, so str gives each "num" or
+    "num/den" text in lowest terms, and a join gives json.dumps' bytes for
+    the array: rational strings need no JSON escapes.
+    """
     if isinstance(value, (list, tuple)):
-        return format_polynomial(value)
+        return '["' + '", "'.join(map(str, value)) + '"]' if value else "[]"
     return str(value)
 
 

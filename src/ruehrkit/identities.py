@@ -37,8 +37,9 @@ top index, or a _walked_sum walk back from one math.comb value):
   pair from _unreduced_integral is scaled by (n-k) C(n, k) / q^n and made
   a single Fraction at the end, so each rhs takes one gcd.
   These two functions are the only copies of the sum and the integral;
-  the harness's partial_sum, tailsum_comtet1 and tailsum_integral checks
-  and beta_dist.binom_tail_sides take their partial sums from them.
+  the harness's partial_sum, tailsum_comtet1 and tailsum_integral checks,
+  beta_dist.binom_tail_sides and both tails of collatz_bound.tail_sum take
+  their partial sums from them.
 * corollary1: the lhs is one chain sum of ruehr_sum_direct; the rhs scales
   one integral of kimura_ruehr_moments.
 * the Ruehr chain: ruehr_sums_direct against ruehr_polynomial_values,
@@ -130,14 +131,13 @@ def _bernstein_sum(coeffs, low: int, step: int) -> Polynomial:
     """sum_j c_j x^(low + step*j) (1-x)^(t-j) over the t + 1 integers c_j of coeffs.
 
     Nested multiplication: acc = acc (1-x) + c_j x^(step*j) for j = 0..t,
-    then x^low in front, so no power of 1 - x is built apart.
+    then x^low in front by poly_shift, so no power of 1 - x is built apart.
     """
     acc = []
     for j, c in enumerate(coeffs):
         _times_one_minus_x(acc)
         acc[step * j] += c
-    acc = _normalized(acc)
-    return [0] * low + acc if acc else acc
+    return poly_shift(_normalized(acc), low)
 
 
 def _times_one_minus_x(acc: list) -> None:

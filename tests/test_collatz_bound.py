@@ -199,8 +199,8 @@ def test_tail_sum_integer_membership_matches_fraction_comparison():
                 assert tail_sum(TailSumQuery(k=k, d=d, eps=eps)) == expected, (k, d, eps)
 
 
-def test_tail_sum_far_end_walks_match_one_row_at_large_k():
-    'each tail walked down from its far end (none, one or both empty), against one row walked up'
+def test_tail_sum_inner_end_walks_match_one_row_at_large_k():
+    'each tail (none, one or both empty) walked out from C(k, low) or C(k, high), against one row'
     for k, d, eps in ((1000, 2, F(1, 4)), (997, 3, F(1, 3)), (1200, 2, F(1, 2)),
                       (800, 5, F(1, 9)), (600, 4, F(1, 3))):
         center, margin = F((d - 1) * k, d), eps * k

@@ -12,7 +12,6 @@ from ruehrkit import beta_dist, cli, collatz_bound, exact_math, harness, identit
 from ruehrkit.exact_math import (
     binomial,
     binomial_row,
-    format_polynomial,
     linear_power,
     poly_add,
     poly_compose,
@@ -23,7 +22,7 @@ from ruehrkit.exact_math import (
     poly_pow,
     poly_shift,
 )
-from ruehrkit.harness import FuzzSource, fuzz_int, fuzz_rational
+from ruehrkit.harness import FuzzSource, fuzz_int, fuzz_rational, serialize_value
 
 
 def fuzz_poly(src, max_degree=6):
@@ -188,7 +187,7 @@ def test_primitives_turn_true_into_the_int_1():
                           (poly_normalize([True, False]), [1]), (poly_compose([True], [0, 1]), [1])):
         assert got == expected
         assert set(map(type, got)) == {int}
-        assert format_polynomial(got) == format_polynomial(expected)
+        assert serialize_value(got) == serialize_value(expected)
 
 
 def test_poly_eval_examples():
@@ -245,7 +244,7 @@ def test_primitives_return_int_or_fraction_never_float(p, q, c, x):
     polys = [
         poly_normalize(p), poly_add(p, q),
         poly_mul(p, q), poly_pow(q, 3), poly_shift(p, 2),
-        poly_compose(p, q), linear_power(c, x, 4), _parse_polynomial(format_polynomial(p)),
+        poly_compose(p, q), linear_power(c, x, 4), _parse_polynomial(serialize_value(p)),
     ]
     for poly in polys:
         _assert_scalar_rule(poly)
@@ -289,33 +288,33 @@ def _parse_polynomial(text):
 
 def test_polynomial_serialization():
     p = poly_normalize([F(4), F(-3), F(1, 2)])
-    text = format_polynomial(p)
+    text = serialize_value(p)
     assert text == '["4", "-3", "1/2"]'
     assert _parse_polynomial(text) == p
-    assert format_polynomial([]) == "[]"
+    assert serialize_value([]) == "[]"
     assert _parse_polynomial("[]") == []
     with pytest.raises(ValueError):
         _parse_polynomial('{"not": "a list"}')
 
 
-def _format_polynomial_reference(p):
-    """The JSON encoder route that format_polynomial's string join replaces."""
+def _json_array_reference(p):
+    """The JSON encoder route that serialize_value's string join replaces."""
     return json.dumps([_format_rational_reference(c) for c in p])
 
 
-def test_format_polynomial_matches_json_encoder():
+def test_serialize_value_matches_json_encoder():
     cases = [
         [], [0], [1], [-1, -2, -3], [2 ** 200, -(2 ** 200) - 1, 3 ** 150],
         [F(1, 2)], [F(-7, 3), F(5, 9), F(-(2 ** 100), 3 ** 70)],
         [0, F(1, 2), -4, F(-1, 3), 2 ** 64], (1, 6, 39, 258, 1719),
     ]
     for p in cases:
-        assert format_polynomial(p) == _format_polynomial_reference(p), p
+        assert serialize_value(p) == _json_array_reference(p), p
     src = FuzzSource(23)
     for _ in range(50):
         p = [fuzz_rational(src, 10 ** 30, 10 ** 30) if fuzz_int(src, 0, 1)
              else fuzz_int(src, -(10 ** 40), 10 ** 40) for _ in range(fuzz_int(src, 0, 12))]
-        assert format_polynomial(p) == _format_polynomial_reference(p), p
+        assert serialize_value(p) == _json_array_reference(p), p
 
 
 def _format_rational_reference(q):

@@ -467,6 +467,13 @@ _OFF_BY_ONE_FAULTS = {
     "comtet1_lhs": (ruehrkit.identities, "_comtet1_lhs",
                     lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
                     _VERIFY_COMTET, ("comtet1",)),
+    # the same fault under verify all: partial_sum is comtet1 at a = 1, b = d - 1, the
+    # binomial tail is the comtet1 sum with k = n - a, and both tails of tail_sum are
+    # comtet1 sums
+    "comtet1_lhs_all": (ruehrkit.identities, "_comtet1_lhs",
+                        lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
+                        _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail",
+                                      "tailsum_integral")),
     # the binomial tail, taken from the comtet1 sum with k = n - a, starts one term late
     "binom_tail_lhs": (beta_dist, "_comtet1_lhs",
                        lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
