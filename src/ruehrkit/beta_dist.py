@@ -12,9 +12,9 @@ sum, run in integers over one power of the denominator v of p = u/v and
 divided once at the end.  Each walks from the far end of its sum by
 exact ratio steps (exact_math's _walked_sum): _negbinom_mass along the
 diagonal C(r+s-1, s), and binom_tail_sides through the comtet1 partial sum
-of identities, reindexed.  The rhs is regularized_beta, an exact integral
-of a linear_power integrand (poly_shift, poly_definite_integral) over
-beta_exact, which is factorials only.
+of identities, reindexed.  The rhs is regularized_beta: incomplete_beta,
+t^(x-1) (1-t)^(y-1) integrated by exact_math._unreduced_beta_integral,
+over beta_exact, which is factorials only.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact_math import (
-    _walked_sum,
-    binomial,
-    linear_power,
-    poly_definite_integral,
-    poly_shift,
-)
+from .exact_math import _scalar, _unreduced_beta_integral, _walked_sum, binomial
 from .identities import SidePair, _comtet1_lhs, compare_sides
 
 
@@ -56,7 +50,7 @@ def incomplete_beta(p, x: int, y: int) -> Fraction:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"incomplete_beta requires p in [0, 1], got {p}")
-    return poly_definite_integral(poly_shift(linear_power(1, -1, y - 1), x - 1), 0, p)
+    return _scalar(Fraction(*_unreduced_beta_integral(1, -1, y - 1, x - 1, 0, p)))
 
 
 def regularized_beta(p, x: int, y: int) -> Fraction:

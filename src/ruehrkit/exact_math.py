@@ -16,19 +16,23 @@ Rational results are computed over one denominator: evaluation,
 integration and linear_power carry integer numerators over a common
 integer denominator and normalize only the final value (one gcd per
 result, or per coefficient for linear_power), never an intermediate step.
-Integration hands that pair on unreduced through _unreduced_integral, so
-a caller that scales the integral (identities.comtet1_integral) still
-normalizes once, after its own factors.
+Every integral a check takes is x^z (c0 + c1 x)^m over [lo, hi], an
+incomplete beta integral (DLMF 8.17): _unreduced_beta_integral expands,
+integrates and evaluates it in one loop with no list, and hands on its
+integer pair unreduced, so a caller that scales it
+(identities.comtet1_integral) still normalizes once.  No check calls
+poly_definite_integral, the integral of any polynomial.
 
-Binomials come by three routes: binomial is one math.comb call each;
+Binomials come by four routes: binomial is one math.comb call each;
 binomial_row walks a row up the bottom index from C(n, 0) (linear_power
-uses it); and _walked_sum starts from one binomial at the far end of a sum
-and steps back by exact ratios, summing in Horner order as it goes (the
-term-by-term sides in identities and beta_dist use it, and collatz_bound
-through identities' comtet1 sum).  It carries one running term c_j u^j,
-so a step is a small product, one exact division and one Horner step,
-with no big-by-big product.  The checkers set a side on one route against
-a side on the other.
+and family_polynomial use it); _unreduced_beta_integral walks C(m, i)
+c0^(m-i) down from C(m, m) = 1; and _walked_sum starts from one binomial
+at the far end of a sum and steps back by exact ratios, summing in Horner
+order as it goes (the term-by-term sides in identities and beta_dist use
+it, and collatz_bound through identities' comtet1 sum).  It carries one
+running term c_j u^j, so a step is a small product, one exact division
+and one Horner step, with no big-by-big product.  The checkers set a side
+on one route against a side on the other.
 
 Composition is a Taylor shift.  poly_compose takes a linear (or
 constant) q, as the Alzer shifts p(x + 1) use: repeated synthetic
@@ -270,44 +274,63 @@ def poly_eval(p: Polynomial, x) -> Scalar:
 
 
 def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
-    """Exact definite integral of p over [lo, hi].
+    """Exact definite integral of p over [lo, hi]; reversed bounds flip the sign.
 
-    Term-by-term antiderivative c_i x^i -> c_i x^(i+1) / (i+1), evaluated
-    at hi minus lo.  Reversed bounds (lo > hi) simply flip the sign.  The
-    integer pair of _unreduced_integral is made one Fraction, so the value
-    takes one gcd.
-    """
-    return _scalar(Fraction(*_unreduced_integral(p, lo, hi)))
-
-
-def _unreduced_integral(p: Polynomial, lo, hi) -> tuple[int, int]:
-    """(total, den) with total / den the integral of p over [lo, hi], not in lowest terms.
-
-    The antiderivative's integer numerators share the denominator
-    d lcm(1..deg+1), d the least common denominator of p's coefficients, and
-    F(hi) - F(lo) is brought over that times v^(deg+1), v the least common
-    denominator of the bounds.  When p = x^z r(x), as poly_shift makes it,
-    F = x^(z+1) R(x): the z leading zeros are skipped before the coefficients
-    are scanned, x^(z+1) is one power, and a bound at 0 takes no Horner pass.
+    The antiderivative c_i x^i -> c_i x^(i+1) / (i+1) is taken in integer
+    numerators over d lcm(1..deg+1), d the least common denominator of p's
+    coefficients, and F(hi) - F(lo) over that times v^(deg+1), v the least
+    common denominator of the bounds, so the value takes one gcd.
     """
     if not p:
-        return 0, 1
-    low = p.index(next(filter(None, p)))
-    nums, den = _over_common_denominator(p[low:])
+        return 0
+    nums, den = _over_common_denominator(p)
     top = len(p)  # degree of the antiderivative
-    factors = (_antiderivative_factors if top <= _FACTOR_MEMO_TOP
-               else _antiderivative_factors.__wrapped__)(top)
-    anti = list(map(operator.mul, nums, factors[low:]))
+    scale, factors = _factors(0, top)
+    anti = list(map(operator.mul, nums, factors))
     lo, hi = _scalar(lo), _scalar(hi)
     v = math.lcm(lo.denominator, hi.denominator)
-    total = _antiderivative_at(anti, low, hi, v, top) - _antiderivative_at(anti, low, lo, v, top)
-    return total, den * factors[0] * v ** top  # factors[0] = lcm(1..top) // 1
+    total = sum(sign * x.numerator * _horner(anti, x.numerator, x.denominator)
+                * (v // x.denominator) ** top for sign, x in ((1, hi), (-1, lo)))
+    return _scalar(Fraction(total, den * scale * v ** top))
+
+
+def _unreduced_beta_integral(c0: int, c1: int, m: int, z: int, lo, hi) -> tuple[int, int]:
+    """(total, den): total / den is the integral of x^z (c0 + c1 x)^m over [lo, hi], unreduced.
+
+    c0 and c1 are ints; the bounds are ints or Fractions, each U/V over
+    their least common denominator V.  With top = z + m + 1, s a common
+    multiple of z+1..top and f_i = s / (z+i+1) (_factors), the antiderivative
+    at U/V is U^(z+1) sum_i b_i f_i (c1 U)^i / (s V^top), b_i = C(m, i) (c0 V)^(m-i).
+    One loop walks b_i down from b_m = C(m, m) = 1 by the exact step
+    b_(i-1) = b_i c0 V i / (m-i+1), exact for every c0, 0 included, and
+    Horner-sums both bounds at once in c1 U.  It builds no list, and a lower
+    bound at 0 takes no Horner work.
+    """
+    lo, hi = _scalar(lo), _scalar(hi)
+    v = math.lcm(lo.denominator, hi.denominator)
+    scale, factors = _factors(z, z + m + 1)
+    u_hi, u_lo = hi.numerator * (v // hi.denominator), lo.numerator * (v // lo.denominator)
+    w_hi, w_lo, step = c1 * u_hi, c1 * u_lo, c0 * v
+    b, acc_hi, acc_lo = 1, 0, 0
+    if u_lo:
+        for i in range(m, -1, -1):
+            a = b * factors[i]
+            acc_hi = acc_hi * w_hi + a
+            acc_lo = acc_lo * w_lo + a
+            b = b * step * i // (m - i + 1)
+        total = u_hi ** (z + 1) * acc_hi - u_lo ** (z + 1) * acc_lo
+    else:
+        for i in range(m, -1, -1):
+            acc_hi = acc_hi * w_hi + b * factors[i]
+            b = b * step * i // (m - i + 1)
+        total = u_hi ** (z + 1) * acc_hi
+    return total, scale * v ** (z + m + 1)
 
 
 # Every degree up to this one has its own entry, so the memo never evicts
 # and all 128 entries together take under half a megabyte.  A higher degree
-# builds its factors on each call: about 0.1 ms at top = 200 and 15 ms at
-# top = 4000, where one entry would hold about 3 MB.
+# builds the factors it needs on each call (at top = 4000 all of them would
+# take about 15 ms, and one entry would hold about 3 MB).
 _FACTOR_MEMO_TOP = 128
 
 
@@ -318,10 +341,10 @@ def _antiderivative_factors(top: int) -> tuple:
     return tuple(scale // i for i in range(1, top + 1))
 
 
-def _antiderivative_at(anti: list[int], low: int, x: Scalar, v: int, top: int) -> int:
-    """v^top x^(low+1) sum anti[i] x^i, an integer when v is a multiple of x's denominator."""
-    u, v_x = x.numerator, x.denominator
-    if not u:
-        return 0
-    return u ** (low + 1) * _horner(anti, u, v_x) * (v // v_x) ** top
-
+def _factors(low: int, top: int) -> tuple:
+    """(s, [s // (low+1), ..., s // top]): s = lcm(1..top) from the memo, or lcm(low+1..top)."""
+    if top <= _FACTOR_MEMO_TOP:
+        factors = _antiderivative_factors(top)
+        return factors[0], factors[low:]
+    scale = math.lcm(*range(low + 1, top + 1))
+    return scale, [scale // j for j in range(low + 1, top + 1)]

@@ -20,7 +20,8 @@ The cast of identities:
 
 The primitives each side uses, and the route of its binomials (math.comb
 through binomial, a binomial_row walk up the bottom index, a walk up the
-top index, or a _walked_sum walk back from one math.comb value):
+top index, a _walked_sum walk back from one math.comb value, or the walk
+of _unreduced_beta_integral down from C(m, m) = 1):
 
 * comtet1: the lhs is a term-by-term sum, run in integers over the common
   denominator of a and b, that walks down from one math.comb value C(n, k)
@@ -28,14 +29,14 @@ top index, or a _walked_sum walk back from one math.comb value):
   rhs, comtet1_integral, substitutes t = u/q, q the least common
   denominator of a and b: the integrand u^k (H-u)^e, e = n-k-1, has
   integer coefficients and integer bounds L = bq and H = L + aq.  The
-  shorter factor is expanded (a binomial_row, in linear_power): with
-  k >= e, (H-u)^e over [L, H], its antiderivative evaluated at both
+  shorter factor is expanded, in the walk of _unreduced_beta_integral:
+  with k >= e, (H-u)^e over [L, H], its antiderivative evaluated at both
   bounds; with k < e, w = H - u turns it into (H-w)^k w^e over
   [0, H-L], evaluated at H-L only.  That branch cannot see a fault that
   takes the antiderivative at 0 instead of the lower bound; the [L, H]
   branch, about half the fuzzed checks, does.  The integral's unreduced
-  pair from _unreduced_integral is scaled by (n-k) C(n, k) / q^n and made
-  a single Fraction at the end, so each rhs takes one gcd.
+  pair is scaled by (n-k) C(n, k) / q^n and made a single Fraction at the
+  end, so each rhs takes one gcd.
   These two functions are the only copies of the sum and the integral;
   the harness's partial_sum, tailsum_comtet1 and tailsum_integral checks,
   beta_dist.binom_tail_sides and both tails of collatz_bound.tail_sum take
@@ -49,8 +50,8 @@ top index, or a _walked_sum walk back from one math.comb value):
   walks up the top index; ruehr_sums_direct starts each sum from one
   math.comb value and walks the other way, term by term, with the same
   _walked_sum as the comtet1 lhs.
-* kimura_ruehr_moments: poly_definite_integral of one linear_power kernel
-  over two intervals.
+* kimura_ruehr_moments: _unreduced_beta_integral of x^(2n) (3 - 2x)^n,
+  the kernel's power, over two intervals, one Fraction each.
 
 Where both sides are polynomials in x (comtet2, comtet3 and corollary2),
 each side is a sum of terms c x^s (1-x)^r.  A comtet2 or corollary2 side,
@@ -88,13 +89,11 @@ from .exact_math import (
     Scalar,
     _normalized,
     _scalar,
-    _unreduced_integral,
+    _unreduced_beta_integral,
     _walked_sum,
     binomial,
     binomial_row,
-    linear_power,
     poly_add,
-    poly_definite_integral,
     poly_eval,
     poly_mul,  # noqa: F401  (not called here; bench/test_bench.py rebinds identities.poly_mul)
     poly_normalize,
@@ -239,10 +238,10 @@ def comtet1_integral(n: int, k: int, a, b) -> Scalar:
     a and b are ints or Fractions.  By comtet1_sides this is the partial sum
     sum_{0<=i<=k} C(n,i) a^(n-i) b^i.  With t = u/q, q the least common
     denominator of a and b, it is integral_L^H u^k (H-u)^e du / q^n, e = n-k-1,
-    over the integer bounds L = bq and H = L + aq.  linear_power expands the
-    shorter factor: (H-u)^e when k >= e, integrated over [L, H]; else, with
-    u = H - w, (H-w)^k times w^e, integrated over [0, H-L], so k+1 terms are
-    built and the antiderivative is evaluated at one bound.  The integral's
+    over the integer bounds L = bq and H = L + aq.  _unreduced_beta_integral
+    expands the shorter factor: (H-u)^e when k >= e, over [L, H]; else, with
+    u = H - w, (H-w)^k times w^e, integrated over [0, H-L], so the walk takes
+    k+1 steps and the antiderivative is evaluated at one bound.  The integral's
     unreduced numerator and denominator are scaled by (n-k) C(n,k) and q^n
     and made one Fraction.
     """
@@ -251,9 +250,9 @@ def comtet1_integral(n: int, k: int, a, b) -> Scalar:
     hi = lo + a.numerator * (q // a.denominator)
     e = n - k - 1
     if k < e:  # expand the shorter factor: u = H - w puts it over [0, H - L]
-        total, den = _unreduced_integral(poly_shift(linear_power(hi, -1, k), e), 0, hi - lo)
+        total, den = _unreduced_beta_integral(hi, -1, k, e, 0, hi - lo)
     else:
-        total, den = _unreduced_integral(poly_shift(linear_power(hi, -1, e), k), lo, hi)
+        total, den = _unreduced_beta_integral(hi, -1, e, k, lo, hi)
     return _scalar(Fraction((n - k) * binomial(n, k) * total, den * q ** n))
 
 
@@ -452,7 +451,6 @@ _UNIT_INTERVAL = (0, 1)
 
 
 def _kimura_integrals(n: int, *intervals) -> tuple:
-    """integral_lo^hi (3x^2 - 2x^3)^n dx for each interval (lo, hi), from one kernel."""
-    # (3x^2 - 2x^3)^n = x^(2n) (3 - 2x)^n, expanded by the binomial theorem
-    kernel_power = poly_shift(linear_power(3, -2, n), 2 * n)
-    return tuple(poly_definite_integral(kernel_power, lo, hi) for lo, hi in intervals)
+    """The integral of (3x^2 - 2x^3)^n = x^(2n) (3 - 2x)^n over each interval (lo, hi)."""
+    return tuple(_scalar(Fraction(*_unreduced_beta_integral(3, -2, n, 2 * n, lo, hi)))
+                 for lo, hi in intervals)

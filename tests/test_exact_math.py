@@ -403,6 +403,9 @@ def test_antiderivative_factors_above_the_memo_are_built_without_it():
     p = [F(i % 7 - 3, i % 5 + 1) for i in range(top)]  # the antiderivative has degree top
     before = exact_math._antiderivative_factors.cache_info()
     assert poly_definite_integral(p, F(-1, 2), F(3, 2)) == _naive_integral(p, F(-1, 2), F(3, 2))
+    kernel = poly_shift(linear_power(3, -2, 1), top - 2)  # x^(top-2) (3 - 2x), degree top - 1
+    pair = exact_math._unreduced_beta_integral(3, -2, 1, top - 2, F(-1, 2), F(3, 2))
+    assert F(*pair) == _naive_integral(kernel, F(-1, 2), F(3, 2))
     assert exact_math._antiderivative_factors.cache_info() == before
 
 
@@ -422,10 +425,21 @@ def test_poly_definite_integral_matches_naive_antiderivative():
         for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]:
             got = poly_definite_integral(p, lo, hi)
             _assert_matches_reference(got, _naive_integral(p, lo, hi))
-            total, den = exact_math._unreduced_integral(p, lo, hi)
-            assert type(total) is int and type(den) is int and den > 0
-            assert F(total, den) == got
-    assert exact_math._unreduced_integral([], 2, 5) == (0, 1)
+    assert poly_definite_integral([], 2, 5) == 0
+
+
+def test_unreduced_beta_integral_matches_the_polynomial_route():
+    'x^z (c0 + c1 x)^m integrated in one walk: the value of the linear_power route, as an int pair'
+    bounds = [(0, 1), (F(-1, 2), F(3, 2)), (3, -2), (F(5, 7), 0), (F(2, 9), F(2, 9)), (0, 0)]
+    for c0 in (-3, 0, 1, 3, 97):
+        for c1 in (-2, -1, 0, 2):
+            for m in range(31):
+                for z in (0, 1, 7, 140):  # z = 140 puts the top degree past the factor memo
+                    p = poly_shift(linear_power(c0, c1, m), z)
+                    for lo, hi in bounds:
+                        total, den = exact_math._unreduced_beta_integral(c0, c1, m, z, lo, hi)
+                        assert type(total) is int and type(den) is int and den > 0
+                        assert F(total, den) == poly_definite_integral(p, lo, hi), (c0, c1, m, z)
 
 
 def test_poly_definite_integral_builds_one_fraction_per_call(fraction_constructions):
@@ -497,6 +511,9 @@ def test_every_public_function_and_class_is_used_by_the_package_or_the_benchmark
               and value.__module__ == module.__name__ and not name.startswith("_")]
     assert {"ruehrkit.exact_math.poly_add", "ruehrkit.collatz_bound.GenCollatzConfig",
             "ruehrkit.cli.cmd_orbit"} <= set(public)
-    assert [name for name in public if name.rpartition(".")[2] not in used] == []
+    # the general integral of a polynomial stays public for library callers; every
+    # check integrates x^z (c0 + c1 x)^m by the private _unreduced_beta_integral
+    library_only = ["ruehrkit.exact_math.poly_definite_integral"]
+    assert [name for name in public if name.rpartition(".")[2] not in used] == library_only
     assert [name for name, value in vars(ruehrkit).items()
             if not name.startswith("_") and not inspect.ismodule(value)] == []

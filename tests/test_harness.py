@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -406,8 +407,38 @@ def _walked_sum_skipping_the_first_v(c, steps, u, v):
     return total
 
 
-def _antiderivative_dividing_by_i_plus_2(integral):
-    return lambda p, lo, hi: integral([c * F(i + 1, i + 2) for i, c in enumerate(p)], lo, hi)
+def _beta_integral_dividing_by_j_plus_2(integral):
+    'x^j integrates to x^(j+1) / (j+2): the factor is read one index late'
+    def at(c0, c1, m, z, x):  # x^(j+1) / (j+2) = (1/x) integral_0^x t^(j+1) dt
+        return F(*integral(c0, c1, m, z + 1, 0, x)) / x if x else F(0)
+
+    def faulty(c0, c1, m, z, lo, hi):
+        value = at(c0, c1, m, z, hi) - at(c0, c1, m, z, lo)
+        return value.numerator, value.denominator
+    return faulty
+
+
+def _beta_integral_from_zero(integral):
+    'the antiderivative is taken at 0 instead of at the lower bound'
+    return lambda c0, c1, m, z, lo, hi: integral(c0, c1, m, z, 0, hi)
+
+
+def _beta_integral_without_the_bound_denominator(integral):
+    'the walk steps by c0, not c0 V: the integral over [V lo, V hi] divided by V^top'
+    def faulty(c0, c1, m, z, lo, hi):
+        v = math.lcm(F(lo).denominator, F(hi).denominator)
+        total, den = integral(c0, c1, m, z, v * lo, v * hi)
+        return total, den * v ** (z + m + 1)
+    return faulty
+
+
+def _beta_integral_walking_by_one_more(c0, c1, m, z, lo, hi):
+    'C(m, i) c0^(m-i) walked down from 1 by b c0 i // (m-i+2), then integrated term by term'
+    b, value = 1, F(0)
+    for i in range(m, -1, -1):
+        value += b * c1 ** i * (F(hi) ** (z + i + 1) - F(lo) ** (z + i + 1)) / (z + i + 1)
+        b = b * c0 * i // (m - i + 2)
+    return value.numerator, value.denominator
 
 
 def _adding_one_to_the_top(add):
@@ -417,64 +448,71 @@ def _adding_one_to_the_top(add):
     return faulty
 
 
-def _times_powers_one_index_late(values, base, indices):
-    'values[i] *= base^(j-1) for the j-th index i: each power is applied before it is stepped'
-    power = 1
-    for i in indices:
-        values[i] *= power
-        power *= base
-
-
 _VERIFY_COMTET = ["verify", "comtet", "--format", "json"]
 _VERIFY_ALL = ["verify", "all", "--format", "json"]
 _VERIFY_POLYNOMIALS = ["verify", "polynomials", "--max-n", "8", "--format", "json"]
+# every check name of verify all with an integral side
+_INTEGRAL_CHECKS = ("beta_complement", "beta_cross", "binom_tail", "comtet1", "corollary1",
+                    "kimura_ruehr_moments", "negbinom_cdf", "negbinom_tail_gap", "partial_sum",
+                    "tailsum_comtet1", "tailsum_integral")
 _OFF_BY_ONE_FAULTS = {
-    # the integer Horner kernel skips the leading coefficient
+    # the integer Horner kernel skips the leading coefficient; poly_eval takes the chain's
+    # polynomial values through it, and no integral does
     "horner_kernel": (exact_math, "_horner",
                       lambda f: lambda nums, u, v: f(nums[:-1], u, v),
-                      _VERIFY_COMTET, ("comtet1",)),
-    # the antiderivative divides c_i by i + 2 instead of i + 1, in the unreduced integral
-    # that comtet1_integral scales and poly_definite_integral reduces
-    "definite_integral": (exact_math, "_unreduced_integral",
-                          _antiderivative_dividing_by_i_plus_2,
+                      _VERIFY_ALL, ("ruehr_chain", "ruehr_specialization")),
+    # the antiderivative divides the coefficient of x^j by j + 2 instead of j + 1, in the
+    # one integral primitive that comtet1_integral scales
+    "definite_integral": (exact_math, "_unreduced_beta_integral",
+                          _beta_integral_dividing_by_j_plus_2,
                           _VERIFY_COMTET, ("comtet1",)),
-    # the same fault under verify all: partial_sum is comtet1 at a = 1, b = d - 1, and
-    # tailsum_comtet1 sets two different integrals of that fault against each other
-    "definite_integral_all": (exact_math, "_unreduced_integral",
-                              _antiderivative_dividing_by_i_plus_2,
-                              _VERIFY_ALL, ("comtet1", "partial_sum", "tailsum_comtet1")),
-    # the same fault in the public poly_definite_integral only: comtet1_integral goes
-    # round it, and every other equality with an integral side sees it
-    "definite_integral_public_all": (exact_math, "poly_definite_integral",
-                                     _antiderivative_dividing_by_i_plus_2,
+    # the same fault under verify all: every equality with an integral side, since the
+    # comtet1, kimura and beta integrals all go through the one primitive (partial_sum is
+    # comtet1 at a = 1, b = d - 1; tailsum_comtet1 sets two faulted integrals against
+    # each other)
+    "definite_integral_all": (exact_math, "_unreduced_beta_integral",
+                              _beta_integral_dividing_by_j_plus_2, _VERIFY_ALL, _INTEGRAL_CHECKS),
+    # the walk steps by (c0 + 1) V instead of c0 V, so each power of c0 is off: every
+    # equality with an integral side, the beta integrals over [0, 1] included
+    "definite_integral_public_all": (exact_math, "_unreduced_beta_integral",
+                                     lambda f: lambda c0, c1, m, z, lo, hi:
+                                         f(c0 + 1, c1, m, z, lo, hi),
                                      _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail",
                                                    "corollary1", "kimura_ruehr_moments",
                                                    "negbinom_cdf", "negbinom_tail_gap")),
+    # the walk steps by c0 instead of c0 V, V the bounds' common denominator: only the
+    # integrals over a rational bound see it; the comtet1 integrals, whose bounds are
+    # integers after t = u/q, and beta_cross, over [0, 1], are blind to it
+    "beta_integral_bound_denominator": (exact_math, "_unreduced_beta_integral",
+                                        _beta_integral_without_the_bound_denominator,
+                                        _VERIFY_ALL, ("beta_complement", "binom_tail",
+                                                      "corollary1", "kimura_ruehr_moments",
+                                                      "negbinom_cdf", "negbinom_tail_gap")),
     # the antiderivative is evaluated at 0 instead of the lower bound: only the comtet1
     # checks with k >= n - k - 1 see it, whose integral runs over [L, H]; the others run
     # over [0, H - L] and are blind to it
-    "definite_integral_lower_bound": (exact_math, "_unreduced_integral",
-                                      lambda f: lambda p, lo, hi: f(p, 0, hi),
+    "definite_integral_lower_bound": (exact_math, "_unreduced_beta_integral",
+                                      _beta_integral_from_zero,
                                       _VERIFY_COMTET, ("comtet1",)),
     # the same fault under verify all: every check whose integral has a lower bound other
     # than 0 on one side only
-    "definite_integral_lower_bound_all": (exact_math, "_unreduced_integral",
-                                          lambda f: lambda p, lo, hi: f(p, 0, hi),
+    "definite_integral_lower_bound_all": (exact_math, "_unreduced_beta_integral",
+                                          _beta_integral_from_zero,
                                           _VERIFY_ALL, ("comtet1", "partial_sum",
                                                         "tailsum_comtet1", "tailsum_integral",
                                                         "corollary1", "kimura_ruehr_moments")),
-    # the partial binomial sum stops one term early
+    # the partial binomial sum stops one term early; partial_sum is comtet1 at a = 1,
+    # b = d - 1, the binomial tail is the comtet1 sum with k = n - a (beta_dist binds the
+    # same function), and both tails of tail_sum are comtet1 sums
     "comtet1_lhs": (ruehrkit.identities, "_comtet1_lhs",
                     lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
                     _VERIFY_COMTET, ("comtet1",)),
-    # the same fault under verify all: partial_sum is comtet1 at a = 1, b = d - 1, the
-    # binomial tail is the comtet1 sum with k = n - a, and both tails of tail_sum are
-    # comtet1 sums
     "comtet1_lhs_all": (ruehrkit.identities, "_comtet1_lhs",
                         lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
                         _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail",
                                       "tailsum_integral")),
-    # the binomial tail, taken from the comtet1 sum with k = n - a, starts one term late
+    # the binomial tail, taken from the comtet1 sum with k = n - a, starts one term late;
+    # beta_dist binds the same _comtet1_lhs, so this rebinds what comtet1_lhs_all does
     "binom_tail_lhs": (beta_dist, "_comtet1_lhs",
                        lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
                        _VERIFY_ALL, ("binom_tail",)),
@@ -486,10 +524,13 @@ _OFF_BY_ONE_FAULTS = {
     "ruehr_sums_direct": (ruehrkit.identities, "ruehr_sums_direct",
                           lambda f: lambda n: (f(n)[0] + 1,) + f(n)[1:],
                           _VERIFY_ALL, ("ruehr_chain",)),
-    # (c0 + c1 x)^e is expanded with the exponent one too high
-    "linear_power": (exact_math, "linear_power",
-                     lambda f: lambda c0, c1, e: f(c0, c1, e + 1),
-                     _VERIFY_ALL, ("comtet1",)),
+    # x^z (c0 + c1 x)^m is integrated with the exponent m one too high; the moment
+    # equality still holds for x^(2n) (3 - 2x)^(n+1), so kimura_ruehr_moments is blind to it
+    "linear_power": (exact_math, "_unreduced_beta_integral",
+                     lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1, m + 1, z, lo, hi),
+                     _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail", "comtet1",
+                                   "corollary1", "negbinom_cdf", "negbinom_tail_gap",
+                                   "partial_sum", "tailsum_comtet1", "tailsum_integral")),
     # p(x + 1) is composed as p(x + 2)
     "poly_compose": (exact_math, "poly_compose",
                      lambda f: lambda p, q: f(p, [q[0] + 1] + q[1:]),
@@ -498,11 +539,17 @@ _OFF_BY_ONE_FAULTS = {
     "tail_sum": (collatz_bound, "tail_sum",
                  lambda f: lambda query: f(query) - F(1, query.d ** query.k),
                  _VERIFY_ALL, ("tailsum_integral",)),
-    # each row entry divides by i + 2 instead of i + 1; ruehr_sums_direct and the
-    # comtet1 lhs do not use the row, so their checks see it
+    # each row entry divides by i + 2 instead of i + 1; family_polynomial takes B and D
+    # from the row, and neither ruehr_sums_direct nor family A, which alzer_shift sets
+    # against B, uses it
     "binomial_row": (exact_math, "binomial_row",
                      lambda f: _binomial_row_dividing_by_i_plus_2,
-                     _VERIFY_ALL, ("ruehr_chain", "comtet1")),
+                     _VERIFY_ALL, ("ruehr_chain", "alzer_shift")),
+    # the integral's walk from C(m, m) = 1 divides each step by one more; the comtet1
+    # sum walks its binomials the other way, from C(n, k) by _walked_sum
+    "beta_integral_walk_step": (exact_math, "_unreduced_beta_integral",
+                                lambda f: _beta_integral_walking_by_one_more,
+                                _VERIFY_ALL, _INTEGRAL_CHECKS),
     # each step of the far-end walk divides by one more; it carries every term-by-term
     # sum side: comtet1 (and partial_sum, binom_tail), tail_sum, the negative binomial
     # CDF and the chain sums
@@ -526,17 +573,14 @@ _OFF_BY_ONE_FAULTS = {
     # does not see it, since poly_compose shifts by a linear q without poly_add
     "poly_add": (exact_math, "poly_add", _adding_one_to_the_top, _VERIFY_POLYNOMIALS,
                  ("comtet3", "recurrence_f", "recurrence_g")),
-    # the running power reaches each index one step late; linear_power's powers and the
-    # scaling of poly_compose go through it, but the Alzer shifts scale by 1 and skip it
-    "times_powers": (exact_math, "_times_powers",
-                     lambda f: _times_powers_one_index_late, _VERIFY_COMTET, ("comtet1",)),
-    # the same fault under verify all: every equality with an integral side, each of which
-    # expands its integrand by linear_power
-    "times_powers_all": (exact_math, "_times_powers",
-                         lambda f: _times_powers_one_index_late, _VERIFY_ALL,
-                         ("beta_complement", "beta_cross", "binom_tail", "comtet1", "corollary1",
-                          "kimura_ruehr_moments", "negbinom_cdf", "partial_sum",
-                          "tailsum_comtet1", "tailsum_integral")),
+    # the Horner sum runs in (c1 + 1) U instead of c1 U: the running power of c1 is off
+    "times_powers": (exact_math, "_unreduced_beta_integral",
+                     lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1 + 1, m, z, lo, hi),
+                     _VERIFY_COMTET, ("comtet1",)),
+    # the same fault under verify all: every equality with an integral side
+    "times_powers_all": (exact_math, "_unreduced_beta_integral",
+                         lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1 + 1, m, z, lo, hi),
+                         _VERIFY_ALL, _INTEGRAL_CHECKS),
     # the affine branch of the map comes out one too large, so 1 -> 3 -> 6 -> 3
     "g_step": (collatz_bound, "g_step",
                lambda f: lambda ell, cfg: f(ell, cfg) + 1 if ell % cfg.div else f(ell, cfg),
@@ -567,9 +611,10 @@ def _integrates_the_shorter_factor(params):
 
 def test_sum_vs_integral_argv_takes_both_comtet1_integral_branches(monkeypatch):
     'at seed 42, 1006 of the 2000 comtet1 integrals run from 0 and the other 994 from L = bq'
-    integral, lows = ruehrkit.identities._unreduced_integral, []
-    monkeypatch.setattr(ruehrkit.identities, "_unreduced_integral",
-                        lambda p, lo, hi: lows.append(lo) or integral(p, lo, hi))
+    integral, lows = ruehrkit.identities._unreduced_beta_integral, []
+    monkeypatch.setattr(ruehrkit.identities, "_unreduced_beta_integral",
+                        lambda c0, c1, m, z, lo, hi: lows.append(lo) or integral(c0, c1, m, z,
+                                                                                 lo, hi))
     reports = list(run_instances(build_suites(["comtet"], 42, 60, 2000)))
     assert all(report.equal for report in reports)
     shorter = sum(_integrates_the_shorter_factor(report.params) for report in reports)
@@ -579,9 +624,8 @@ def test_sum_vs_integral_argv_takes_both_comtet1_integral_branches(monkeypatch):
 def test_lower_bound_fault_splits_only_the_comtet1_integrals_over_l_h(capsys, monkeypatch,
                                                                       fresh_memos):
     'an antiderivative taken at 0 for lo is right over [0, H - L]: that branch is blind to it'
-    integral = exact_math._unreduced_integral
-    _rebind_everywhere(monkeypatch, exact_math, "_unreduced_integral",
-                       lambda p, lo, hi: integral(p, 0, hi))
+    _rebind_everywhere(monkeypatch, exact_math, "_unreduced_beta_integral",
+                       _beta_integral_from_zero(exact_math._unreduced_beta_integral))
     code, out, _ = _run_cli(capsys, ["verify", "comtet", "--max-n", "60", "--trials", "2000",
                                      "--seed", "42", "--format", "json"])
     assert code == 1
@@ -606,12 +650,12 @@ def test_every_check_name_has_a_report_with_a_nonzero_side(capsys, fresh_memos, 
 
 def test_harness_decides_equality_when_compare_sides_trusts_every_pair(capsys, monkeypatch,
                                                                       fresh_memos):
-    'a compare_sides that calls every pair equal must not hide a linear_power fault'
+    'a compare_sides that calls every pair equal must not hide a wrong exponent in the integrand'
     _rebind_everywhere(monkeypatch, ruehrkit.identities, "compare_sides",
                        lambda lhs, rhs: SidePair(lhs, rhs, True))
-    power = exact_math.linear_power
-    _rebind_everywhere(monkeypatch, exact_math, "linear_power",
-                       lambda c0, c1, e: power(c0, c1, e + 1))
+    integral = exact_math._unreduced_beta_integral
+    _rebind_everywhere(monkeypatch, exact_math, "_unreduced_beta_integral",
+                       lambda c0, c1, m, z, lo, hi: integral(c0, c1, m + 1, z, lo, hi))
     code, out, _ = _run_cli(capsys, ["verify", "all", "--seed", "42", "--format", "json"])
     assert code == 1
     reports = [json.loads(line) for line in out.splitlines()]

@@ -256,6 +256,15 @@ def test_comtet1_integral_matches_naive_fraction_integral_on_both_branches():
                 assert type(got) is (int if want.denominator == 1 else F)
 
 
+def test_comtet1_sides_with_a_plus_b_zero_integrate_with_c0_zero():
+    'H = 0 makes c0 = 0 in the integral walk; each side is a^n (-1)^k C(n-1, k)'
+    for n in range(1, 25):
+        for k in range(n):
+            for a in (F(2, 3), -3, F(-5, 7)):
+                pair = comtet1_sides(n, k, a, -a)
+                assert pair.equal and pair.rhs == a ** n * (-1) ** k * math.comb(n - 1, k)
+
+
 def test_comtet1_integral_builds_one_fraction_per_call(fraction_constructions):
     'the unreduced integral is scaled in integers and reduced once, on both branches'
     cases = [(60, 30, F(3, 7), F(-5, 2)), (60, 10, F(3, 7), F(-5, 2)), (9, 4, 1, 2),
@@ -522,16 +531,16 @@ def test_corollary1_computes_only_its_own_integral_and_chain_sum(monkeypatch, va
                                                                 chain_index, bounds):
     'one integral and one chain sum per variant, and the same sides as the moments give'
     integrated, walked = [], []
-    integral, walk = identities.poly_definite_integral, identities.ruehr_sum_direct
+    integral, walk = identities._unreduced_beta_integral, identities.ruehr_sum_direct
 
-    def counting_integral(p, lo, hi):
+    def counting_integral(c0, c1, m, z, lo, hi):
         integrated.append((lo, hi))
-        return integral(p, lo, hi)
+        return integral(c0, c1, m, z, lo, hi)
 
     def counting_walk(n, index):
         walked.append(index)
         return walk(n, index)
-    monkeypatch.setattr(identities, "poly_definite_integral", counting_integral)
+    monkeypatch.setattr(identities, "_unreduced_beta_integral", counting_integral)
     monkeypatch.setattr(identities, "ruehr_sum_direct", counting_walk)
     monkeypatch.setattr(identities, "ruehr_sums_direct", None)
     pair = corollary1_sides(7, variant)
