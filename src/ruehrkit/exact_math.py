@@ -166,12 +166,9 @@ def poly_pow(p: Polynomial, exponent: int) -> Polynomial:
 def _times_powers(values: list, base: int, indices: range) -> None:
     """values[i] *= base^j for the j-th index i of indices (j = 1, 2, ...), in place.
 
-    One running power; a base of -1 negates every other entry instead.
+    One running power; a base of 1 leaves values as they are.
     """
-    if base == -1:
-        for i in indices[::2]:
-            values[i] = -values[i]
-    elif base != 1:
+    if base != 1:
         power = 1
         for i in indices:
             power *= base

@@ -201,9 +201,9 @@ def _suite_corollaries(src: FuzzSource, max_n: int, trials: int) -> list[CheckIn
         for variant in ("first", "second"):
             out.append(CheckInstance("corollary2", {"n": n, "variant": variant},
                                      identities.corollary2_sides, (n, variant)))
-        # numeric spot checks that recover the chain values from the
-        # polynomial identities: x=2/3 scaled by 3^n and x=4/3 by 9^n
-        for variant, point, scale, chain_index in (("first", Fraction(2, 3), 3, 0),
+        # one link of the chain each: 3^n lhs(2/3) = A_n(3) against B_n(2), and
+        # 9^n lhs(4/3) = C_n(-3) against D_n(-4)
+        for variant, point, scale, chain_index in (("first", Fraction(2, 3), 3, 1),
                                                    ("second", Fraction(4, 3), 9, 2)):
             out.append(CheckInstance("ruehr_specialization", {"n": n, "point": point},
                                      _ruehr_specialization_sides,
@@ -221,7 +221,8 @@ def _alzer_shift_sides(n: int, left: SumFamily, right: SumFamily) -> SidePair:
     synthetic division; it goes through neither poly_mul nor poly_add, and
     its slope of 1 leaves _times_powers nothing to scale.  The right side
     is built by its own route in family_polynomial (binomial_row for B and
-    D, a walk up the top index for A and C).
+    D, a walk up the top index for A and C).  corollary2 checks the same
+    shift in homogeneous form, from the same coefficient lists.
     """
     lhs = poly_compose(identities.family_polynomial(left, n), [1, 1])
     return compare_sides(lhs, identities.family_polynomial(right, n))

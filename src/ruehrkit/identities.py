@@ -1,10 +1,44 @@
 """Dual-path verification of a family of binomial-sum and integral identities.
 
-Every checker here builds both sides of one identity by genuinely different
+Most checkers here build the two sides of one identity by different
 routes: term-by-term summation on one side, polynomial algebra plus exact
-integration on the other.  The routes share nothing beyond the binomial and
-rational primitives, so exact agreement is strong evidence that neither
-path is wrong.  All results are exact; there is no tolerance anywhere.
+integration on the other.  Those routes share nothing beyond the binomial
+and rational primitives, so exact agreement is strong evidence that
+neither path is wrong.  All results are exact; there is no tolerance
+anywhere.
+
+Some checks run one decisive function on both sides.  They prove an
+identity that function must satisfy, not the function against a second
+route, and a fault in it is caught elsewhere or not at all:
+
+* kimura_ruehr_moments integrates with one primitive,
+  _unreduced_beta_integral, over two intervals.  It is blind to an
+  exponent off by one, since the equality also holds for
+  x^(2n+1) (3-2x)^n and x^(2n) (3-2x)^(n+1); only corollary1, which sets
+  one of the same integrals against a chain sum, catches that fault.
+* the harness's beta_complement calls beta_dist.regularized_beta twice.
+* the harness's tailsum_comtet1 calls comtet1_integral twice.
+* the harness's recurrence_f and recurrence_g call proof_helper on both
+  sides; whenever comtet3 holds, recurrence_g reports the same two sides
+  as recurrence_f.
+* corollary2 and the harness's alzer_shift check one identity, the
+  Alzer-Prodinger shift, on the same family_polynomial coefficient lists
+  by two transforms: nested multiplication in 1 - x, and a Taylor shift.
+
+The paper's derivation of the Ruehr chain, link by link, with K = 3x^2 -
+2x^3, c = (n+1) C(3n+1, 2n) and the check that proves each link at each n
+it runs for:
+
+  A_n(3) = B_n(2)                          corollary2 first at x = 2/3
+  B_n(2) = c integral_0^1 K^n              corollary1 pos
+  integral_(-1/2)^(3/2) K^n = 2 integral_0^1 K^n      kimura_ruehr_moments
+  D_n(-4) = c/2 integral_(-1/2)^(3/2) K^n  corollary1 neg
+  C_n(-3) = D_n(-4)                        corollary2 second at x = 4/3
+
+The two corollary2 links are the harness's ruehr_specialization checks;
+corollary2 itself is comtet2 at (m, N) = (2n+1, 3n+1) or (n+1, 3n+1),
+divided by x^m.  The harness's ruehr_chain check sets the four direct
+sums against the four family values at once.
 
 The cast of identities:
 
@@ -65,8 +99,10 @@ math.comb value, added by poly_add:
   f(m, N) = f(m, N-1) + C(m-1+N, N) (1-x)^N
   g(m, N) = x g(m+1, N-1) + C(N+m, N) (1-x)^N   (x by poly_shift)
 
-Both builders multiply by 1 - x in _times_one_minus_x; no side takes a
-binomial_row.  g is never built by f's rule
+Both builders multiply by 1 - x in _times_one_minus_x.  The comtet2 and f/g
+sides take no binomial_row; the corollary2 sides take their coefficients
+from family_polynomial, so the rhs takes B or D from binomial_row.
+g is never built by f's rule
 g(m, N) = g(m, N-1) + C(m-1+N, N) (1-x)^N, though it holds too: then
 comtet3 would hold by construction.  The f/g recurrence checks in the
 harness multiply by 1 - x on their own, with poly_mul, and add with
@@ -400,37 +436,42 @@ def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:
     second: sum_{0<=j<=2n} C(3n-j, n)  (1-x)^(2n-j)
             = sum_{0<=k<=2n} C(3n+1, n+1+k) x^k (1-x)^(2n-k)
 
-    Both are one sum over 0<=j<=top with low = 3n - top (top = n or 2n):
-    C(3n-j, low) (1-x)^(top-j) = C(3n+1, low+1+j) x^j (1-x)^(top-j),
-    using C(3n+1, 2n+1+j) = C(3n+1, n-j) for the first.
+    The coefficients are those of A_n and B_n (first) or C_n and D_n
+    (second), taken from family_polynomial; top = n or 2n is their degree.
+    The identity is the Alzer-Prodinger shift A_n(y) = B_n(y-1) or
+    C_n(y) = D_n(y-1) in homogeneous form: both sides are (1-x)^top times
+    the family at y = 1/(1-x), and y - 1 = x/(1-x).  It is also
+    comtet2_sides(m, 3n+1) divided by x^m, at m = 2n+1 (first) or m = n+1
+    (second), and term by term comtet3_sides(m, 3n+1-m), the f and g
+    members of that (m, N).  So this check and the harness's alzer_shift
+    test one identity by two transforms of the same coefficient lists:
+    nested multiplication in 1 - x here, a Taylor shift there.
 
     Polynomial equality subsumes every numeric specialization; the spot
-    values at x = 2/3 and x = 4/3 that recover the chain are kept as
-    separate checks in the harness.
+    values at x = 2/3 (y = 3) and x = 4/3 (y = -3) that recover the chain
+    are kept as separate checks in the harness.
     """
     return compare_sides(corollary2_lhs(n, variant), corollary2_rhs(n, variant))
 
 
 def corollary2_lhs(n: int, variant: Literal["first", "second"]) -> Polynomial:
-    """The lhs of corollary2_sides: sum_{0<=j<=top} C(3n-j, low) (1-x)^(top-j)."""
-    top, low = _corollary2_range(n, variant)
-    return _bernstein_sum([binomial(3 * n - j, low) for j in range(top + 1)], 0, 0)
+    """The lhs of corollary2_sides: A_n or C_n with x^j replaced by (1-x)^(top-j)."""
+    return _bernstein_sum(family_polynomial(_corollary2_families(n, variant)[0], n), 0, 0)
 
 
 def corollary2_rhs(n: int, variant: Literal["first", "second"]) -> Polynomial:
-    """The rhs of corollary2_sides: sum_{0<=j<=top} C(3n+1, low+1+j) x^j (1-x)^(top-j)."""
-    top, low = _corollary2_range(n, variant)
-    return _bernstein_sum([binomial(3 * n + 1, low + 1 + j) for j in range(top + 1)], 0, 1)
+    """The rhs of corollary2_sides: B_n or D_n with x^j replaced by x^j (1-x)^(top-j)."""
+    return _bernstein_sum(family_polynomial(_corollary2_families(n, variant)[1], n), 0, 1)
 
 
-def _corollary2_range(n: int, variant: str) -> tuple[int, int]:
-    """(top, low) = (n, 2n) for the first variant and (2n, n) for the second."""
+def _corollary2_families(n: int, variant: str) -> tuple[SumFamily, SumFamily]:
+    """(A, B) for the first variant and (C, D) for the second."""
     if n < 0:
         raise ValueError(f"corollary2_sides requires n >= 0, got {n}")
     if variant == "first":
-        return n, 2 * n
+        return SumFamily.A, SumFamily.B
     if variant == "second":
-        return 2 * n, n
+        return SumFamily.C, SumFamily.D
     raise ValueError(f"corollary2_sides variant must be 'first' or 'second', got {variant!r}")
 
 

@@ -540,11 +540,11 @@ _OFF_BY_ONE_FAULTS = {
                  lambda f: lambda query: f(query) - F(1, query.d ** query.k),
                  _VERIFY_ALL, ("tailsum_integral",)),
     # each row entry divides by i + 2 instead of i + 1; family_polynomial takes B and D
-    # from the row, and neither ruehr_sums_direct nor family A, which alzer_shift sets
-    # against B, uses it
+    # from the row, and neither ruehr_sums_direct nor families A and C, which alzer_shift
+    # and corollary2 set against B and D, use it
     "binomial_row": (exact_math, "binomial_row",
                      lambda f: _binomial_row_dividing_by_i_plus_2,
-                     _VERIFY_ALL, ("ruehr_chain", "alzer_shift")),
+                     _VERIFY_ALL, ("ruehr_chain", "alzer_shift", "corollary2")),
     # the integral's walk from C(m, m) = 1 divides each step by one more; the comtet1
     # sum walks its binomials the other way, from C(n, k) by _walked_sum
     "beta_integral_walk_step": (exact_math, "_unreduced_beta_integral",
@@ -847,12 +847,17 @@ def test_cli_keeps_no_report_after_writing_it(monkeypatch):
 
 
 def test_ruehr_specialization_builds_only_the_corollary2_lhs(monkeypatch):
+    'one link of the chain each: A_n(3) at 2/3 against B_n(2), C_n(-3) at 4/3 against D_n(-4)'
+    instances = [instance for instance in build_suites(["corollaries"], 42, 7, 0)
+                 if instance.check_name == "ruehr_specialization"]
+    assert {instance.args[1:] for instance in instances} == {("first", F(2, 3), 3, 1),
+                                                            ("second", F(4, 3), 9, 2)}
+
     def forbidden(n, variant):
         raise AssertionError("the specialization built the corollary2 rhs")
     monkeypatch.setattr(ruehrkit.identities, "corollary2_rhs", forbidden)
-    for n in range(8):
-        assert harness._ruehr_specialization_sides(n, "first", F(2, 3), 3, 0).equal
-        assert harness._ruehr_specialization_sides(n, "second", F(4, 3), 9, 2).equal
+    assert len(instances) == 16
+    assert all(instance.checker(*instance.args).equal for instance in instances)
 
 
 def test_corollary2_lhs_returns_a_fresh_list_and_its_specialization_holds():

@@ -482,7 +482,7 @@ def test_deep_corollary2_sides_agree_past_the_old_row_depth():
 
 
 def test_polynomial_sides_take_no_binomial_row(monkeypatch, fresh_memos):
-    'comtet2, the f/g chains and corollary2 multiply by 1-x and take math.comb coefficients'
+    'comtet2 and the f/g chains multiply by 1-x and take math.comb coefficients'
     import ruehrkit.exact_math as em
 
     def forbidden(*args):
@@ -492,7 +492,6 @@ def test_polynomial_sides_take_no_binomial_row(monkeypatch, fresh_memos):
     for n in range(1, 9):
         assert all(comtet2_sides(m, n).equal for m in range(1, n + 1))
         assert all(comtet3_sides(m, n).equal for m in range(1, 9))
-        assert all(corollary2_sides(n, variant).equal for variant in ("first", "second"))
 
 
 def test_fg_recurrences():
@@ -592,16 +591,28 @@ def test_corollary2_equality_sweep():
 
 
 def test_corollary2_matches_comtet3_specialization():
-    'first form is comtet3 at m = 2N+1 after reindexing, so cross-check it'
-    for n in range(12):
-        lhs_direct = []
-        one_minus_pows = [poly_normalize([1])]
-        for _ in range(n):
-            one_minus_pows.append(poly_mul(one_minus_pows[-1], ONE_MINUS_X))
-        for j in range(n + 1):
-            term = [F(binomial(3 * n - j, 2 * n))]
-            lhs_direct = poly_add(lhs_direct, poly_mul(term, one_minus_pows[n - j]))
-        assert corollary2_sides(n, "first").lhs == lhs_direct
+    'each side against its definition: math.comb coefficient lists summed by the poly_pow reference'
+    for n in range(13):
+        first = [(math.comb(3 * n - j, 2 * n), math.comb(3 * n + 1, n - j), n - j)
+                 for j in range(n + 1)]
+        second = [(math.comb(3 * n - j, n), math.comb(3 * n + 1, n + 1 + j), 2 * n - j)
+                  for j in range(2 * n + 1)]
+        for variant, terms, m in (("first", first, 2 * n + 1), ("second", second, n + 1)):
+            lhs = _bernstein_reference((c, 0, r) for c, _, r in terms)
+            rhs = _bernstein_reference((c, j, r) for j, (_, c, r) in enumerate(terms))
+            assert corollary2_lhs(n, variant) == lhs, (n, variant)
+            assert corollary2_rhs(n, variant) == rhs, (n, variant)
+            # term by term, the sides are the f and g members of comtet3 at (m, 3n + 1 - m)
+            assert comtet3_sides(m, 3 * n + 1 - m)[:2] == (lhs, rhs), (n, variant)
+
+
+def test_corollary2_is_comtet2_divided_by_x_to_the_m():
+    'x^m corollary2(n) is comtet2(m, 3n+1) at m = 2n+1 (first) and m = n+1 (second)'
+    for n in range(13):
+        for variant, m in (("first", 2 * n + 1), ("second", n + 1)):
+            pair = comtet2_sides(m, 3 * n + 1)
+            assert poly_shift(corollary2_lhs(n, variant), m) == pair.lhs, (n, variant)
+            assert poly_shift(corollary2_rhs(n, variant), m) == pair.rhs, (n, variant)
 
 
 def test_specialization_recovers_chain_values():
