@@ -144,8 +144,6 @@ def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for k, cb in enumerate(b, i):
@@ -166,13 +164,12 @@ def poly_pow(p: Polynomial, exponent: int) -> Polynomial:
 def _times_powers(values: list, base: int, indices: range) -> None:
     """values[i] *= base^j for the j-th index i of indices (j = 1, 2, ...), in place.
 
-    One running power; a base of 1 leaves values as they are.
+    The powers come from one running product.
     """
-    if base != 1:
-        power = 1
-        for i in indices:
-            power *= base
-            values[i] *= power
+    power = 1
+    for i in indices:
+        power *= base
+        values[i] *= power
 
 
 def linear_power(c0, c1, exponent: int) -> Polynomial:
@@ -242,12 +239,7 @@ def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:
 
 def _horner(nums: list[int], u: int, v: int) -> int:
     """sum nums[i] u^i v^(deg-i): v^deg times the value of nums at u/v, in ints."""
-    acc = 0
-    if v == 1:
-        for c in reversed(nums):
-            acc = acc * u + c
-        return acc
-    v_pow = 1
+    acc, v_pow = 0, 1
     for c in reversed(nums):
         acc = acc * u + c * v_pow
         v_pow *= v
@@ -300,8 +292,7 @@ def _unreduced_beta_integral(c0: int, c1: int, m: int, z: int, lo, hi) -> tuple[
     at U/V is U^(z+1) sum_i b_i f_i (c1 U)^i / (s V^top), b_i = C(m, i) (c0 V)^(m-i).
     One loop walks b_i down from b_m = C(m, m) = 1 by the exact step
     b_(i-1) = b_i c0 V i / (m-i+1), exact for every c0, 0 included, and
-    Horner-sums both bounds at once in c1 U.  It builds no list, and a lower
-    bound at 0 takes no Horner work.
+    Horner-sums both bounds at once in c1 U.  It builds no list.
     """
     lo, hi = _scalar(lo), _scalar(hi)
     v = math.lcm(lo.denominator, hi.denominator)
@@ -309,19 +300,12 @@ def _unreduced_beta_integral(c0: int, c1: int, m: int, z: int, lo, hi) -> tuple[
     u_hi, u_lo = hi.numerator * (v // hi.denominator), lo.numerator * (v // lo.denominator)
     w_hi, w_lo, step = c1 * u_hi, c1 * u_lo, c0 * v
     b, acc_hi, acc_lo = 1, 0, 0
-    if u_lo:
-        for i in range(m, -1, -1):
-            a = b * factors[i]
-            acc_hi = acc_hi * w_hi + a
-            acc_lo = acc_lo * w_lo + a
-            b = b * step * i // (m - i + 1)
-        total = u_hi ** (z + 1) * acc_hi - u_lo ** (z + 1) * acc_lo
-    else:
-        for i in range(m, -1, -1):
-            acc_hi = acc_hi * w_hi + b * factors[i]
-            b = b * step * i // (m - i + 1)
-        total = u_hi ** (z + 1) * acc_hi
-    return total, scale * v ** (z + m + 1)
+    for i in range(m, -1, -1):
+        a = b * factors[i]
+        acc_hi = acc_hi * w_hi + a
+        acc_lo = acc_lo * w_lo + a
+        b = b * step * i // (m - i + 1)
+    return u_hi ** (z + 1) * acc_hi - u_lo ** (z + 1) * acc_lo, scale * v ** (z + m + 1)
 
 
 # Every degree up to this one has its own entry, so the memo never evicts

@@ -117,9 +117,9 @@ class CheckReport(NamedTuple):
 def serialize_value(value) -> str:
     """Rational -> "num/den"; list/tuple of rationals -> JSON array of them.
 
-    Values follow exact_math's scalar rule, so str gives each "num" or
-    "num/den" text in lowest terms, and a join gives json.dumps' bytes for
-    the array: rational strings need no JSON escapes.
+    str gives an int and a Fraction of the same value the same "num" or
+    "num/den" text in lowest terms (Fraction(1, 1) is "1"), and a join gives
+    json.dumps' bytes for the array: rational strings need no JSON escapes.
     """
     if isinstance(value, (list, tuple)):
         return '["' + '", "'.join(map(str, value)) + '"]' if value else "[]"

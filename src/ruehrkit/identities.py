@@ -66,8 +66,8 @@ of _unreduced_beta_integral down from C(m, m) = 1):
   shorter factor is expanded, in the walk of _unreduced_beta_integral:
   with k >= e, (H-u)^e over [L, H], its antiderivative evaluated at both
   bounds; with k < e, w = H - u turns it into (H-w)^k w^e over
-  [0, H-L], evaluated at H-L only.  That branch cannot see a fault that
-  takes the antiderivative at 0 instead of the lower bound; the [L, H]
+  [0, H-L], whose lower-bound term is 0.  That branch cannot see a fault
+  that takes the antiderivative at 0 instead of the lower bound; the [L, H]
   branch, about half the fuzzed checks, does.  The integral's unreduced
   pair is scaled by (n-k) C(n, k) / q^n and made a single Fraction at the
   end, so each rhs takes one gcd.
@@ -132,7 +132,6 @@ from .exact_math import (
     poly_add,
     poly_eval,
     poly_mul,  # noqa: F401  (not called here; bench/test_bench.py rebinds identities.poly_mul)
-    poly_normalize,
     poly_shift,
 )
 
@@ -192,6 +191,8 @@ def family_polynomial(fam: SumFamily, n: int) -> Polynomial:
 
     B and D are binomial rows reversed (C(3n+1, n+1+j) = C(3n+1, 2n-j)); A
     and C are columns C(low, low), ..., C(3n, low) walked up the top index.
+    Every coefficient is an int and the top one is 1, so the list is
+    returned as built.
     """
     if n < 0:
         raise ValueError(f"family_polynomial requires n >= 0, got {n}")
@@ -207,7 +208,7 @@ def family_polynomial(fam: SumFamily, n: int) -> Polynomial:
         coeffs = binomial_row(3 * n + 1, 2 * n)[::-1]
     else:
         raise ValueError(f"unknown family {fam!r}")
-    return poly_normalize(coeffs)
+    return coeffs
 
 
 def ruehr_sums_direct(n: int) -> tuple[int, int, int, int]:
@@ -261,10 +262,7 @@ def comtet1_sides(n: int, k: int, a, b) -> SidePair:
         raise ValueError(f"comtet1_sides requires n >= 0, got n={n}")
     if not 0 <= k < n:
         raise ValueError(f"comtet1_sides requires 0 <= k < n, got k={k}, n={n}")
-    if type(a) is not int and type(a) is not Fraction:
-        a = Fraction(a)
-    if type(b) is not int and type(b) is not Fraction:
-        b = Fraction(b)
+    a, b = _scalar(a), _scalar(b)
     return compare_sides(_comtet1_lhs(n, k, a, b), comtet1_integral(n, k, a, b))
 
 
@@ -277,9 +275,9 @@ def comtet1_integral(n: int, k: int, a, b) -> Scalar:
     over the integer bounds L = bq and H = L + aq.  _unreduced_beta_integral
     expands the shorter factor: (H-u)^e when k >= e, over [L, H]; else, with
     u = H - w, (H-w)^k times w^e, integrated over [0, H-L], so the walk takes
-    k+1 steps and the antiderivative is evaluated at one bound.  The integral's
-    unreduced numerator and denominator are scaled by (n-k) C(n,k) and q^n
-    and made one Fraction.
+    k+1 steps and the lower bound's term is 0.  The integral's unreduced
+    numerator and denominator are scaled by (n-k) C(n,k) and q^n and made
+    one Fraction.
     """
     q = math.lcm(a.denominator, b.denominator)
     lo = b.numerator * (q // b.denominator)

@@ -441,14 +441,13 @@ def _beta_integral_walking_by_one_more(c0, c1, m, z, lo, hi):
     return value.numerator, value.denominator
 
 
-def _adding_one_to_the_top(add):
+def _adding_one_to_the_top(op):
     def faulty(a, b):
-        out = add(a, b)
+        out = op(a, b)
         return out[:-1] + [out[-1] + 1] if out else out
     return faulty
 
 
-_VERIFY_COMTET = ["verify", "comtet", "--format", "json"]
 _VERIFY_ALL = ["verify", "all", "--format", "json"]
 _VERIFY_POLYNOMIALS = ["verify", "polynomials", "--max-n", "8", "--format", "json"]
 # every check name of verify all with an integral side
@@ -461,25 +460,18 @@ _OFF_BY_ONE_FAULTS = {
     "horner_kernel": (exact_math, "_horner",
                       lambda f: lambda nums, u, v: f(nums[:-1], u, v),
                       _VERIFY_ALL, ("ruehr_chain", "ruehr_specialization")),
-    # the antiderivative divides the coefficient of x^j by j + 2 instead of j + 1, in the
-    # one integral primitive that comtet1_integral scales
-    "definite_integral": (exact_math, "_unreduced_beta_integral",
-                          _beta_integral_dividing_by_j_plus_2,
-                          _VERIFY_COMTET, ("comtet1",)),
-    # the same fault under verify all: every equality with an integral side, since the
-    # comtet1, kimura and beta integrals all go through the one primitive (partial_sum is
-    # comtet1 at a = 1, b = d - 1; tailsum_comtet1 sets two faulted integrals against
-    # each other)
-    "definite_integral_all": (exact_math, "_unreduced_beta_integral",
-                              _beta_integral_dividing_by_j_plus_2, _VERIFY_ALL, _INTEGRAL_CHECKS),
+    # the antiderivative divides the coefficient of x^j by j + 2 instead of j + 1: every
+    # equality with an integral side, since the comtet1, kimura and beta integrals all go
+    # through the one primitive (partial_sum is comtet1 at a = 1, b = d - 1;
+    # tailsum_comtet1 sets two faulted integrals against each other)
+    "beta_integral_antiderivative_divisor": (exact_math, "_unreduced_beta_integral",
+                                             _beta_integral_dividing_by_j_plus_2,
+                                             _VERIFY_ALL, _INTEGRAL_CHECKS),
     # the walk steps by (c0 + 1) V instead of c0 V, so each power of c0 is off: every
     # equality with an integral side, the beta integrals over [0, 1] included
-    "definite_integral_public_all": (exact_math, "_unreduced_beta_integral",
-                                     lambda f: lambda c0, c1, m, z, lo, hi:
-                                         f(c0 + 1, c1, m, z, lo, hi),
-                                     _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail",
-                                                   "corollary1", "kimura_ruehr_moments",
-                                                   "negbinom_cdf", "negbinom_tail_gap")),
+    "beta_integral_c0_power": (exact_math, "_unreduced_beta_integral",
+                               lambda f: lambda c0, c1, m, z, lo, hi: f(c0 + 1, c1, m, z, lo, hi),
+                               _VERIFY_ALL, _INTEGRAL_CHECKS),
     # the walk steps by c0 instead of c0 V, V the bounds' common denominator: only the
     # integrals over a rational bound see it; the comtet1 integrals, whose bounds are
     # integers after t = u/q, and beta_cross, over [0, 1], are blind to it
@@ -488,34 +480,22 @@ _OFF_BY_ONE_FAULTS = {
                                         _VERIFY_ALL, ("beta_complement", "binom_tail",
                                                       "corollary1", "kimura_ruehr_moments",
                                                       "negbinom_cdf", "negbinom_tail_gap")),
-    # the antiderivative is evaluated at 0 instead of the lower bound: only the comtet1
-    # checks with k >= n - k - 1 see it, whose integral runs over [L, H]; the others run
-    # over [0, H - L] and are blind to it
-    "definite_integral_lower_bound": (exact_math, "_unreduced_beta_integral",
-                                      _beta_integral_from_zero,
-                                      _VERIFY_COMTET, ("comtet1",)),
-    # the same fault under verify all: every check whose integral has a lower bound other
-    # than 0 on one side only
-    "definite_integral_lower_bound_all": (exact_math, "_unreduced_beta_integral",
-                                          _beta_integral_from_zero,
-                                          _VERIFY_ALL, ("comtet1", "partial_sum",
-                                                        "tailsum_comtet1", "tailsum_integral",
-                                                        "corollary1", "kimura_ruehr_moments")),
+    # the antiderivative is evaluated at 0 instead of the lower bound: every check whose
+    # integral has a lower bound other than 0 on one side only; the comtet1 integrals over
+    # [0, H - L], with k < n - k - 1, are blind to it
+    "beta_integral_lower_bound": (exact_math, "_unreduced_beta_integral",
+                                  _beta_integral_from_zero,
+                                  _VERIFY_ALL, ("comtet1", "partial_sum",
+                                                "tailsum_comtet1", "tailsum_integral",
+                                                "corollary1", "kimura_ruehr_moments")),
     # the partial binomial sum stops one term early; partial_sum is comtet1 at a = 1,
-    # b = d - 1, the binomial tail is the comtet1 sum with k = n - a (beta_dist binds the
-    # same function), and both tails of tail_sum are comtet1 sums
-    "comtet1_lhs": (ruehrkit.identities, "_comtet1_lhs",
-                    lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
-                    _VERIFY_COMTET, ("comtet1",)),
+    # b = d - 1, the binomial tail is the comtet1 sum with k = n - a (beta_dist and
+    # collatz_bound bind the same function, and _rebind_everywhere rebinds it there),
+    # and both tails of tail_sum are comtet1 sums
     "comtet1_lhs_all": (ruehrkit.identities, "_comtet1_lhs",
                         lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
                         _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail",
                                       "tailsum_integral")),
-    # the binomial tail, taken from the comtet1 sum with k = n - a, starts one term late;
-    # beta_dist binds the same _comtet1_lhs, so this rebinds what comtet1_lhs_all does
-    "binom_tail_lhs": (beta_dist, "_comtet1_lhs",
-                       lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
-                       _VERIFY_ALL, ("binom_tail",)),
     # the negative binomial CDF stops one term early
     "negbinom_cdf_lhs": (beta_dist, "_negbinom_mass",
                          lambda f: lambda r, lo, hi, p: f(r, lo, hi - 1, p),
@@ -526,11 +506,12 @@ _OFF_BY_ONE_FAULTS = {
                           _VERIFY_ALL, ("ruehr_chain",)),
     # x^z (c0 + c1 x)^m is integrated with the exponent m one too high; the moment
     # equality still holds for x^(2n) (3 - 2x)^(n+1), so kimura_ruehr_moments is blind to it
-    "linear_power": (exact_math, "_unreduced_beta_integral",
-                     lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1, m + 1, z, lo, hi),
-                     _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail", "comtet1",
-                                   "corollary1", "negbinom_cdf", "negbinom_tail_gap",
-                                   "partial_sum", "tailsum_comtet1", "tailsum_integral")),
+    "beta_integral_exponent_m": (exact_math, "_unreduced_beta_integral",
+                                 lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1, m + 1, z, lo, hi),
+                                 _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail",
+                                               "comtet1", "corollary1", "negbinom_cdf",
+                                               "negbinom_tail_gap", "partial_sum",
+                                               "tailsum_comtet1", "tailsum_integral")),
     # p(x + 1) is composed as p(x + 2)
     "poly_compose": (exact_math, "poly_compose",
                      lambda f: lambda p, q: f(p, [q[0] + 1] + q[1:]),
@@ -573,14 +554,29 @@ _OFF_BY_ONE_FAULTS = {
     # does not see it, since poly_compose shifts by a linear q without poly_add
     "poly_add": (exact_math, "poly_add", _adding_one_to_the_top, _VERIFY_POLYNOMIALS,
                  ("comtet3", "recurrence_f", "recurrence_g")),
-    # the Horner sum runs in (c1 + 1) U instead of c1 U: the running power of c1 is off
-    "times_powers": (exact_math, "_unreduced_beta_integral",
-                     lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1 + 1, m, z, lo, hi),
-                     _VERIFY_COMTET, ("comtet1",)),
-    # the same fault under verify all: every equality with an integral side
-    "times_powers_all": (exact_math, "_unreduced_beta_integral",
-                         lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1 + 1, m, z, lo, hi),
-                         _VERIFY_ALL, _INTEGRAL_CHECKS),
+    # the Horner sum runs in (c1 + 1) U instead of c1 U, so each power of c1 is off: every
+    # equality with an integral side
+    "beta_integral_c1_power": (exact_math, "_unreduced_beta_integral",
+                               lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1 + 1, m, z, lo, hi),
+                               _VERIFY_ALL, _INTEGRAL_CHECKS),
+    # every math.comb value comes out one too large: the term-by-term sums start from one
+    # (the chain sums and the comtet1 and negative binomial walks), the comtet1 integral's
+    # scale (n-k) C(n, k) takes one, and the comtet2 terms and f/g chain steps one each;
+    # alzer_shift and corollary2 take their coefficients from family_polynomial's walks
+    "binomial": (exact_math, "binomial", lambda f: lambda n, k: f(n, k) + 1,
+                 _VERIFY_ALL, ("binom_tail", "comtet1", "comtet2", "comtet3", "corollary1",
+                               "negbinom_cdf", "negbinom_tail_gap", "partial_sum",
+                               "recurrence_f", "recurrence_g", "ruehr_chain",
+                               "ruehr_specialization", "tailsum_comtet1", "tailsum_integral")),
+    # the top coefficient of a product comes out one too large: only the f/g recurrence
+    # checks multiply polynomials, by 1 - x on their own
+    "poly_mul": (exact_math, "poly_mul", _adding_one_to_the_top, _VERIFY_POLYNOMIALS,
+                 ("recurrence_f", "recurrence_g")),
+    # the complete beta function comes out one too large: every regularized_beta side, and
+    # beta_cross, which sets it against its integral
+    "beta_exact": (beta_dist, "beta_exact", lambda f: lambda x, y: f(x, y) + 1,
+                   _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail", "negbinom_cdf",
+                                 "negbinom_tail_gap")),
     # the affine branch of the map comes out one too large, so 1 -> 3 -> 6 -> 3
     "g_step": (collatz_bound, "g_step",
                lambda f: lambda ell, cfg: f(ell, cfg) + 1 if ell % cfg.div else f(ell, cfg),

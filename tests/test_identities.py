@@ -116,7 +116,7 @@ def test_comtet1_hand_cases():
 
 
 def test_comtet1_converts_only_what_is_neither_int_nor_fraction():
-    'floats and strings are converted exactly; ints and Fractions go in as they are'
+    'a and b go through _scalar: floats and strings convert exactly, and no Fraction is rebuilt'
     want = comtet1_sides(5, 2, F(1, 2), F(-3, 4))
     assert comtet1_sides(5, 2, 0.5, "-3/4") == want
     assert comtet1_sides(5, 2, "1/2", -0.75) == want
