@@ -104,7 +104,7 @@ def cmd_verify(args, stdout, stderr) -> int:
     if args.format == "csv":
         import csv  # only this format needs it; kept off the start-up path
         writer = csv.writer(stdout, lineterminator="\n")
-        writer.writerow(harness.CSV_COLUMNS)
+        writer.writerow(harness.CheckReport._fields)
         emit = lambda report: writer.writerow(harness.report_to_csv_row(report))  # noqa: E731
     else:
         render = harness.report_to_json if args.format == "json" else harness.report_to_text

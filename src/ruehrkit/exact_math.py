@@ -12,10 +12,12 @@ native ``int`` arithmetic.  Floats are converted exactly on the way in and
 never produced.  Since ``int == Fraction`` compares by value, the rule
 never changes an equality.
 
-Rational results are computed over one denominator: evaluation,
-integration and linear_power carry integer numerators over a common
-integer denominator and normalize only the final value (one gcd per
-result, or per coefficient for linear_power), never an intermediate step.
+Rational results of int coefficients are computed over one denominator:
+evaluation and integration of an int polynomial at or over u/v carry
+integer numerators over a power of v and normalize only the final value
+(one gcd per result), never an intermediate step.  Fraction coefficients,
+which no check builds, take the same code in plain Fraction arithmetic,
+with the same values and the same int/Fraction types.
 Every integral a check takes is x^z (c0 + c1 x)^m over [lo, hi], an
 incomplete beta integral (DLMF 8.17): _unreduced_beta_integral expands,
 integrates and evaluates it in one loop with no list, and hands on its
@@ -161,10 +163,11 @@ def poly_pow(p: Polynomial, exponent: int) -> Polynomial:
     return out
 
 
-def _times_powers(values: list, base: int, indices: range) -> None:
+def _times_powers(values: list, base: Scalar, indices: range) -> None:
     """values[i] *= base^j for the j-th index i of indices (j = 1, 2, ...), in place.
 
-    The powers come from one running product.
+    The powers come from one running product, in int arithmetic for an int
+    base and in Fraction arithmetic for a Fraction one.
     """
     power = 1
     for i in indices:
@@ -177,26 +180,17 @@ def linear_power(c0, c1, exponent: int) -> Polynomial:
 
     Equivalent to poly_pow([c0, c1], exponent) but O(exponent) products,
     which matters when it sits inside a doubly indexed verification sweep.
-    With c0 = p0/q0 and c1 = p1/q1, coefficient i is the integer
-    C(e, i) p0^(e-i) p1^i divided once by q0^(e-i) q1^i.  The C(e, i) are
-    one binomial_row, and each power is one running product over the row:
-    up it for p1, down it for p0.
+    Coefficient i is C(e, i) c0^(e-i) c1^i: the C(e, i) are one
+    binomial_row, and each power is one running product over the row, up
+    it for c1 and down it for c0.  Int c0 and c1 keep every step in ints.
     """
     if exponent < 0:
         raise ValueError(f"linear_power requires exponent >= 0, got {exponent}")
-    c0 = _scalar(c0)
-    c1 = _scalar(c1)
     e = exponent
-    up, down = range(1, e + 1), range(e - 1, -1, -1)
-    nums = binomial_row(e, e)
-    _times_powers(nums, c1.numerator, up)
-    _times_powers(nums, c0.numerator, down)
-    if c0.denominator == c1.denominator == 1:
-        return _normalized(nums)
-    dens = [1] * (e + 1)
-    _times_powers(dens, c1.denominator, up)
-    _times_powers(dens, c0.denominator, down)
-    return _normalized([Fraction(num, den) for num, den in zip(nums, dens)])
+    out = binomial_row(e, e)
+    _times_powers(out, _scalar(c1), range(1, e + 1))
+    _times_powers(out, _scalar(c0), range(e - 1, -1, -1))
+    return _normalized(out)
 
 
 def poly_shift(p: Polynomial, k: int) -> Polynomial:
@@ -229,18 +223,13 @@ def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
     return _normalized(out)
 
 
-def _over_common_denominator(p: Polynomial) -> tuple[list[int], int]:
-    """(nums, den): p's coefficients are nums[i] / den, den their least common denominator."""
-    if all(map(int.__instancecheck__, p)):  # one C-level pass, zeros from poly_shift included
-        return p, 1
-    den = math.lcm(*[c.denominator for c in p])
-    return [c.numerator * (den // c.denominator) for c in p], den
+def _horner(coeffs: Polynomial, u: int, v: int) -> Scalar:
+    """sum coeffs[i] u^i v^(deg-i): v^deg times the value of coeffs at u/v.
 
-
-def _horner(nums: list[int], u: int, v: int) -> int:
-    """sum nums[i] u^i v^(deg-i): v^deg times the value of nums at u/v, in ints."""
+    An int for int coefficients, which every check's are.
+    """
     acc, v_pow = 0, 1
-    for c in reversed(nums):
+    for c in reversed(coeffs):
         acc = acc * u + c * v_pow
         v_pow *= v
     return acc
@@ -249,38 +238,36 @@ def _horner(nums: list[int], u: int, v: int) -> int:
 def poly_eval(p: Polynomial, x) -> Scalar:
     """Exact Horner evaluation; the zero polynomial evaluates to 0.
 
-    At x = u/v the sum runs in integers over the common denominator of the
-    coefficients times v^deg, and one Fraction is made at the end; an int
-    polynomial at an int point never builds a Fraction.
+    At x = u/v the sum runs over v^deg and is divided by it once.  For int
+    coefficients the sum is an int and one Fraction is made at the end, and
+    an int polynomial at an int point builds none.
     """
     if not p:
         return 0
     x = _scalar(x)
-    nums, den = _over_common_denominator(p)
-    total = _horner(nums, x.numerator, x.denominator)
-    den *= x.denominator ** (len(p) - 1)
-    return total if den == 1 else _scalar(Fraction(total, den))
+    total = _horner(p, x.numerator, x.denominator)
+    den = x.denominator ** (len(p) - 1)
+    return _scalar(total) if den == 1 else _scalar(Fraction(total, den))
 
 
 def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
     """Exact definite integral of p over [lo, hi]; reversed bounds flip the sign.
 
-    The antiderivative c_i x^i -> c_i x^(i+1) / (i+1) is taken in integer
-    numerators over d lcm(1..deg+1), d the least common denominator of p's
-    coefficients, and F(hi) - F(lo) over that times v^(deg+1), v the least
-    common denominator of the bounds, so the value takes one gcd.
+    The antiderivative c_i x^i -> c_i x^(i+1) / (i+1) is taken as the
+    coefficients c_i lcm(1..deg+1) / (i+1), and F(hi) - F(lo) over that
+    times v^(deg+1), v the least common denominator of the bounds.  For int
+    coefficients every step is an int and the value takes one gcd.
     """
     if not p:
         return 0
-    nums, den = _over_common_denominator(p)
     top = len(p)  # degree of the antiderivative
     scale, factors = _factors(0, top)
-    anti = list(map(operator.mul, nums, factors))
+    anti = list(map(operator.mul, p, factors))
     lo, hi = _scalar(lo), _scalar(hi)
     v = math.lcm(lo.denominator, hi.denominator)
     total = sum(sign * x.numerator * _horner(anti, x.numerator, x.denominator)
                 * (v // x.denominator) ** top for sign, x in ((1, hi), (-1, lo)))
-    return _scalar(Fraction(total, den * scale * v ** top))
+    return _scalar(Fraction(total, scale * v ** top))
 
 
 def _unreduced_beta_integral(c0: int, c1: int, m: int, z: int, lo, hi) -> tuple[int, int]:

@@ -469,9 +469,6 @@ def report_to_json(report: CheckReport) -> str:
             f'"elapsed_ms": {report.elapsed_ms}}}')
 
 
-CSV_COLUMNS = ("check_name", "params", "lhs", "rhs", "equal", "elapsed_ms")
-
-
 def report_to_csv_row(report: CheckReport) -> list[str]:
     params = ";".join(f"{key}={report.params[key]}" for key in sorted(report.params))
     return [report.check_name, params, report.lhs, report.rhs,

@@ -443,9 +443,9 @@ def test_unreduced_beta_integral_matches_the_polynomial_route():
 
 
 def test_poly_definite_integral_builds_one_fraction_per_call(fraction_constructions):
-    'the antiderivative runs in integers, int or Fraction coefficients, and is reduced once'
-    cases = [([0, 0, 3, -2], F(-1, 2), F(3, 2)), ([0, F(1, 3), 0, -2], 2, 0),
-             (poly_shift(linear_power(3, -2, 70), 140), F(1, 3), 1), ([F(-2, 9)], -4, F(2, 7))]
+    'with int coefficients the antiderivative runs in integers and is reduced once'
+    cases = [([0, 0, 3, -2], F(-1, 2), F(3, 2)),
+             (poly_shift(linear_power(3, -2, 70), 140), F(1, 3), 1)]
     for case in cases:
         value = _naive_integral(*case)
         fraction_constructions.clear()
@@ -463,15 +463,16 @@ def test_walked_sum_is_a_horner_sum_over_the_walk():
             assert _walked_sum(binomial(n, k), steps, u, v) == want, (n, k, u, v)
 
 
-def test_poly_eval_of_int_polynomial_at_int_point_builds_no_fraction(monkeypatch):
-    import ruehrkit.exact_math as em
-
-    def no_fraction(*args):
-        raise AssertionError("a Fraction was built")
-    monkeypatch.setattr(em, "Fraction", no_fraction)
+def test_poly_eval_of_int_polynomial_at_int_point_builds_no_fraction(fraction_constructions):
+    'an int polynomial builds no Fraction at an int point, and exactly one at a rational point'
     p = [binomial(90, j) for j in range(31)]
+    x, want = F(-4, 7), sum(c * F(-4, 7) ** j for j, c in enumerate(p))
+    fraction_constructions.clear()
     assert poly_eval(p, -4) == sum(c * (-4) ** j for j, c in enumerate(p))
     assert poly_eval([], 7) == 0
+    assert fraction_constructions == []
+    assert poly_eval(p, x) == want
+    assert len(fraction_constructions) == 1, fraction_constructions
 
 
 def test_linear_power_with_fraction_coefficients_matches_poly_pow():
@@ -479,13 +480,14 @@ def test_linear_power_with_fraction_coefficients_matches_poly_pow():
     cases = [(F(1, 2), F(-1, 3)), (F(3, 7), -1), (2, F(5, 4)), (F(4, 2), F(6, 3)),
              (0, F(2, 3)), (F(2, 3), 0)]
     cases += [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9)) for _ in range(30)]
-    for c0, c1 in cases:
-        for e in (0, 1, 2, 7, fuzz_int(src, 0, 25)):
-            got = linear_power(c0, c1, e)
-            want = poly_pow(poly_normalize([c0, c1]), e)
-            assert got == want
-            assert [type(c) for c in got] == [type(c) for c in want]
-            _assert_scalar_rule(got)
+    inputs = [(c0, c1, e) for c0, c1 in cases for e in (0, 1, 2, 7, fuzz_int(src, 0, 25))]
+    inputs += [(F(1, 3), F(-2, 5), 40), (F(1, 3), F(-2, 5), 120)]  # bench/probes.py's operands
+    for c0, c1, e in inputs:
+        got = linear_power(c0, c1, e)
+        want = poly_pow(poly_normalize([c0, c1]), e)
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+        _assert_scalar_rule(got)
 
 
 def _names_read(path):

@@ -12,7 +12,6 @@ from ruehrkit.exact_math import (
     binomial,
     linear_power,
     poly_add,
-    poly_compose,
     poly_definite_integral,
     poly_eval,
     poly_mul,
@@ -81,13 +80,6 @@ def test_family_polynomial_degrees_and_monic():
 def test_family_polynomial_rejects_negative():
     with pytest.raises(ValueError):
         family_polynomial(SumFamily.A, -1)
-
-
-def test_ruehr_chain_pinned_values():
-    for n, value in ((0, 1), (1, 6), (2, 39)):
-        pair = harness._ruehr_chain_sides(n)
-        assert pair.equal
-        assert pair.lhs == (value, value, value, value)
 
 
 def test_ruehr_chain_four_way_equality():
@@ -294,12 +286,6 @@ def test_comtet2_rejects_bad_range():
         comtet2_sides(4, 3)
 
 
-def test_comtet2_equality_sweep():
-    for n in range(1, 16):
-        for m in range(1, n + 1):
-            assert comtet2_sides(m, n).equal
-
-
 def test_comtet3_hand_cases():
     pair = comtet3_sides(1, 1)
     assert pair.lhs == [F(2), F(-1)]
@@ -309,12 +295,6 @@ def test_comtet3_hand_cases():
     pair = comtet3_sides(2, 1)
     assert pair.equal
     assert poly_eval(pair.lhs, 1) == 1
-
-
-def test_comtet3_equality_sweep():
-    for m in range(1, 13):
-        for big_n in range(13):
-            assert comtet3_sides(m, big_n).equal
 
 
 def test_proof_helper_base_cases():
@@ -494,32 +474,12 @@ def test_polynomial_sides_take_no_binomial_row(monkeypatch, fresh_memos):
         assert all(comtet3_sides(m, n).equal for m in range(1, 9))
 
 
-def test_fg_recurrences():
-    'f(j+1,N) = (1-x) f(j+1,N-1) + f(j,N), and the mirrored rule for g'
-    for j in range(1, 9):
-        for big_n in range(1, 9):
-            f_next = proof_helper("f", j + 1, big_n)
-            assert f_next == poly_add(
-                poly_mul(ONE_MINUS_X, proof_helper("f", j + 1, big_n - 1)),
-                proof_helper("f", j, big_n))
-            g_next = proof_helper("g", j + 1, big_n)
-            assert g_next == poly_add(
-                proof_helper("g", j, big_n),
-                poly_mul(ONE_MINUS_X, proof_helper("g", j + 1, big_n - 1)))
-
-
 def test_corollary1_hand_cases():
     for n, variant, expected in ((1, "pos", 6), (1, "neg", 6),
                                  (0, "pos", 1), (0, "neg", 1)):
         pair = corollary1_sides(n, variant)
         assert pair.lhs == expected
         assert pair.equal
-
-
-def test_corollary1_equality_sweep():
-    for n in range(31):
-        assert corollary1_sides(n, "pos").equal
-        assert corollary1_sides(n, "neg").equal
 
 
 @pytest.mark.parametrize("variant, chain_index, bounds", [
@@ -584,12 +544,6 @@ def test_corollary2_sides_are_one_function_each():
             side(1, "third")
 
 
-def test_corollary2_equality_sweep():
-    for n in range(16):
-        assert corollary2_sides(n, "first").equal
-        assert corollary2_sides(n, "second").equal
-
-
 def test_corollary2_matches_comtet3_specialization():
     'each side against its definition: math.comb coefficient lists summed by the poly_pow reference'
     for n in range(13):
@@ -628,16 +582,6 @@ def test_specialization_second_form():
         assert poly_eval(poly, F(4, 3)) * 9 ** n == ruehr_sums_direct(n)[2]
 
 
-def test_alzer_prodinger_shifts():
-    'A_n(x+1) = B_n(x) and C_n(x+1) = D_n(x) as exact polynomial identities'
-    shift = [F(1), F(1)]
-    for n in range(21):
-        assert poly_compose(family_polynomial(SumFamily.A, n), shift) == \
-            family_polynomial(SumFamily.B, n)
-        assert poly_compose(family_polynomial(SumFamily.C, n), shift) == \
-            family_polynomial(SumFamily.D, n)
-
-
 def test_moments_pinned_values():
     pair = kimura_ruehr_moments(0)
     assert (pair.lhs, pair.rhs) == (2, 2)
@@ -655,8 +599,3 @@ def test_kimura_kernel_closed_form_matches_poly_pow():
         pair = kimura_ruehr_moments(n)
         assert pair.lhs == poly_definite_integral(power, F(-1, 2), F(3, 2))
         assert pair.rhs == 2 * poly_definite_integral(power, 0, 1)
-
-
-def test_moments_equality_sweep():
-    for n in range(41):
-        assert kimura_ruehr_moments(n).equal
