@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact_math import Scalar, _scalar, _unreduced_beta_integral, _walked_sum, binomial
+from .exact_math import Scalar, _unreduced_beta_integral, _walked_sum, binomial
 from .identities import SidePair, _comtet1_lhs, compare_sides
 
 
@@ -47,10 +47,9 @@ def beta_exact(x: int, y: int) -> Fraction:
 def incomplete_beta(p, x: int, y: int) -> Fraction:
     """B_p(x, y) = integral_0^p t^(x-1) (1-t)^(y-1) dt, exact."""
     _require_positive_params(x, y)
-    p = _scalar(p)
     if not 0 <= p <= 1:
         raise ValueError(f"incomplete_beta requires p in [0, 1], got {p}")
-    return _scalar(Fraction(*_unreduced_beta_integral(1, -1, y - 1, x - 1, 0, p)))
+    return Fraction(*_unreduced_beta_integral(1, -1, y - 1, x - 1, 0, p))
 
 
 def regularized_beta(p, x: int, y: int) -> Fraction:
@@ -71,7 +70,6 @@ def binom_tail_sides(n: int, a: int, p) -> SidePair:
         raise ValueError(f"binom_tail_sides requires n >= 1, got {n}")
     if not 1 <= a <= n:
         raise ValueError(f"binom_tail_sides requires 1 <= a <= n, got a={a}, n={n}")
-    p = _scalar(p)
     if not 0 <= p <= 1:
         raise ValueError(f"binom_tail_sides requires p in [0, 1], got {p}")
     lhs = _comtet1_lhs(n, n - a, p, 1 - p)
@@ -107,7 +105,6 @@ def negbinom_cdf_sides(r: int, k: int, p) -> SidePair:
         raise ValueError(f"negbinom_cdf_sides requires r >= 1, got {r}")
     if k < 0:
         raise ValueError(f"negbinom_cdf_sides requires k >= 0, got {k}")
-    p = _scalar(p)
     if not 0 < p <= 1:
         raise ValueError(f"negbinom_cdf_sides requires p in (0, 1], got {p}")
     lhs = _negbinom_mass(r, 0, k, p)
@@ -126,7 +123,6 @@ def negbinom_tail_partial(r: int, a: int, p, m_max: int) -> Fraction:
         raise ValueError(f"negbinom_tail_partial requires r, a >= 1, got r={r}, a={a}")
     if m_max < a:
         raise ValueError(f"negbinom_tail_partial requires m_max >= a, got m_max={m_max}, a={a}")
-    p = _scalar(p)
     if not 0 < p < 1:
         raise ValueError(f"negbinom_tail_partial requires p in (0, 1), got {p}")
     return _negbinom_mass(r, a, m_max, p)
