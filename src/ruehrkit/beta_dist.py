@@ -4,17 +4,19 @@ Parameters are positive integers throughout, which keeps every quantity an
 exact rational: the complete beta function has a factorial closed form and
 the incomplete beta integral has a polynomial integrand.  The binomial
 survival function and the negative binomial CDF are both regularized beta
-values, and those identities are what the two *_sides checkers verify.
+values, so negative binomial mass over any window of failure counts is a
+difference of two; those identities are what the two *_sides checkers
+verify, each as an exact equality.
 
 The primitives each side uses: the lhs of binom_tail_sides and
-negbinom_cdf_sides (and negbinom_tail_partial) is a term-by-term binomial
-sum, run in integers over one power of the denominator v of p = u/v and
-divided once at the end.  Each walks from the far end of its sum by
-exact ratio steps (exact_math's _walked_sum): _negbinom_mass along the
-diagonal C(r+s-1, s), and binom_tail_sides through the comtet1 partial sum
-of identities, reindexed.  The rhs is regularized_beta: incomplete_beta,
-t^(x-1) (1-t)^(y-1) integrated by exact_math._unreduced_beta_integral,
-over beta_exact, which is factorials only.
+negbinom_window_sides is a term-by-term binomial sum, run in integers over
+one power of the denominator v of p = u/v and divided once at the end.
+Each walks from the far end of its sum by exact ratio steps (exact_math's
+_walked_sum): _negbinom_mass along the diagonal C(r+s-1, s), and
+binom_tail_sides through the comtet1 partial sum of identities, reindexed.
+The rhs is regularized_beta: incomplete_beta, t^(x-1) (1-t)^(y-1)
+integrated by exact_math._unreduced_beta_integral, over beta_exact, which
+is factorials only.
 """
 
 from __future__ import annotations
@@ -91,38 +93,23 @@ def _negbinom_mass(r: int, lo: int, hi: int, p: Scalar) -> Fraction:
     return Fraction(u ** r * (v - u) ** lo * total, v ** (r + hi))
 
 
-def negbinom_cdf_sides(r: int, k: int, p) -> SidePair:
-    """Negative binomial CDF versus its regularized-beta closed form.
+def negbinom_window_sides(r: int, lo: int, hi: int, p) -> SidePair:
+    """Negative binomial mass over a window of failure counts versus its beta form.
 
-    lhs = sum_{0<=s<=k} C(r+s-1, s) p^r (1-p)^s
-    rhs = I_p(r, k+1)
+    lhs = sum_{lo<=s<=hi} C(r+s-1, s) p^r (1-p)^s
+    rhs = I_p(r, hi+1) - I_p(r, lo), with I_p(r, 0) = 0
 
-    This is the finite identity that holds exactly; the matching tail
-    statement only holds with the failure count summed to infinity, which
-    negbinom_tail_partial approaches monotonically.
+    The CDF is a regularized beta value, P(S <= k) = I_p(r, k+1) (DLMF
+    8.17), so a window is the difference of two of them.  At lo = 0 it is
+    the CDF itself; at lo >= 1 it is a partial tail sum, whose gap to the
+    survivor value 1 - I_p(r, lo) is I_(1-p)(hi+1, r), exactly.
     """
     if r < 1:
-        raise ValueError(f"negbinom_cdf_sides requires r >= 1, got {r}")
-    if k < 0:
-        raise ValueError(f"negbinom_cdf_sides requires k >= 0, got {k}")
+        raise ValueError(f"negbinom_window_sides requires r >= 1, got {r}")
+    if not 0 <= lo <= hi:
+        raise ValueError(f"negbinom_window_sides requires 0 <= lo <= hi, got lo={lo}, hi={hi}")
     if not 0 < p <= 1:
-        raise ValueError(f"negbinom_cdf_sides requires p in (0, 1], got {p}")
-    lhs = _negbinom_mass(r, 0, k, p)
-    rhs = regularized_beta(p, r, k + 1)
+        raise ValueError(f"negbinom_window_sides requires p in (0, 1], got {p}")
+    lhs = _negbinom_mass(r, lo, hi, p)
+    rhs = regularized_beta(p, r, hi + 1) - (regularized_beta(p, r, lo) if lo else 0)
     return compare_sides(lhs, rhs)
-
-
-def negbinom_tail_partial(r: int, a: int, p, m_max: int) -> Fraction:
-    """Partial negative binomial survivor mass sum_{a<=s<=m_max}.
-
-    Each term is C(r+s-1, s) p^r (1-p)^s.  The partial sums are
-    nondecreasing in m_max and converge upward to the survivor value
-    I_(1-p)(a, r) = 1 - I_p(r, a); the gap shrinks geometrically.
-    """
-    if r < 1 or a < 1:
-        raise ValueError(f"negbinom_tail_partial requires r, a >= 1, got r={r}, a={a}")
-    if m_max < a:
-        raise ValueError(f"negbinom_tail_partial requires m_max >= a, got m_max={m_max}, a={a}")
-    if not 0 < p < 1:
-        raise ValueError(f"negbinom_tail_partial requires p in (0, 1), got {p}")
-    return _negbinom_mass(r, a, m_max, p)

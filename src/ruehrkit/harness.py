@@ -5,7 +5,7 @@ every fuzz draw taken from one linear-congruential source during that
 expansion.  Each instance is plain data: one pure checker, returning a
 SidePair, and its arguments.  The harness, not the checker, decides each
 verdict: a report is equal only when the checker's relation holds and,
-except for the three inequality checks in _INEQUALITIES, the two
+except for the two inequality checks in _INEQUALITIES, the two
 serialized sides are the same string.  run_instances sorts the instances
 by check_name, stably, so generation order holds within a name, then runs
 them one at a time and yields each report as its check finishes; a caller
@@ -127,7 +127,7 @@ def serialize_value(value) -> str:
 
 
 # The only checks whose rhs is a bound rather than a value equal to the lhs.
-_INEQUALITIES = frozenset({"eta_bound", "negbinom_tail_gap", "tailsum_monotone"})
+_INEQUALITIES = frozenset({"eta_bound", "tailsum_monotone"})
 
 
 class CheckInstance:
@@ -290,15 +290,6 @@ def _suite_beta(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]
     return out
 
 
-def _negbinom_tail_gap_sides(r: int, a: int, p: Fraction, m_max: int) -> SidePair:
-    """Partial tail sums rise towards 1 - I_p(r, a) and end within 10^-6 of it."""
-    limit = 1 - beta_dist.regularized_beta(p, r, a)
-    later = beta_dist.negbinom_tail_partial(r, a, p, m_max)
-    earlier = beta_dist.negbinom_tail_partial(r, a, p, m_max - 10)
-    return SidePair(later, limit,
-                    earlier < later < limit and limit - later < Fraction(1, 10 ** 6))
-
-
 def _suite_negbinom(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
     out = []
     for trial in range(trials):
@@ -306,13 +297,12 @@ def _suite_negbinom(src: FuzzSource, max_n: int, trials: int) -> list[CheckInsta
         k = fuzz_int(src, 0, max(max_n, 1))
         p = fuzz_probability(src, 9, lo_open=True)
         out.append(CheckInstance("negbinom_cdf", {"trial": trial, "r": r, "k": k, "p": p},
-                                 beta_dist.negbinom_cdf_sides, (r, k, p)))
-    p_half = Fraction(1, 2)
+                                 beta_dist.negbinom_window_sides, (r, 0, k, p)))
     for r in range(1, 4):
         for a in range(1, 4):
-            out.append(CheckInstance("negbinom_tail_gap",
-                                     {"r": r, "a": a, "p": p_half, "m_max": 60},
-                                     _negbinom_tail_gap_sides, (r, a, p_half, 60)))
+            p = Fraction(a, a + 2)
+            out.append(CheckInstance("negbinom_tail", {"r": r, "a": a, "p": p, "m_max": 60},
+                                     beta_dist.negbinom_window_sides, (r, a, 60, p)))
     return out
 
 

@@ -120,17 +120,23 @@ def test_criterion_6_distribution_identities():
         for k in range(41):
             for _ in range(2):
                 p = fuzz_probability(src, 9, lo_open=True)
-                assert beta_dist.negbinom_cdf_sides(r, k, p).equal, \
+                assert beta_dist.negbinom_window_sides(r, 0, k, p).equal, \
                     f"negbinom cdf r={r} k={k} p={p}"
-    p_half = F(1, 2)
-    for r in range(1, 6):
-        for a in range(1, 6):
-            survivor = 1 - beta_dist.regularized_beta(p_half, r, a)
-            gaps = [survivor - beta_dist.negbinom_tail_partial(r, a, p_half, m_max)
-                    for m_max in (50, 100, 150, 200, 210)]
-            assert all(later < earlier for earlier, later in zip(gaps, gaps[1:])), \
-                f"gap not decreasing at r={r} a={a}"
-            assert gaps[3] < F(1, 10 ** 6), f"gap at M=200 too large: r={r} a={a}"
+    # the partial tail sum's gap to the survivor value is itself a regularized beta value
+    for p in (F(1, 2), F(2, 5)):
+        for r in range(1, 6):
+            for a in range(1, 6):
+                survivor = 1 - beta_dist.regularized_beta(p, r, a)
+                gaps = []
+                for m_max in (50, 100, 150, 200, 210):
+                    window = beta_dist.negbinom_window_sides(r, a, m_max, p)
+                    assert window.equal, f"negbinom window r={r} a={a} M={m_max} p={p}"
+                    gaps.append(survivor - window.lhs)
+                    assert gaps[-1] == beta_dist.regularized_beta(1 - p, m_max + 1, r), \
+                        f"gap is not I_(1-p)(M+1, r) at r={r} a={a} M={m_max} p={p}"
+                assert all(later < earlier for earlier, later in zip(gaps, gaps[1:])), \
+                    f"gap not decreasing at r={r} a={a} p={p}"
+                assert gaps[3] < F(1, 10 ** 6), f"gap at M=200 too large: r={r} a={a} p={p}"
     # the reprinted ratio form is wrong; the implementation follows the integral
     ratio_form = F(2 + 3, 2) / math.comb(5, 2)
     assert ratio_form == F(1, 4)

@@ -7,8 +7,7 @@ from ruehrkit.beta_dist import (
     beta_exact,
     binom_tail_sides,
     incomplete_beta,
-    negbinom_cdf_sides,
-    negbinom_tail_partial,
+    negbinom_window_sides,
     regularized_beta,
 )
 from ruehrkit.exact_math import binomial
@@ -152,12 +151,13 @@ def test_negbinom_integer_sums_match_fraction_sums():
         k = fuzz_int(src, 0, 40)
         a = fuzz_int(src, 1, 10)
         m_max = a + fuzz_int(src, 0, 40)
-        pair = negbinom_cdf_sides(r, k, p)
+        pair = negbinom_window_sides(r, 0, k, p)
         assert pair.lhs == _negbinom_fraction_sum(r, 0, k, p) and type(pair.lhs) is F
         assert pair.equal
-        partial = negbinom_tail_partial(r, a, p, m_max)
-        assert partial == _negbinom_fraction_sum(r, a, m_max, p) and type(partial) is F
-    assert negbinom_cdf_sides(3, 4, F(1)).lhs == _negbinom_fraction_sum(3, 0, 4, F(1)) == 1
+        partial = negbinom_window_sides(r, a, m_max, p)
+        assert partial.lhs == _negbinom_fraction_sum(r, a, m_max, p) and type(partial.lhs) is F
+        assert partial.equal
+    assert negbinom_window_sides(3, 0, 4, F(1)).lhs == _negbinom_fraction_sum(3, 0, 4, F(1)) == 1
 
 
 def test_negbinom_mass_diagonal_walk_edges():
@@ -171,30 +171,30 @@ def test_negbinom_mass_diagonal_walk_edges():
 
 def test_negbinom_cdf_hand_values():
     for p in (F(1, 4), F(2, 3), F(1)):
-        pair = negbinom_cdf_sides(1, 0, p)
+        pair = negbinom_window_sides(1, 0, 0, p)
         assert pair.lhs == p
         assert pair.equal
-    pair = negbinom_cdf_sides(2, 1, F(1, 2))
+    pair = negbinom_window_sides(2, 0, 1, F(1, 2))
     assert (pair.lhs, pair.rhs, pair.equal) == (F(1, 2), F(1, 2), True)
     for r in range(1, 6):
         for k in range(5):
-            assert negbinom_cdf_sides(r, k, 1).lhs == 1
+            assert negbinom_window_sides(r, 0, k, 1).lhs == 1
 
 
 def test_negbinom_cdf_validation():
     with pytest.raises(ValueError):
-        negbinom_cdf_sides(0, 1, F(1, 2))
+        negbinom_window_sides(0, 0, 1, F(1, 2))
     with pytest.raises(ValueError):
-        negbinom_cdf_sides(1, -1, F(1, 2))
+        negbinom_window_sides(1, 0, -1, F(1, 2))
     with pytest.raises(ValueError):
-        negbinom_cdf_sides(1, 1, F(0))
+        negbinom_window_sides(1, 0, 1, F(0))
 
 
 def test_negbinom_cdf_fuzzed_equality():
     src = FuzzSource(31)
     for r in range(1, 9):
         for k in range(0, 13):
-            assert negbinom_cdf_sides(r, k, fuzz_probability(src, 9, lo_open=True)).equal
+            assert negbinom_window_sides(r, 0, k, fuzz_probability(src, 9, lo_open=True)).equal
 
 
 def test_finite_tail_reading_fails_where_cdf_form_holds():
@@ -203,10 +203,10 @@ def test_finite_tail_reading_fails_where_cdf_form_holds():
     At r=1, a=1, truncating at n=1 gives p(1-p), but I_(1-p)(1,1) = 1-p.
     The survivor identity needs the full infinite sum, which the partial
     sums approach from below; the finite identity that does hold exactly
-    is the CDF form checked above.
+    is the window form, I_p(r, n+1) - I_p(r, a), checked above.
     """
     p = F(1, 3)
-    truncated = negbinom_tail_partial(1, 1, p, 1)
+    truncated = negbinom_window_sides(1, 1, 1, p).lhs
     assert truncated == p * (1 - p)
     survivor = 1 - regularized_beta(p, 1, 1)
     assert survivor == 1 - p
@@ -217,7 +217,7 @@ def test_finite_tail_reading_fails_where_cdf_form_holds():
 def test_negbinom_partial_geometric_case():
     'r=1, p=1/2 collapses to a geometric series with a closed form'
     for m_max in range(1, 12):
-        assert negbinom_tail_partial(1, 1, F(1, 2), m_max) == F(1, 2) - F(1, 2 ** (m_max + 1))
+        assert negbinom_window_sides(1, 1, m_max, F(1, 2)).lhs == F(1, 2) - F(1, 2 ** (m_max + 1))
 
 
 def test_negbinom_partial_single_term():
@@ -225,11 +225,11 @@ def test_negbinom_partial_single_term():
         for a in range(1, 5):
             p = F(2, 5)
             expected = math.comb(r + a - 1, a) * p ** r * (1 - p) ** a
-            assert negbinom_tail_partial(r, a, p, a) == expected
+            assert negbinom_window_sides(r, a, a, p).lhs == expected
 
 
 def test_negbinom_partial_close_to_survivor():
-    value = negbinom_tail_partial(2, 1, F(1, 2), 20)
+    value = negbinom_window_sides(2, 1, 20, F(1, 2)).lhs
     survivor = 1 - regularized_beta(F(1, 2), 2, 1)
     assert survivor == F(3, 4)
     assert 0 < survivor - value < F(1, 10 ** 4)
@@ -244,17 +244,15 @@ def test_negbinom_partial_monotone_and_bounded():
         survivor = 1 - regularized_beta(p, r, a)
         previous = F(-1)
         for m_max in (a, a + 5, a + 15, a + 40):
-            value = negbinom_tail_partial(r, a, p, m_max)
+            value = negbinom_window_sides(r, a, m_max, p).lhs
             assert previous < value < survivor
             previous = value
 
 
 def test_negbinom_partial_validation():
     with pytest.raises(ValueError):
-        negbinom_tail_partial(0, 1, F(1, 2), 5)
+        negbinom_window_sides(0, 1, 5, F(1, 2))
     with pytest.raises(ValueError):
-        negbinom_tail_partial(1, 0, F(1, 2), 5)
+        negbinom_window_sides(1, -1, 2, F(1, 2))
     with pytest.raises(ValueError):
-        negbinom_tail_partial(1, 3, F(1, 2), 2)
-    with pytest.raises(ValueError):
-        negbinom_tail_partial(1, 1, F(1), 5)
+        negbinom_window_sides(1, 3, 2, F(1, 2))

@@ -87,7 +87,7 @@ def test_g_step_odd_branch_formula():
 
 
 def test_g_step_division_always_exact_under_fuzz():
-    'any complete residue system keeps the affine branch divisible'
+    'any complete residue system keeps the affine branch divisible, by the residue it subtracts'
     src = FuzzSource(41)
     for _ in range(60):
         d = fuzz_int(src, 2, 6)
@@ -96,7 +96,9 @@ def test_g_step_division_always_exact_under_fuzz():
         cfg = GenCollatzConfig(mult=mult, div=d, residues=residues)
         for _ in range(40):
             ell = fuzz_int(src, 1, 10 ** 6)
-            g_step(ell, cfg)  # must not raise
+            step = g_step(ell, cfg)
+            if ell % d:
+                assert -(d * step - mult * ell) in cfg.residues, (ell, cfg, step)
 
 
 def test_orbit_finds_trivial_cycle():

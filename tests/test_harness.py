@@ -452,7 +452,7 @@ _VERIFY_ALL = ["verify", "all", "--format", "json"]
 _VERIFY_POLYNOMIALS = ["verify", "polynomials", "--max-n", "8", "--format", "json"]
 # every check name of verify all with an integral side
 _INTEGRAL_CHECKS = ("beta_complement", "beta_cross", "binom_tail", "comtet1", "corollary1",
-                    "kimura_ruehr_moments", "negbinom_cdf", "negbinom_tail_gap", "partial_sum",
+                    "kimura_ruehr_moments", "negbinom_cdf", "negbinom_tail", "partial_sum",
                     "tailsum_comtet1", "tailsum_integral")
 _OFF_BY_ONE_FAULTS = {
     # the integer Horner kernel skips the leading coefficient; poly_eval takes the chain's
@@ -479,7 +479,7 @@ _OFF_BY_ONE_FAULTS = {
                                         _beta_integral_without_the_bound_denominator,
                                         _VERIFY_ALL, ("beta_complement", "binom_tail",
                                                       "corollary1", "kimura_ruehr_moments",
-                                                      "negbinom_cdf", "negbinom_tail_gap")),
+                                                      "negbinom_cdf", "negbinom_tail")),
     # the antiderivative is evaluated at 0 instead of the lower bound: every check whose
     # integral has a lower bound other than 0 on one side only; the comtet1 integrals over
     # [0, H - L], with k < n - k - 1, are blind to it
@@ -496,10 +496,16 @@ _OFF_BY_ONE_FAULTS = {
                         lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
                         _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail",
                                       "tailsum_integral")),
-    # the negative binomial CDF stops one term early
+    # every negative binomial window, the CDF and the tail, stops one term early
     "negbinom_cdf_lhs": (beta_dist, "_negbinom_mass",
                          lambda f: lambda r, lo, hi, p: f(r, lo, hi - 1, p),
-                         _VERIFY_ALL, ("negbinom_cdf",)),
+                         _VERIFY_ALL, ("negbinom_cdf", "negbinom_tail")),
+    # a window that starts past 0 is off by p - 1/2, so it is right at p = 1/2 only, as
+    # u^r // (v-u)^lo for u^r (v-u)^lo would be; the tail windows take p = a/(a+2)
+    "negbinom_mass_off_p_half": (beta_dist, "_negbinom_mass",
+                                 lambda f: lambda r, lo, hi, p: f(r, lo, hi, p)
+                                 + (lo > 0) * (p - F(1, 2)),
+                                 _VERIFY_ALL, ("negbinom_tail",)),
     # the direct A_n(3) sum comes out one too large
     "ruehr_sums_direct": (ruehrkit.identities, "ruehr_sums_direct",
                           lambda f: lambda n: (f(n)[0] + 1,) + f(n)[1:],
@@ -510,7 +516,7 @@ _OFF_BY_ONE_FAULTS = {
                                  lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1, m + 1, z, lo, hi),
                                  _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail",
                                                "comtet1", "corollary1", "negbinom_cdf",
-                                               "negbinom_tail_gap", "partial_sum",
+                                               "negbinom_tail", "partial_sum",
                                                "tailsum_comtet1", "tailsum_integral")),
     # p(x + 1) is composed as p(x + 2)
     "poly_compose": (exact_math, "poly_compose",
@@ -533,17 +539,18 @@ _OFF_BY_ONE_FAULTS = {
                                 _VERIFY_ALL, _INTEGRAL_CHECKS),
     # each step of the far-end walk divides by one more; it carries every term-by-term
     # sum side: comtet1 (and partial_sum, binom_tail), tail_sum, the negative binomial
-    # CDF and the chain sums
+    # windows and the chain sums
     "walked_sum_step": (exact_math, "_walked_sum",
                         lambda f: _walked_sum_dividing_by_q_plus_1,
                         _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail", "tailsum_integral",
-                                      "negbinom_cdf", "ruehr_chain", "corollary1")),
+                                      "negbinom_cdf", "negbinom_tail", "ruehr_chain",
+                                      "corollary1")),
     # the walk's first Horner step leaves out its factor v: the power of v is one short
     # on the far-end term
     "walked_sum_horner": (exact_math, "_walked_sum",
                           lambda f: _walked_sum_skipping_the_first_v,
                           _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail",
-                                        "tailsum_integral", "negbinom_cdf")),
+                                        "tailsum_integral", "negbinom_cdf", "negbinom_tail")),
     # x^k p is shifted one place too far; in this suite only the x of g's chain step
     # g(m, N) = x g(m+1, N-1) + ... goes through it, so f and g part
     "poly_shift": (exact_math, "poly_shift",
@@ -565,7 +572,7 @@ _OFF_BY_ONE_FAULTS = {
     # alzer_shift and corollary2 take their coefficients from family_polynomial's walks
     "binomial": (exact_math, "binomial", lambda f: lambda n, k: f(n, k) + 1,
                  _VERIFY_ALL, ("binom_tail", "comtet1", "comtet2", "comtet3", "corollary1",
-                               "negbinom_cdf", "negbinom_tail_gap", "partial_sum",
+                               "negbinom_cdf", "negbinom_tail", "partial_sum",
                                "recurrence_f", "recurrence_g", "ruehr_chain",
                                "ruehr_specialization", "tailsum_comtet1", "tailsum_integral")),
     # the top coefficient of a product comes out one too large: only the f/g recurrence
@@ -576,7 +583,7 @@ _OFF_BY_ONE_FAULTS = {
     # beta_cross, which sets it against its integral
     "beta_exact": (beta_dist, "beta_exact", lambda f: lambda x, y: f(x, y) + 1,
                    _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail", "negbinom_cdf",
-                                 "negbinom_tail_gap")),
+                                 "negbinom_tail")),
     # the affine branch of the map comes out one too large, so 1 -> 3 -> 6 -> 3
     "g_step": (collatz_bound, "g_step",
                lambda f: lambda ell, cfg: f(ell, cfg) + 1 if ell % cfg.div else f(ell, cfg),
@@ -715,12 +722,12 @@ def test_cli_verify_all_seed_42_reports_pinned(capsys):
     lines = _strip_elapsed(out)
     assert len(lines) == 748
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "a61bd8fbbca927c5c86cb66a6e9bd837aacc112e1d6edd51d07d0c06fa12712a"
+    assert digest == "6b0fa09ef3746b2d990164083fac7cc2fc441f4086435310f69aa50dbcfaf9a2"
     # every report but tailsum_integral keeps the digest it had before that check existed
     older = [line for line in lines if '"tailsum_integral"' not in line]
     assert len(older) == 738
     digest = hashlib.sha256("\n".join(older).encode()).hexdigest()
-    assert digest == "b8715d3d05005a404a43e1d9f1df5977c946c36599eae11b823566e5d41a1f59"
+    assert digest == "c5b034c4700331f1472b263a6761c62b2332d4c5e634461ba06c706d5e7fc0d7"
 
 
 def test_cli_verify_comtet_large_run_reports_pinned(capsys):

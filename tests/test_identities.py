@@ -106,7 +106,7 @@ def test_comtet1_hand_cases():
     assert (pair.lhs, pair.rhs, pair.equal) == (3, 3, True)
 
 
-def test_comtet1_converts_only_what_is_neither_int_nor_fraction():
+def test_comtet1_takes_int_and_fraction_arguments_alike():
     'a and b are used as given: int and Fraction arguments of equal value give equal sides'
     pair = comtet1_sides(6, 3, 2, -1)
     assert pair == comtet1_sides(6, 3, F(2), F(-1))
