@@ -71,15 +71,14 @@ def fuzz_int(src: FuzzSource, lo: int, hi: int) -> int:
 def fuzz_rational(src: FuzzSource, num_bound: int, den_bound: int) -> Fraction:
     """Nonzero rational with |num| <= num_bound, den <= den_bound, normalized.
 
-    The numerator is drawn from [-num_bound, num_bound] without 0 and the
-    denominator from [1, den_bound]; consumes exactly two generator steps.
+    The numerator is drawn from [-num_bound, num_bound] without 0 (a draw
+    of 0 or more shifts up by one) and the denominator from [1, den_bound],
+    each by one fuzz_int; consumes exactly two generator steps.
     """
     if num_bound < 1 or den_bound < 1:
         raise ValueError("fuzz_rational bounds must be >= 1")
-    folded = src.next_word() % (2 * num_bound) - num_bound
-    num = folded if folded < 0 else folded + 1
-    den = src.next_word() % den_bound + 1
-    return _rational(num, den)
+    num = fuzz_int(src, -num_bound, num_bound - 1)
+    return _rational(num if num < 0 else num + 1, fuzz_int(src, 1, den_bound))
 
 
 def fuzz_probability(src: FuzzSource, den_bound: int, *,

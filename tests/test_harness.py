@@ -639,18 +639,6 @@ def test_lower_bound_fault_splits_only_the_comtet1_integrals_over_l_h(capsys, mo
     assert sum(_integrates_the_shorter_factor(r["params"]) for r in reports) == 1006
 
 
-@pytest.mark.parametrize("argv", [["verify", "all", "--seed", "42"],
-                                  ["verify", "polynomials", "--max-n", "8"]])
-def test_every_check_name_has_a_report_with_a_nonzero_side(capsys, fresh_memos, argv):
-    'a check whose sides are always 0 or [] compares nothing: each name needs one other side'
-    code, out, _ = _run_cli(capsys, argv + ["--format", "json"])
-    assert code == 0
-    reports = [json.loads(line) for line in out.splitlines()]
-    vacuous = {r["check_name"] for r in reports} - {
-        r["check_name"] for r in reports if {r["lhs"], r["rhs"]} - {"0", "[]"}}
-    assert vacuous == set()
-
-
 def test_harness_decides_equality_when_compare_sides_trusts_every_pair(capsys, monkeypatch,
                                                                       fresh_memos):
     'a compare_sides that calls every pair equal must not hide a wrong exponent in the integrand'
@@ -715,41 +703,96 @@ def test_readme_library_examples_give_their_comments():
     assert checked == 5
 
 
-def test_cli_verify_all_seed_42_reports_pinned(capsys):
-    'the full default run, elapsed_ms removed, is pinned report for report'
-    code, out, _ = _run_cli(capsys, ["verify", "all", "--seed", "42", "--format", "json"])
+# The reports of each benchmark argv, one row per check name: (report count, sha256 of
+# that name's JSON rows with elapsed_ms dropped, joined by "\n").  Reports come out grouped
+# by check name in sorted order, so the rows joined in that order hash as the whole stream,
+# and a broken pin names the check that moved.  A deliberate change pastes the rows the
+# failing test prints and lists each moved row's old and new digest in CHANGES.md.
+PINNED_ROWS = {
+    "all --seed 42": {
+        'alzer_shift': (22, '33e1e2482e5158f6b24de99509543b67f073dadd3c92b251189f66883b7cec7e'),
+        'beta_complement': (20, '20c079bc52ba769f2d8b505aade3c60f589e761035b397699e3e605c01c9bdd7'),
+        'beta_cross': (64, 'fef7c690668ee7b8e8ca84191363e5d2a084d46eb69f1b263c3c1297a77ab1c1'),
+        'binom_tail': (20, '6985460a865dde05ae396495b52488d02872eacb954b248e3988141fa7501782'),
+        'comtet1': (25, 'e30715fb3c16c511a5f8fe7de826eeaf16a0d05469d54a62202c03137d31c019'),
+        'comtet2': (55, '534af67f23f765746d8a12aad6e9a7fe1365b5699927e87e56294c4c48ae87d0'),
+        'comtet3': (110, '6c47a5df116179414aeb1a5c4c9ffb41716f711cd4b77ca2868acc052a9af38b'),
+        'corollary1': (32, '6683030c7a06907a73a5bcdcdd2fe9ef2def32febd8e95c0088736d4bed93675'),
+        'corollary2': (32, 'e4a523853a448c7f8f348a343f144e0c57563b834b055a3fb812bcd930566bb3'),
+        'eta_bound': (4, 'd0fc955dbbaefd8ed1cc0380d7ace92066cadf4c83b2e520d64d5d638afa0c06'),
+        'kimura_ruehr_moments': (21, 'f3e1564770a16b3ec198043bf9da2b5b47aeb775cea635512ca604c57ace9a23'),
+        'negbinom_cdf': (20, '1bc6b3b4530d2f11988b38a8d788cbba27713dee9aa6df85042ac8de5c677e61'),
+        'negbinom_tail': (9, '1586a00d72c804190c8e8a846e49e8ba8e7dc9d859cd1e099631e1f349dd5446'),
+        'orbit_cycle': (1, 'f5918aa834129041436db4d4837f6a837d9854171300d0d1f7c487fc88fe9190'),
+        'partial_sum': (20, 'a81e7a0813c93eec80eaac51669d699d0af83f59505efb6a6ecceaa1274c4f27'),
+        'recurrence_f': (100, 'd042f80da899eab088a9e45aa7db322b083c1ed44f6d6ac1e09aca6362f49538'),
+        'recurrence_g': (100, 'ccec32bab9358a4d0f857c76ee56f4c845c3c52b00adca4c631de15cb1d7db1f'),
+        'ruehr_chain': (21, 'e11dd535c60da7be96032e36c821fd98c3325cfbd7c6738818f085bc49204a76'),
+        'ruehr_specialization': (32, 'cc5ae0e7235a7b02007db6629804e7fc1c28525b55ea381a7113644e30917cea'),
+        'tailsum_comtet1': (20, 'e0b354e862dc8dbb045f712075e38d6338bf24ed7257583475763cc44a258da1'),
+        'tailsum_integral': (10, 'adcc6aa6c68aed15b1106f89977f33406de075e0983b8ac3abf0565419a9a39f'),
+        'tailsum_monotone': (10, 'fe96e3bb713dfbf54656a1a4ae5e18249cf01da1d3adf88b0ec0582cb9ed3f33'),
+    },
+    "comtet --max-n 60 --trials 2000 --seed 42": {
+        'comtet1': (2000, 'd16c065735e7a8d361cde1ad8b75b9f144ad9520cd58e2d92c662ed2802e5fe9'),
+    },
+    "polynomials --max-n 20 --seed 42": {
+        'alzer_shift': (42, '3dbadd465b7780235466e075353e4df0cc2b16bef3864740a179e83abe798d97'),
+        'comtet2': (210, '562f159b32f47afb7e1d263042a961a0938b601d4639758e933e1c3f0599b84f'),
+        'comtet3': (420, '042f589a7279b9d12c3783b7b0a1bd509edbaa6972b7a6a73a92697e1e05f728'),
+        'recurrence_f': (400, '7e6be37e57fb31472ac772cc376543c3a661540cb54e2924187ad8ddebbe0055'),
+        'recurrence_g': (400, '6e972da9fad013e0964ef9bddd44798ddd53a909987c66753c833cd0db2959ff'),
+    },
+}
+
+
+def _rows(json_lines):
+    'the per-check-name table of a JSON report stream: {check_name: (count, sha256)}'
+    groups = {}
+    for line in _strip_elapsed(json_lines):
+        groups.setdefault(json.loads(line)["check_name"], []).append(line)
+    return {name: (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+            for name, lines in groups.items()}
+
+
+def _row_diff(pinned, rows):
+    'the moved, appeared and vanished check names, then the recomputed rows to paste'
+    def row(name, table):
+        return f"{table[name][0]} {table[name][1][:12]}"
+    return "\n".join(
+        [f"moved {name}: {row(name, pinned)} -> {row(name, rows)}"
+         for name in sorted(pinned.keys() & rows.keys()) if pinned[name] != rows[name]]
+        + [f"appeared {name}: {row(name, rows)}" for name in sorted(rows.keys() - pinned.keys())]
+        + [f"vanished {name}: {row(name, pinned)}" for name in sorted(pinned.keys() - rows.keys())]
+        + ["rows:"] + [f"        {name!r}: {rows[name]!r}," for name in sorted(rows)])
+
+
+@pytest.mark.parametrize("argv", list(PINNED_ROWS), ids=lambda argv: argv.split()[0])
+def test_cli_verify_reports_match_the_pinned_rows(capsys, fresh_memos, argv):
+    'each check name of each benchmark argv keeps its report count and rows, sorted by name'
+    code, out, _ = _run_cli(capsys, ["verify", *argv.split(), "--format", "json"])
+    rows = _rows(out)
+    assert rows == PINNED_ROWS[argv], _row_diff(PINNED_ROWS[argv], rows)
     assert code == 0
-    lines = _strip_elapsed(out)
-    assert len(lines) == 748
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "6b0fa09ef3746b2d990164083fac7cc2fc441f4086435310f69aa50dbcfaf9a2"
-    # every report but tailsum_integral keeps the digest it had before that check existed
-    older = [line for line in lines if '"tailsum_integral"' not in line]
-    assert len(older) == 738
-    digest = hashlib.sha256("\n".join(older).encode()).hexdigest()
-    assert digest == "c5b034c4700331f1472b263a6761c62b2332d4c5e634461ba06c706d5e7fc0d7"
+    reports = [json.loads(line) for line in out.splitlines()]
+    names = [r["check_name"] for r in reports]
+    assert names == sorted(names)
+    # a check whose sides are always 0 or [] compares nothing: each name needs one other side
+    assert set(names) == {r["check_name"] for r in reports if {r["lhs"], r["rhs"]} - {"0", "[]"}}
 
 
-def test_cli_verify_comtet_large_run_reports_pinned(capsys):
-    'the sum-vs-integral run of the benchmark, elapsed_ms removed, is pinned report for report'
-    code, out, _ = _run_cli(capsys, ["verify", "comtet", "--max-n", "60", "--trials", "2000",
-                                     "--seed", "42", "--format", "json"])
-    assert code == 0
-    lines = _strip_elapsed(out)
-    assert len(lines) == 2000
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "d16c065735e7a8d361cde1ad8b75b9f144ad9520cd58e2d92c662ed2802e5fe9"
-
-
-def test_cli_verify_polynomials_max_n_20_reports_pinned(capsys):
-    'the poly-algebra run of the benchmark, elapsed_ms removed, is pinned report for report'
-    code, out, _ = _run_cli(capsys, ["verify", "polynomials", "--max-n", "20", "--seed", "42",
-                                     "--format", "json"])
-    assert code == 0
-    lines = _strip_elapsed(out)
-    assert len(lines) == 1472
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "0c0db4ff813b7fe70c0dab2b8eb7b32f0badecbe3cb87c60a4a7c6840bf0d5c1"
+def test_row_diff_names_the_moved_appeared_and_vanished_check_names():
+    'an edited lhs and a changed count move their names; a renamed name vanishes and appears'
+    def stream(*rows):
+        return "\n".join(json.dumps({"check_name": name, "lhs": lhs, "elapsed_ms": 1.5})
+                         for name, lhs in rows)
+    pinned = _rows(stream(("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")))
+    rows = _rows(stream(("a", "9"), ("b", "2"), ("b", "2"), ("d", "4"), ("e", "3")))
+    lines = _row_diff(pinned, rows).splitlines()
+    assert [line.split(":")[0] for line in lines[:5]] == [
+        "moved a", "moved b", "appeared e", "vanished c", "rows"]
+    assert lines[1].endswith(f"-> 2 {rows['b'][1][:12]}")
+    assert eval("{" + "".join(lines[5:]) + "}") == rows
 
 
 def _rational_text(q):
@@ -761,7 +804,7 @@ def _rational_text(q):
 def test_check_param_texts_are_their_num_den_texts():
     'instances keep params as values; str makes each report text num/den or num at seed 42'
     instances = build_suites(harness.SUITE_ORDER, 42)
-    assert len(instances) == 748
+    assert len(instances) == sum(count for count, _ in PINNED_ROWS["all --seed 42"].values())
     assert any(not isinstance(value, str) for inst in instances for value in inst.params.values())
     by_name = sorted(instances, key=lambda inst: inst.check_name)
     for inst, report in zip(by_name, run_instances(instances), strict=True):
