@@ -639,6 +639,18 @@ def test_lower_bound_fault_splits_only_the_comtet1_integrals_over_l_h(capsys, mo
     assert sum(_integrates_the_shorter_factor(r["params"]) for r in reports) == 1006
 
 
+@pytest.mark.parametrize("argv", [["verify", "all", "--seed", "42"],
+                                  ["verify", "polynomials", "--max-n", "8"]])
+def test_every_check_name_has_a_report_with_a_nonzero_side(capsys, fresh_memos, argv):
+    'a check whose sides are always 0 or [] compares nothing: each name needs one other side'
+    code, out, _ = _run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    vacuous = {r["check_name"] for r in reports} - {
+        r["check_name"] for r in reports if {r["lhs"], r["rhs"]} - {"0", "[]"}}
+    assert vacuous == set()
+
+
 def test_harness_decides_equality_when_compare_sides_trusts_every_pair(capsys, monkeypatch,
                                                                       fresh_memos):
     'a compare_sides that calls every pair equal must not hide a wrong exponent in the integrand'
@@ -767,18 +779,29 @@ def _row_diff(pinned, rows):
         + ["rows:"] + [f"        {name!r}: {rows[name]!r}," for name in sorted(rows)])
 
 
-@pytest.mark.parametrize("argv", list(PINNED_ROWS), ids=lambda argv: argv.split()[0])
-def test_cli_verify_reports_match_the_pinned_rows(capsys, fresh_memos, argv):
-    'each check name of each benchmark argv keeps its report count and rows, sorted by name'
+def _assert_pinned_rows(capsys, argv):
+    'each check name of argv keeps its PINNED_ROWS row, and the names come out sorted'
     code, out, _ = _run_cli(capsys, ["verify", *argv.split(), "--format", "json"])
     rows = _rows(out)
     assert rows == PINNED_ROWS[argv], _row_diff(PINNED_ROWS[argv], rows)
     assert code == 0
-    reports = [json.loads(line) for line in out.splitlines()]
-    names = [r["check_name"] for r in reports]
+    names = [json.loads(line)["check_name"] for line in out.splitlines()]
     assert names == sorted(names)
-    # a check whose sides are always 0 or [] compares nothing: each name needs one other side
-    assert set(names) == {r["check_name"] for r in reports if {r["lhs"], r["rhs"]} - {"0", "[]"}}
+
+
+def test_cli_verify_all_seed_42_reports_pinned(capsys, fresh_memos):
+    'the full default run, elapsed_ms removed, is pinned report for report'
+    _assert_pinned_rows(capsys, "all --seed 42")
+
+
+def test_cli_verify_comtet_large_run_reports_pinned(capsys, fresh_memos):
+    'the sum-vs-integral run of the benchmark, elapsed_ms removed, is pinned report for report'
+    _assert_pinned_rows(capsys, "comtet --max-n 60 --trials 2000 --seed 42")
+
+
+def test_cli_verify_polynomials_max_n_20_reports_pinned(capsys, fresh_memos):
+    'the poly-algebra run of the benchmark, elapsed_ms removed, is pinned report for report'
+    _assert_pinned_rows(capsys, "polynomials --max-n 20 --seed 42")
 
 
 def test_row_diff_names_the_moved_appeared_and_vanished_check_names():
