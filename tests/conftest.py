@@ -1,21 +1,24 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ruehrkit import exact_math, harness, identities
 
-# Every functools.lru_cache of the package; test_harness checks that none is missing.
-MEMOS = (identities._fg_chain, exact_math._antiderivative_factors, harness._rational)
+def _clear_memos():
+    'clear every cache_clear-bearing global of the loaded ruehrkit modules'
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ruehrkit"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 @pytest.fixture
 def fresh_memos():
     'every memo of the package starts and ends empty, so no warm entry hides a fault'
-    for memo in MEMOS:
-        memo.cache_clear()
+    _clear_memos()
     yield
-    for memo in MEMOS:
-        memo.cache_clear()
+    _clear_memos()
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
+import __future__
 import csv
 import hashlib
+import inspect
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -353,18 +354,24 @@ def test_cli_negative_bound_is_usage_error(capsys, flag, value):
     assert flag in err and ">= 0" in err
 
 
-def _times_one_minus_x_leaving_out_the_last_step(acc):
-    'acc (1-x) with acc[1] -= acc[0] left out: the x coefficient keeps its old value'
-    acc.append(0)
-    for i in range(len(acc) - 1, 1, -1):
-        acc[i] -= acc[i - 1]
+def _mutant(module, name, old, new):
+    'module.name compiled from its own source with the one occurrence of old replaced by new'
+    source = inspect.getsource(getattr(module, name))
+    count = source.count(old)
+    assert count == 1, f"{module.__name__}.{name} holds {old!r} {count} times, not once"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), f"<mutant of {module.__name__}.{name}>", "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return namespace[name]
 
 
 def test_cli_corrupted_one_minus_x_step_splits_the_bernstein_checks(capsys, monkeypatch,
                                                                     fresh_memos):
     'the comtet2, corollary2 and f/g chain builders multiply by 1-x in one place, and no check hides it'
+    # acc[1] -= acc[0] left out: the x coefficient keeps its old value
     monkeypatch.setattr(ruehrkit.identities, "_times_one_minus_x",
-                        _times_one_minus_x_leaving_out_the_last_step)
+                        _mutant(ruehrkit.identities, "_times_one_minus_x",
+                                "len(acc) - 1, 0, -1", "len(acc) - 1, 1, -1"))
     for suite, split in (("polynomials", {"comtet2", "comtet3", "recurrence_f", "recurrence_g"}),
                          ("corollaries", {"corollary2", "ruehr_specialization"})):
         code, out, _ = _run_cli(capsys, ["verify", suite, "--max-n", "6", "--format", "json"])
@@ -382,101 +389,35 @@ def _rebind_everywhere(monkeypatch, module, name, replacement):
             monkeypatch.setattr(mod, name, replacement)
 
 
-def _binomial_row_dividing_by_i_plus_2(n, top):
-    row = [1]
-    for i in range(top):
-        row.append(row[-1] * (n - i) // (i + 2))
-    return row
-
-
-def _walked_sum_dividing_by_q_plus_1(c, steps, u, v):
-    total, u_pow = c, 1
-    for p, q in steps:
-        c = c * p // (q + 1)
-        u_pow *= u
-        total = total * v + c * u_pow
-    return total
-
-
-def _walked_sum_skipping_the_first_v(c, steps, u, v):
-    total, u_pow = c, 1
-    for j, (p, q) in enumerate(steps):
-        c = c * p // q
-        u_pow *= u
-        total = (total * v if j else total) + c * u_pow
-    return total
-
-
-def _beta_integral_dividing_by_j_plus_2(integral):
-    'x^j integrates to x^(j+1) / (j+2): the factor is read one index late'
-    def at(c0, c1, m, z, x):  # x^(j+1) / (j+2) = (1/x) integral_0^x t^(j+1) dt
-        return F(*integral(c0, c1, m, z + 1, 0, x)) / x if x else F(0)
-
-    def faulty(c0, c1, m, z, lo, hi):
-        value = at(c0, c1, m, z, hi) - at(c0, c1, m, z, lo)
-        return value.numerator, value.denominator
-    return faulty
-
-
-def _beta_integral_from_zero(integral):
-    'the antiderivative is taken at 0 instead of at the lower bound'
-    return lambda c0, c1, m, z, lo, hi: integral(c0, c1, m, z, 0, hi)
-
-
-def _beta_integral_without_the_bound_denominator(integral):
-    'the walk steps by c0, not c0 V: the integral over [V lo, V hi] divided by V^top'
-    def faulty(c0, c1, m, z, lo, hi):
-        v = math.lcm(F(lo).denominator, F(hi).denominator)
-        total, den = integral(c0, c1, m, z, v * lo, v * hi)
-        return total, den * v ** (z + m + 1)
-    return faulty
-
-
-def _beta_integral_walking_by_one_more(c0, c1, m, z, lo, hi):
-    'C(m, i) c0^(m-i) walked down from 1 by b c0 i // (m-i+2), then integrated term by term'
-    b, value = 1, F(0)
-    for i in range(m, -1, -1):
-        value += b * c1 ** i * (F(hi) ** (z + i + 1) - F(lo) ** (z + i + 1)) / (z + i + 1)
-        b = b * c0 * i // (m - i + 2)
-    return value.numerator, value.denominator
-
-
-def _adding_one_to_the_top(op):
-    def faulty(a, b):
-        out = op(a, b)
-        return out[:-1] + [out[-1] + 1] if out else out
-    return faulty
-
-
 _VERIFY_ALL = ["verify", "all", "--format", "json"]
 _VERIFY_POLYNOMIALS = ["verify", "polynomials", "--max-n", "8", "--format", "json"]
 # every check name of verify all with an integral side
 _INTEGRAL_CHECKS = ("beta_complement", "beta_cross", "binom_tail", "comtet1", "corollary1",
                     "kimura_ruehr_moments", "negbinom_cdf", "negbinom_tail", "partial_sum",
                     "tailsum_comtet1", "tailsum_integral")
+# Each fault is one text edit of a package function, (module, function, old text, new text),
+# and the checks that see it split: exactly these report lhs != rhs under the row's argv.
 _OFF_BY_ONE_FAULTS = {
     # the integer Horner kernel skips the leading coefficient; poly_eval takes the chain's
     # polynomial values through it, and no integral does
-    "horner_kernel": (exact_math, "_horner",
-                      lambda f: lambda nums, u, v: f(nums[:-1], u, v),
+    "horner_kernel": (exact_math, "_horner", "reversed(coeffs)", "reversed(coeffs[:-1])",
                       _VERIFY_ALL, ("ruehr_chain", "ruehr_specialization")),
     # the antiderivative divides the coefficient of x^j by j + 2 instead of j + 1: every
     # equality with an integral side, since the comtet1, kimura and beta integrals all go
     # through the one primitive (partial_sum is comtet1 at a = 1, b = d - 1;
     # tailsum_comtet1 sets two faulted integrals against each other)
     "beta_integral_antiderivative_divisor": (exact_math, "_unreduced_beta_integral",
-                                             _beta_integral_dividing_by_j_plus_2,
+                                             "_factors(z, z + m + 1)",
+                                             "_factors(z + 1, z + m + 2)",
                                              _VERIFY_ALL, _INTEGRAL_CHECKS),
     # the walk steps by (c0 + 1) V instead of c0 V, so each power of c0 is off: every
     # equality with an integral side, the beta integrals over [0, 1] included
-    "beta_integral_c0_power": (exact_math, "_unreduced_beta_integral",
-                               lambda f: lambda c0, c1, m, z, lo, hi: f(c0 + 1, c1, m, z, lo, hi),
+    "beta_integral_c0_power": (exact_math, "_unreduced_beta_integral", "c0 * v", "(c0 + 1) * v",
                                _VERIFY_ALL, _INTEGRAL_CHECKS),
     # the walk steps by c0 instead of c0 V, V the bounds' common denominator: only the
     # integrals over a rational bound see it; the comtet1 integrals, whose bounds are
     # integers after t = u/q, and beta_cross, over [0, 1], are blind to it
-    "beta_integral_bound_denominator": (exact_math, "_unreduced_beta_integral",
-                                        _beta_integral_without_the_bound_denominator,
+    "beta_integral_bound_denominator": (exact_math, "_unreduced_beta_integral", "c0 * v", "c0",
                                         _VERIFY_ALL, ("beta_complement", "binom_tail",
                                                       "corollary1", "kimura_ruehr_moments",
                                                       "negbinom_cdf", "negbinom_tail")),
@@ -484,7 +425,7 @@ _OFF_BY_ONE_FAULTS = {
     # integral has a lower bound other than 0 on one side only; the comtet1 integrals over
     # [0, H - L], with k < n - k - 1, are blind to it
     "beta_integral_lower_bound": (exact_math, "_unreduced_beta_integral",
-                                  _beta_integral_from_zero,
+                                  "u_lo ** (z + 1) * acc_lo", "0",
                                   _VERIFY_ALL, ("comtet1", "partial_sum",
                                                 "tailsum_comtet1", "tailsum_integral",
                                                 "corollary1", "kimura_ruehr_moments")),
@@ -492,118 +433,116 @@ _OFF_BY_ONE_FAULTS = {
     # b = d - 1, the binomial tail is the comtet1 sum with k = n - a (beta_dist and
     # collatz_bound bind the same function, and _rebind_everywhere rebinds it there),
     # and both tails of tail_sum are comtet1 sums
-    "comtet1_lhs_all": (ruehrkit.identities, "_comtet1_lhs",
-                        lambda f: lambda n, k, a, b: f(n, k - 1, a, b),
+    "comtet1_lhs_all": (ruehrkit.identities, "_comtet1_lhs", "    den =", "    k -= 1\n    den =",
                         _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail",
                                       "tailsum_integral")),
     # every negative binomial window, the CDF and the tail, stops one term early
-    "negbinom_cdf_lhs": (beta_dist, "_negbinom_mass",
-                         lambda f: lambda r, lo, hi, p: f(r, lo, hi - 1, p),
+    "negbinom_cdf_lhs": (beta_dist, "_negbinom_mass", "    u, v =", "    hi -= 1\n    u, v =",
                          _VERIFY_ALL, ("negbinom_cdf", "negbinom_tail")),
-    # a window that starts past 0 is off by p - 1/2, so it is right at p = 1/2 only, as
-    # u^r // (v-u)^lo for u^r (v-u)^lo would be; the tail windows take p = a/(a+2)
+    # with p = u/v, u^r is floor-divided by (v - u)^lo where it should be multiplied: right
+    # where lo = 0 (every CDF window) or v - u = 1, so only the tail windows off p = 1/2 see it
     "negbinom_mass_off_p_half": (beta_dist, "_negbinom_mass",
-                                 lambda f: lambda r, lo, hi, p: f(r, lo, hi, p)
-                                 + (lo > 0) * (p - F(1, 2)),
+                                 "u ** r * (v - u)", "u ** r // (v - u)",
                                  _VERIFY_ALL, ("negbinom_tail",)),
     # the direct A_n(3) sum comes out one too large
     "ruehr_sums_direct": (ruehrkit.identities, "ruehr_sums_direct",
-                          lambda f: lambda n: (f(n)[0] + 1,) + f(n)[1:],
+                          "direct(n, index)", "direct(n, index) + (index == 0)",
                           _VERIFY_ALL, ("ruehr_chain",)),
     # x^z (c0 + c1 x)^m is integrated with the exponent m one too high; the moment
     # equality still holds for x^(2n) (3 - 2x)^(n+1), so kimura_ruehr_moments is blind to it
+    # (range(m + 1, -1, -1) would be another fault, one that kimura_ruehr_moments sees)
     "beta_integral_exponent_m": (exact_math, "_unreduced_beta_integral",
-                                 lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1, m + 1, z, lo, hi),
+                                 "    v =", "    m += 1\n    v =",
                                  _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail",
                                                "comtet1", "corollary1", "negbinom_cdf",
                                                "negbinom_tail", "partial_sum",
                                                "tailsum_comtet1", "tailsum_integral")),
     # p(x + 1) is composed as p(x + 2)
-    "poly_compose": (exact_math, "poly_compose",
-                     lambda f: lambda p, q: f(p, [q[0] + 1] + q[1:]),
+    "poly_compose": (exact_math, "poly_compose", "q0 * out", "(q0 + 1) * out",
                      _VERIFY_ALL, ("alzer_shift",)),
     # the tail mass is one 1/d^k short; the inequality checks cannot see it
-    "tail_sum": (collatz_bound, "tail_sum",
-                 lambda f: lambda query: f(query) - F(1, query.d ** query.k),
+    "tail_sum": (collatz_bound, "tail_sum", "(total, d ** k)", "(total - 1, d ** k)",
                  _VERIFY_ALL, ("tailsum_integral",)),
     # each row entry divides by i + 2 instead of i + 1; family_polynomial takes B and D
     # from the row, and neither ruehr_sums_direct nor families A and C, which alzer_shift
     # and corollary2 set against B and D, use it
-    "binomial_row": (exact_math, "binomial_row",
-                     lambda f: _binomial_row_dividing_by_i_plus_2,
+    "binomial_row": (exact_math, "binomial_row", "// (i + 1)", "// (i + 2)",
                      _VERIFY_ALL, ("ruehr_chain", "alzer_shift", "corollary2")),
     # the integral's walk from C(m, m) = 1 divides each step by one more; the comtet1
     # sum walks its binomials the other way, from C(n, k) by _walked_sum
     "beta_integral_walk_step": (exact_math, "_unreduced_beta_integral",
-                                lambda f: _beta_integral_walking_by_one_more,
-                                _VERIFY_ALL, _INTEGRAL_CHECKS),
+                                "(m - i + 1)", "(m - i + 2)", _VERIFY_ALL, _INTEGRAL_CHECKS),
     # each step of the far-end walk divides by one more; it carries every term-by-term
     # sum side: comtet1 (and partial_sum, binom_tail), tail_sum, the negative binomial
-    # windows and the chain sums
-    "walked_sum_step": (exact_math, "_walked_sum",
-                        lambda f: _walked_sum_dividing_by_q_plus_1,
+    # windows and the chain sums (ruehr_chain, ruehr_specialization, corollary1)
+    "walked_sum_step": (exact_math, "_walked_sum", "(p * u) // q", "(p * u) // (q + 1)",
                         _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail", "tailsum_integral",
                                       "negbinom_cdf", "negbinom_tail", "ruehr_chain",
-                                      "corollary1")),
-    # the walk's first Horner step leaves out its factor v: the power of v is one short
-    # on the far-end term
-    "walked_sum_horner": (exact_math, "_walked_sum",
-                          lambda f: _walked_sum_skipping_the_first_v,
+                                      "ruehr_specialization", "corollary1")),
+    # each Horner step multiplies by v + 1 instead of v: every walked sum, the walks with
+    # v = 1 included (the chain sums, and tail_sum's lower tail at d = 2, which eta_bound
+    # bounds)
+    "walked_sum_horner": (exact_math, "_walked_sum", "total * v", "total * (v + 1)",
                           _VERIFY_ALL, ("comtet1", "partial_sum", "binom_tail",
-                                        "tailsum_integral", "negbinom_cdf", "negbinom_tail")),
+                                        "tailsum_integral", "negbinom_cdf", "negbinom_tail",
+                                        "ruehr_chain", "ruehr_specialization", "corollary1",
+                                        "eta_bound")),
     # x^k p is shifted one place too far; in this suite only the x of g's chain step
     # g(m, N) = x g(m+1, N-1) + ... goes through it, so f and g part
-    "poly_shift": (exact_math, "poly_shift",
-                   lambda f: lambda p, k: f(p, k + 1),
+    "poly_shift": (exact_math, "poly_shift", "[0] * k", "[0] * (k + 1)",
                    _VERIFY_POLYNOMIALS, ("comtet3",)),
-    # the top coefficient of a sum comes out one too large: the recurrence rhs and each
-    # f/g chain step add through it, and the f and g chains step differently; alzer_shift
-    # does not see it, since poly_compose shifts by a linear q without poly_add
-    "poly_add": (exact_math, "poly_add", _adding_one_to_the_top, _VERIFY_POLYNOMIALS,
-                 ("comtet3", "recurrence_f", "recurrence_g")),
+    # the top coefficient of a sum, before zeros are stripped, comes out one too large: the
+    # recurrence rhs and each f/g chain step add through it, and the f and g chains step
+    # differently; alzer_shift does not see it, since poly_compose shifts without poly_add
+    "poly_add": (exact_math, "poly_add", "    return", "    out[-1] += 1\n    return",
+                 _VERIFY_POLYNOMIALS, ("comtet3", "recurrence_f", "recurrence_g")),
     # the Horner sum runs in (c1 + 1) U instead of c1 U, so each power of c1 is off: every
     # equality with an integral side
     "beta_integral_c1_power": (exact_math, "_unreduced_beta_integral",
-                               lambda f: lambda c0, c1, m, z, lo, hi: f(c0, c1 + 1, m, z, lo, hi),
-                               _VERIFY_ALL, _INTEGRAL_CHECKS),
+                               "    v =", "    c1 += 1\n    v =", _VERIFY_ALL, _INTEGRAL_CHECKS),
     # every math.comb value comes out one too large: the term-by-term sums start from one
     # (the chain sums and the comtet1 and negative binomial walks), the comtet1 integral's
     # scale (n-k) C(n, k) takes one, and the comtet2 terms and f/g chain steps one each;
     # alzer_shift and corollary2 take their coefficients from family_polynomial's walks
-    "binomial": (exact_math, "binomial", lambda f: lambda n, k: f(n, k) + 1,
+    "binomial": (exact_math, "binomial", "comb(n, k)\n", "comb(n, k) + 1\n",
                  _VERIFY_ALL, ("binom_tail", "comtet1", "comtet2", "comtet3", "corollary1",
                                "negbinom_cdf", "negbinom_tail", "partial_sum",
                                "recurrence_f", "recurrence_g", "ruehr_chain",
                                "ruehr_specialization", "tailsum_comtet1", "tailsum_integral")),
     # the top coefficient of a product comes out one too large: only the f/g recurrence
     # checks multiply polynomials, by 1 - x on their own
-    "poly_mul": (exact_math, "poly_mul", _adding_one_to_the_top, _VERIFY_POLYNOMIALS,
-                 ("recurrence_f", "recurrence_g")),
+    "poly_mul": (exact_math, "poly_mul", "ca * cb", "ca * cb + (k == len(out) - 1)",
+                 _VERIFY_POLYNOMIALS, ("recurrence_f", "recurrence_g")),
     # the complete beta function comes out one too large: every regularized_beta side, and
     # beta_cross, which sets it against its integral
-    "beta_exact": (beta_dist, "beta_exact", lambda f: lambda x, y: f(x, y) + 1,
+    "beta_exact": (beta_dist, "beta_exact", "return Fraction(", "return 1 + Fraction(",
                    _VERIFY_ALL, ("beta_complement", "beta_cross", "binom_tail", "negbinom_cdf",
                                  "negbinom_tail")),
     # the affine branch of the map comes out one too large, so 1 -> 3 -> 6 -> 3
-    "g_step": (collatz_bound, "g_step",
-               lambda f: lambda ell, cfg: f(ell, cfg) + 1 if ell % cfg.div else f(ell, cfg),
+    "g_step": (collatz_bound, "g_step", "r) // cfg.div", "r) // cfg.div + 1",
                _VERIFY_ALL, ("orbit_cycle",)),
 }
+
+
+def _inject(monkeypatch, fault):
+    'rebind the faulted function of the row everywhere to its mutant; the row\'s argv and checks'
+    module, name, old, new, argv, check_names = _OFF_BY_ONE_FAULTS[fault]
+    _rebind_everywhere(monkeypatch, module, name, _mutant(module, name, old, new))
+    return argv, check_names
 
 
 @pytest.mark.parametrize("fault", sorted(_OFF_BY_ONE_FAULTS))
 def test_cli_off_by_one_in_a_summation_or_integration_layer_fails(capsys, monkeypatch,
                                                                   fresh_memos, fault):
-    'one off-by-one fault makes verify exit 1, and the named checks fail with lhs != rhs'
-    module, name, make_faulty, argv, check_names = _OFF_BY_ONE_FAULTS[fault]
-    _rebind_everywhere(monkeypatch, module, name, make_faulty(getattr(module, name)))
+    'one single-site fault makes verify exit 1, and exactly the named checks fail with lhs != rhs'
+    argv, check_names = _inject(monkeypatch, fault)
     code, out, _ = _run_cli(capsys, argv)
     assert code == 1
     # sides that disagree show the fault on one route only; for ruehr_chain,
     # four equal but wrong values on both paths would fail with lhs == rhs
     reports = [json.loads(line) for line in out.splitlines()]
     split = {r["check_name"] for r in reports if not r["equal"] and r["lhs"] != r["rhs"]}
-    assert set(check_names) <= split
+    assert split == set(check_names)
 
 
 def _integrates_the_shorter_factor(params):
@@ -627,8 +566,7 @@ def test_sum_vs_integral_argv_takes_both_comtet1_integral_branches(monkeypatch):
 def test_lower_bound_fault_splits_only_the_comtet1_integrals_over_l_h(capsys, monkeypatch,
                                                                       fresh_memos):
     'an antiderivative taken at 0 for lo is right over [0, H - L]: that branch is blind to it'
-    _rebind_everywhere(monkeypatch, exact_math, "_unreduced_beta_integral",
-                       _beta_integral_from_zero(exact_math._unreduced_beta_integral))
+    _inject(monkeypatch, "beta_integral_lower_bound")
     code, out, _ = _run_cli(capsys, ["verify", "comtet", "--max-n", "60", "--trials", "2000",
                                      "--seed", "42", "--format", "json"])
     assert code == 1
@@ -655,10 +593,8 @@ def test_harness_decides_equality_when_compare_sides_trusts_every_pair(capsys, m
                                                                       fresh_memos):
     'a compare_sides that calls every pair equal must not hide a wrong exponent in the integrand'
     _rebind_everywhere(monkeypatch, ruehrkit.identities, "compare_sides",
-                       lambda lhs, rhs: SidePair(lhs, rhs, True))
-    integral = exact_math._unreduced_beta_integral
-    _rebind_everywhere(monkeypatch, exact_math, "_unreduced_beta_integral",
-                       lambda c0, c1, m, z, lo, hi: integral(c0, c1, m + 1, z, lo, hi))
+                       _mutant(ruehrkit.identities, "compare_sides", "lhs == rhs)", "True)"))
+    _inject(monkeypatch, "beta_integral_exponent_m")
     code, out, _ = _run_cli(capsys, ["verify", "all", "--seed", "42", "--format", "json"])
     assert code == 1
     reports = [json.loads(line) for line in out.splitlines()]
