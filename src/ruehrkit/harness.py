@@ -85,10 +85,9 @@ def fuzz_probability(src: FuzzSource, den_bound: int, *,
                      lo_open: bool = False, hi_open: bool = False) -> Fraction:
     """Rational probability with denominator <= den_bound; two generator steps.
 
-    Endpoints are included unless lo_open / hi_open exclude them.
+    Endpoints are included unless lo_open / hi_open exclude them.  An
+    open-open interval needs den_bound >= 2, or fuzz_int raises ValueError.
     """
-    if den_bound < 2 and lo_open and hi_open:
-        raise ValueError("open-open interval needs den_bound >= 2")
     den = fuzz_int(src, 1 + (lo_open and hi_open), den_bound)
     num = fuzz_int(src, lo_open, den - hi_open)
     return _rational(num, den)

@@ -259,8 +259,6 @@ def comtet1_sides(n: int, k: int, a, b) -> SidePair:
     exact rationals: ints and Fractions as computed, which == and str treat
     alike.
     """
-    if n < 0:
-        raise ValueError(f"comtet1_sides requires n >= 0, got n={n}")
     if not 0 <= k < n:
         raise ValueError(f"comtet1_sides requires 0 <= k < n, got k={k}, n={n}")
     return compare_sides(_comtet1_lhs(n, k, a, b), comtet1_integral(n, k, a, b))

@@ -1,7 +1,24 @@
+import json
 import sys
 from fractions import Fraction
 
 import pytest
+
+
+def strip_elapsed(json_lines):
+    'the JSON report lines with elapsed_ms removed, the only field two equal runs may differ in'
+    out = []
+    for line in json_lines.splitlines():
+        record = json.loads(line)
+        del record["elapsed_ms"]
+        out.append(json.dumps(record))
+    return out
+
+
+def rational_text(q):
+    'num/den of the normalized Fraction, or num alone when the denominator is 1'
+    q = Fraction(q)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _clear_memos():

@@ -6,11 +6,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.
 """
 
-import json
 import math
 import time
 from fractions import Fraction as F
 
+from conftest import strip_elapsed
 from ruehrkit import beta_dist, cli, collatz_bound, harness, identities
 from ruehrkit.exact_math import poly_add, poly_compose, poly_mul
 from ruehrkit.harness import FuzzSource, fuzz_int, fuzz_probability, fuzz_rational
@@ -171,15 +171,6 @@ def test_criterion_7_tail_bound():
                         f"max k-th root {max_root:.4f} < 0.95")
 
 
-def _strip_elapsed(output):
-    lines = []
-    for line in output.splitlines():
-        record = json.loads(line)
-        del record["elapsed_ms"]
-        lines.append(json.dumps(record))
-    return lines
-
-
 def test_criterion_8_harness_determinism_and_fault_injection(capsys, monkeypatch):
     started = time.perf_counter()
     argv = ["verify", "all", "--seed", "42", "--format", "json"]
@@ -187,7 +178,7 @@ def test_criterion_8_harness_determinism_and_fault_injection(capsys, monkeypatch
     first = capsys.readouterr().out
     assert cli.main(argv) == 0
     second = capsys.readouterr().out
-    assert _strip_elapsed(first) == _strip_elapsed(second), \
+    assert strip_elapsed(first) == strip_elapsed(second), \
         "repeat run with the same seed is not byte-identical"
     assert len(first.splitlines()) > 100
 

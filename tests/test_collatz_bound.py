@@ -16,7 +16,7 @@ from ruehrkit.collatz_bound import (
 )
 from ruehrkit.exact_math import binomial_row
 from ruehrkit.harness import FuzzSource, fuzz_int
-from ruehrkit.identities import comtet1_integral, comtet1_sides
+from ruehrkit.identities import comtet1_sides
 
 
 def test_classical_config():
@@ -262,10 +262,6 @@ def test_kth_root_of_zero_tail_is_zero():
     assert _eta(2, F(1, 2), 4) == 0.0
 
 
-def test_kth_roots_of_tail_sums_witness_decay_below_one():
-    assert max(_eta(2, F(1, 4), k) for k in (50, 100, 200)) < 0.95
-
-
 def test_comtet1_partial_sum_hand_cases():
     'the leading partial sums sum_{i<=m} C(k,i) (d-1)^i are comtet1 at a = 1, b = d - 1'
     pair = comtet1_sides(2, 1, 1, 2 - 1)
@@ -284,15 +280,3 @@ def test_comtet1_partial_sum_validation():
         comtet1_sides(3, 3, 1, 2 - 1)
     with pytest.raises(ValueError):
         comtet1_sides(3, -1, 1, 2 - 1)
-
-
-def test_comtet1_partial_sums_equal_d_to_the_k_minus_their_reflection():
-    'the leading partial sums of the tail are comtet1 at a=1, b=d-1 and d^k minus the rest'
-    src = FuzzSource(47)
-    for _ in range(30):
-        k = fuzz_int(src, 1, 30)
-        m = fuzz_int(src, 0, k - 1)
-        d = fuzz_int(src, 2, 6)
-        pair = comtet1_sides(k, m, 1, d - 1)
-        assert pair.equal
-        assert pair.lhs == d ** k - comtet1_integral(k, k - m - 1, d - 1, 1)

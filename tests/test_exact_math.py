@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from conftest import rational_text
 
 import ruehrkit
 from ruehrkit import beta_dist, cli, collatz_bound, exact_math, harness, identities
@@ -134,6 +135,8 @@ def test_linear_power_matches_poly_pow():
                 got = linear_power(c0, c1, e)
                 assert got == poly_pow(poly_normalize([c0, c1]), e), (c0, c1, e)
                 assert all(type(c) is int for c in got)
+    with pytest.raises(ValueError, match="exponent >= 0"):
+        linear_power(1, 1, -1)
 
 
 def test_poly_compose_shift_examples():
@@ -217,6 +220,8 @@ def test_poly_add_sub_shift():
     assert poly_add(p, q) == [F(0), F(0), F(5)]
     assert poly_shift(p, 2) == [F(0), F(0), F(1), F(2)]
     assert poly_shift([], 3) == []
+    with pytest.raises(ValueError):
+        poly_shift(p, -1)
 
 
 def _assert_scalar_rule(values):
@@ -290,7 +295,7 @@ def test_polynomial_serialization():
 
 def _json_array_reference(p):
     """The JSON encoder route that serialize_value's string join replaces."""
-    return json.dumps([_format_rational_reference(c) for c in p])
+    return json.dumps([rational_text(c) for c in p])
 
 
 def test_serialize_value_matches_json_encoder():
@@ -308,12 +313,6 @@ def test_serialize_value_matches_json_encoder():
         assert serialize_value(p) == _json_array_reference(p), p
 
 
-def _format_rational_reference(q):
-    'num/den from the normalized Fraction, or num alone when the denominator is 1'
-    q = F(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def test_str_is_the_serialization_of_ints_and_fractions():
     'str gives the num/den text for every int and Fraction, unreduced input included'
     values = [0, 7, -7, 2 ** 200, -(3 ** 150), F(6, 3), F(-10, 4), F(0, 5), F(4, -6),
@@ -322,7 +321,7 @@ def test_str_is_the_serialization_of_ints_and_fractions():
     values += [F(fuzz_int(src, -(10 ** 30), 10 ** 30), fuzz_int(src, 1, 10 ** 30))
                for _ in range(100)]
     for q in values:
-        assert str(q) == _format_rational_reference(q), q
+        assert str(q) == rational_text(q), q
 
 
 def _reference_eval(p, x):

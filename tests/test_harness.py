@@ -1,6 +1,7 @@
 import __future__
 import csv
 import hashlib
+import importlib
 import inspect
 import io
 import json
@@ -13,6 +14,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from conftest import rational_text, strip_elapsed
 
 import ruehrkit.identities
 from ruehrkit import beta_dist, cli, collatz_bound, exact_math, harness
@@ -70,12 +72,6 @@ def test_fuzz_rational_bounds_and_nonzero():
         fuzz_rational(src, 0, 5)
 
 
-def test_fuzz_rational_same_seed_same_sequence():
-    first = [fuzz_rational(FuzzSource(1234), 9, 9) for _ in range(10)]
-    second = [fuzz_rational(FuzzSource(1234), 9, 9) for _ in range(10)]
-    assert first == second
-
-
 def test_fuzz_probability_ranges():
     src = FuzzSource(3)
     for _ in range(200):
@@ -84,6 +80,8 @@ def test_fuzz_probability_ranges():
         assert 0 <= fuzz_probability(src, 9, hi_open=True) < 1
         p = fuzz_probability(src, 9, lo_open=True, hi_open=True)
         assert 0 < p < 1
+    with pytest.raises(ValueError):
+        fuzz_probability(src, 1, lo_open=True, hi_open=True)
 
 
 def test_fuzz_int_bounds():
@@ -216,15 +214,6 @@ def _run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _strip_elapsed(json_lines):
-    out = []
-    for line in json_lines.splitlines():
-        record = json.loads(line)
-        del record["elapsed_ms"]
-        out.append(json.dumps(record))
-    return out
-
-
 def test_cli_moments_single_trivial_report(capsys):
     code, out, _ = _run_cli(capsys, ["verify", "moments", "--max-n", "0", "--format", "json"])
     assert code == 0
@@ -244,33 +233,18 @@ def test_cli_ruehr_six_reports(capsys):
     assert all(r["equal"] for r in records)
 
 
-def test_cli_comtet_trials_deterministic(capsys):
-    argv = ["verify", "comtet", "--trials", "10", "--seed", "42", "--format", "json"]
-    code, out1, _ = _run_cli(capsys, argv)
-    assert code == 0
-    assert len(out1.splitlines()) == 10
-    _, out2, _ = _run_cli(capsys, argv)
-    assert _strip_elapsed(out1) == _strip_elapsed(out2)
-
-
 def test_cli_jobs_do_not_change_output(capsys):
     base = ["verify", "polynomials", "--max-n", "5", "--seed", "7", "--format", "json"]
     _, serial, _ = _run_cli(capsys, base)
     _, threaded, _ = _run_cli(capsys, base + ["--jobs", "4"])
-    assert _strip_elapsed(serial) == _strip_elapsed(threaded)
-
-
-def test_cli_reports_sorted_by_check_name(capsys):
-    _, out, _ = _run_cli(capsys, ["verify", "tailsum", "--seed", "1", "--format", "json"])
-    names = [json.loads(line)["check_name"] for line in out.splitlines()]
-    assert names == sorted(names)
+    assert strip_elapsed(serial) == strip_elapsed(threaded)
 
 
 def test_cli_without_seed_fuzzes_with_seed_42(capsys):
     _, without, _ = _run_cli(capsys, ["verify", "comtet", "--trials", "5", "--format", "json"])
     _, with_42, _ = _run_cli(capsys, ["verify", "comtet", "--trials", "5",
                                       "--seed", "42", "--format", "json"])
-    assert _strip_elapsed(without) == _strip_elapsed(with_42)
+    assert strip_elapsed(without) == strip_elapsed(with_42)
 
 
 def test_cli_csv_format(capsys):
@@ -606,17 +580,30 @@ def test_harness_decides_equality_when_compare_sides_trusts_every_pair(capsys, m
             "partial_sum", "tailsum_integral"} <= failed
 
 
-def test_fresh_memos_clears_every_memo_of_the_package(capsys, request):
-    'every functools.lru_cache of a ruehrkit module is one fresh_memos clears'
+def _package_state_sizes():
+    'currsize of each lru wrapper and len of each dict, list and set bound to a non-dunder global'
+    return {(name, key): value.cache_info().currsize if hasattr(value, "cache_info") else len(value)
+            for name, module in list(sys.modules.items()) if name.startswith("ruehrkit")
+            for key, value in vars(module).items() if not key.startswith("__")
+            and (hasattr(value, "cache_info") or isinstance(value, (dict, list, set)))}
+
+
+def test_fresh_memos_clears_every_memo_of_the_package(capsys, monkeypatch, request):
+    'fresh_memos puts back to its fresh-import size every global that two runs grow from there'
+    for name in [name for name in sys.modules if name.startswith("ruehrkit")]:
+        monkeypatch.delitem(sys.modules, name)
+    fresh_cli = importlib.import_module("ruehrkit.cli")
+    before = _package_state_sizes()
     for argv in (["verify", "polynomials", "--max-n", "6"], ["verify", "all", "--seed", "42"]):
-        _run_cli(capsys, argv + ["--format", "json"])
-    found = {(name, key): value for name, module in list(sys.modules.items())
-             if name.startswith("ruehrkit")
-             for key, value in vars(module).items() if hasattr(value, "cache_info")}
-    assert all(memo.cache_info().currsize for memo in (
-        ruehrkit.identities._fg_chain, ruehrkit.exact_math._antiderivative_factors))
+        fresh_cli.main(argv + ["--format", "json"])
+    capsys.readouterr()
+    after = _package_state_sizes()
+    grown = {key for key, size in after.items() if size > before.get(key, 0)}
+    assert {("ruehrkit.identities", "_fg_chain"), ("ruehrkit.exact_math", "_antiderivative_factors"),
+            ("ruehrkit.harness", "_rational")} <= grown
     request.getfixturevalue("fresh_memos")
-    assert [key for key, memo in found.items() if memo.cache_info().currsize] == []
+    cleared = _package_state_sizes()
+    assert {key: cleared[key] for key in grown if cleared[key] != before.get(key, 0)} == {}
 
 
 def test_tailsum_integral_matches_tail_sum():
@@ -697,7 +684,7 @@ PINNED_ROWS = {
 def _rows(json_lines):
     'the per-check-name table of a JSON report stream: {check_name: (count, sha256)}'
     groups = {}
-    for line in _strip_elapsed(json_lines):
+    for line in strip_elapsed(json_lines):
         groups.setdefault(json.loads(line)["check_name"], []).append(line)
     return {name: (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
             for name, lines in groups.items()}
@@ -754,12 +741,6 @@ def test_row_diff_names_the_moved_appeared_and_vanished_check_names():
     assert eval("{" + "".join(lines[5:]) + "}") == rows
 
 
-def _rational_text(q):
-    'num/den of the normalized Fraction, or num alone when the denominator is 1'
-    q = F(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def test_check_param_texts_are_their_num_den_texts():
     'instances keep params as values; str makes each report text num/den or num at seed 42'
     instances = build_suites(harness.SUITE_ORDER, 42)
@@ -768,7 +749,7 @@ def test_check_param_texts_are_their_num_den_texts():
     by_name = sorted(instances, key=lambda inst: inst.check_name)
     for inst, report in zip(by_name, run_instances(instances), strict=True):
         assert report.check_name == inst.check_name
-        assert report.params == {key: value if isinstance(value, str) else _rational_text(value)
+        assert report.params == {key: value if isinstance(value, str) else rational_text(value)
                                  for key, value in inst.params.items()}
 
 
@@ -881,7 +862,7 @@ def test_cli_report_values_round_trip(capsys):
         record = json.loads(line)
         for side in (record["lhs"], record["rhs"]):
             values = json.loads(side) if side.startswith("[") else [side]
-            assert all(_rational_text(F(value)) == value for value in values), side
+            assert all(rational_text(F(value)) == value for value in values), side
 
 
 def test_cli_tailsum_subcommand(capsys):
@@ -935,6 +916,10 @@ def test_cli_orbit_subcommand_preset(capsys):
     assert code == 0
     assert "steps: 7 11 17 26 13 20 10 5 8 4 2 1 2" in out
     assert "cycle found" in out
+    code, out, _ = _run_cli(capsys, ["orbit", "--value", "27", "--preset", "classical",
+                                     "--max-steps", "5"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["steps: 27 41 62 31 47 71", "max steps reached after 5 steps"]
 
 
 def test_cli_orbit_subcommand_custom_config(capsys):
