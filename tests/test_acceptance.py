@@ -12,7 +12,6 @@ from fractions import Fraction as F
 
 from conftest import strip_elapsed
 from ruehrkit import beta_dist, cli, collatz_bound, harness, identities
-from ruehrkit.exact_math import poly_add, poly_compose, poly_mul
 from ruehrkit.harness import FuzzSource, fuzz_int, fuzz_probability, fuzz_rational
 from ruehrkit.identities import SidePair, SumFamily
 
@@ -71,22 +70,14 @@ def test_criterion_4_comtet23_and_recurrences():
     for m in range(1, 41):
         for big_n in range(41):
             assert identities.comtet3_sides(m, big_n).equal, f"comtet3 m={m} N={big_n}"
-    one_minus_x = [F(1), F(-1)]
     for j in range(1, 21):
         for big_n in range(1, 21):
-            f_rec = poly_add(
-                poly_mul(one_minus_x, identities.proof_helper("f", j + 1, big_n - 1)),
-                identities.proof_helper("f", j, big_n))
-            assert identities.proof_helper("f", j + 1, big_n) == f_rec
-            g_rec = poly_add(
-                identities.proof_helper("g", j, big_n),
-                poly_mul(one_minus_x, identities.proof_helper("g", j + 1, big_n - 1)))
-            assert identities.proof_helper("g", j + 1, big_n) == g_rec
-    for big_n in range(21):
-        assert identities.proof_helper("f", 1, big_n) == identities.proof_helper("g", 1, big_n)
+            for kind in ("f", "g"):
+                assert harness._recurrence_sides(kind, j, big_n).equal, \
+                    f"recurrence_{kind} j={j} N={big_n}"
     elapsed = time.perf_counter() - started
     assert elapsed < 60
-    _passed(4, elapsed, "comtet2/3 to 40, f/g recurrences and base to 20")
+    _passed(4, elapsed, "comtet2/3 to 40, f/g recurrences to 20")
 
 
 def test_criterion_5_corollaries_and_shifts():
@@ -97,12 +88,10 @@ def test_criterion_5_corollaries_and_shifts():
     for n in range(41):
         assert identities.corollary2_sides(n, "first").equal, f"cor2 first n={n}"
         assert identities.corollary2_sides(n, "second").equal, f"cor2 second n={n}"
-    shift = [F(1), F(1)]
     for n in range(41):
-        assert poly_compose(identities.family_polynomial(SumFamily.A, n), shift) == \
-            identities.family_polynomial(SumFamily.B, n), f"A/B shift n={n}"
-        assert poly_compose(identities.family_polynomial(SumFamily.C, n), shift) == \
-            identities.family_polynomial(SumFamily.D, n), f"C/D shift n={n}"
+        for left, right in ((SumFamily.A, SumFamily.B), (SumFamily.C, SumFamily.D)):
+            assert harness._alzer_shift_sides(n, left, right).equal, \
+                f"{left.value}/{right.value} shift n={n}"
     elapsed = time.perf_counter() - started
     _passed(5, elapsed, "corollary1 to 100, corollary2 and both shifts to 40")
 

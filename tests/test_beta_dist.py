@@ -41,25 +41,10 @@ def test_beta_factorial_path_equals_integral_path():
             assert beta_exact(x, y) == incomplete_beta(1, x, y)
 
 
-def test_beta_printed_ratio_form_is_wrong():
-    """The tempting closed form (x+y)/x * C(x+y,x)^-1 is not B(x,y).
-
-    At (2,3) it gives 1/4 while the integral gives 1/12; the factorial
-    form tracks the integral.  Pinned so nobody "simplifies" beta_exact
-    back onto the broken expression.
-    """
-    ratio_form = F(2 + 3, 2) / math.comb(2 + 3, 2)
-    assert ratio_form == F(1, 4)
-    assert incomplete_beta(1, 2, 3) == F(1, 12)
-    assert beta_exact(2, 3) == incomplete_beta(1, 2, 3)
-    assert ratio_form != beta_exact(2, 3)
-
-
 def test_incomplete_beta_hand_values():
     assert incomplete_beta(F(1, 2), 2, 2) == F(1, 12)
     for x in range(1, 8):
         for y in range(1, 8):
-            assert incomplete_beta(1, x, y) == beta_exact(x, y)
             assert incomplete_beta(0, x, y) == 0
 
 
@@ -136,29 +121,20 @@ def _negbinom_fraction_sum(r, lo, hi, p):
 
 
 def test_negbinom_integer_sums_match_fraction_sums():
-    'the CDF lhs and the partial tail mass equal the plain Fraction sums they replaced'
+    'the CDF, partial tail masses and diagonal walk edges equal the plain Fraction sums'
+    # one term, r = 1, s from 0, p = 1 and a long walk down the diagonal C(r+s-1, s)
+    cases = [(1, 0, 0, F(1, 3)), (1, 4, 4, F(2, 5)), (4, 0, 0, F(1)), (4, 3, 9, F(1)),
+             (1, 0, 12, F(7, 8)), (7, 5, 5, F(1, 9)), (3, 0, 300, F(1, 50)), (9, 120, 260, F(5, 6))]
     src = FuzzSource(59)
     for p in [F(1, 2), F(1, 99)] + _probabilities(61, 60, lo_open=True, hi_open=True):
         r = fuzz_int(src, 1, 10)
         k = fuzz_int(src, 0, 40)
         a = fuzz_int(src, 1, 10)
-        m_max = a + fuzz_int(src, 0, 40)
-        pair = negbinom_window_sides(r, 0, k, p)
-        assert pair.lhs == _negbinom_fraction_sum(r, 0, k, p) and type(pair.lhs) is F
-        assert pair.equal
-        partial = negbinom_window_sides(r, a, m_max, p)
-        assert partial.lhs == _negbinom_fraction_sum(r, a, m_max, p) and type(partial.lhs) is F
-        assert partial.equal
-    assert negbinom_window_sides(3, 0, 4, F(1)).lhs == _negbinom_fraction_sum(3, 0, 4, F(1)) == 1
-
-
-def test_negbinom_mass_diagonal_walk_edges():
-    'one term, r = 1, s from 0, p = 1 and a long walk down the diagonal C(r+s-1, s)'
-    from ruehrkit.beta_dist import _negbinom_mass
-    cases = [(1, 0, 0, F(1, 3)), (1, 4, 4, F(2, 5)), (4, 0, 0, F(1)), (4, 3, 9, F(1)),
-             (1, 0, 12, F(7, 8)), (7, 5, 5, F(1, 9)), (3, 0, 300, F(1, 50)), (9, 120, 260, F(5, 6))]
+        cases += [(r, 0, k, p), (r, a, a + fuzz_int(src, 0, 40), p)]
     for r, lo, hi, p in cases:
-        assert _negbinom_mass(r, lo, hi, p) == _negbinom_fraction_sum(r, lo, hi, p), (r, lo, hi, p)
+        pair = negbinom_window_sides(r, lo, hi, p)
+        assert pair.lhs == _negbinom_fraction_sum(r, lo, hi, p), (r, lo, hi, p)
+        assert type(pair.lhs) is F and pair.equal, (r, lo, hi, p)
 
 
 def test_negbinom_cdf_hand_values():
@@ -171,15 +147,6 @@ def test_negbinom_cdf_hand_values():
     for r in range(1, 6):
         for k in range(5):
             assert negbinom_window_sides(r, 0, k, 1).lhs == 1
-
-
-def test_negbinom_cdf_validation():
-    with pytest.raises(ValueError):
-        negbinom_window_sides(0, 0, 1, F(1, 2))
-    with pytest.raises(ValueError):
-        negbinom_window_sides(1, 0, -1, F(1, 2))
-    with pytest.raises(ValueError):
-        negbinom_window_sides(1, 0, 1, F(0))
 
 
 def test_finite_tail_reading_fails_where_cdf_form_holds():
@@ -235,9 +202,11 @@ def test_negbinom_partial_monotone_and_bounded():
 
 
 def test_negbinom_partial_validation():
-    with pytest.raises(ValueError):
-        negbinom_window_sides(0, 1, 5, F(1, 2))
-    with pytest.raises(ValueError):
-        negbinom_window_sides(1, -1, 2, F(1, 2))
-    with pytest.raises(ValueError):
-        negbinom_window_sides(1, 3, 2, F(1, 2))
+    'the guards of negbinom_window_sides, on r, on the window and on p'
+    for args, message in (((0, 1, 5, F(1, 2)), "r >= 1, got 0"),
+                          ((1, -1, 2, F(1, 2)), "0 <= lo <= hi, got lo=-1, hi=2"),
+                          ((1, 3, 2, F(1, 2)), "0 <= lo <= hi, got lo=3, hi=2"),
+                          ((1, 0, -1, F(1, 2)), "0 <= lo <= hi, got lo=0, hi=-1"),
+                          ((1, 0, 1, F(0)), r"p in \(0, 1\], got 0")):
+        with pytest.raises(ValueError, match=message):
+            negbinom_window_sides(*args)

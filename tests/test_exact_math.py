@@ -121,11 +121,18 @@ def test_poly_pow_zero_polynomial():
 
 def test_linear_power_matches_poly_pow():
     src = FuzzSource(7)
-    for _ in range(30):
-        c0 = fuzz_rational(src, 9, 9)
-        c1 = fuzz_rational(src, 9, 9)
-        e = fuzz_int(src, 0, 12)
-        assert linear_power(c0, c1, e) == poly_pow(poly_normalize([c0, c1]), e)
+    inputs = [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9), fuzz_int(src, 0, 12))
+              for _ in range(30)]
+    src = FuzzSource(41)
+    cases = [(F(1, 2), F(-1, 3)), (F(3, 7), -1), (2, F(5, 4)), (F(4, 2), F(6, 3)),
+             (0, F(2, 3)), (F(2, 3), 0)]
+    cases += [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9)) for _ in range(30)]
+    inputs += [(c0, c1, e) for c0, c1 in cases for e in (0, 1, 2, 7, fuzz_int(src, 0, 25))]
+    inputs += [(F(1, 3), F(-2, 5), 40), (F(1, 3), F(-2, 5), 120)]  # bench/probes.py's operands
+    for c0, c1, e in inputs:
+        got = linear_power(c0, c1, e)
+        assert got == poly_pow(poly_normalize([c0, c1]), e), (c0, c1, e)
+        _assert_scalar_rule(got)
     assert linear_power(0, 2, 3) == [F(0), F(0), F(0), F(8)]
     assert linear_power(2, 0, 3) == [F(8)]
     # small int bases, 0 and +-1 among them, at exponents 0 to 9: every coefficient stays an int
@@ -147,15 +154,6 @@ def test_poly_compose_shift_examples():
         poly_compose([7], [1, 2, 3])
 
 
-def test_poly_compose_agrees_with_eval():
-    src = FuzzSource(11)
-    for _ in range(40):
-        p = fuzz_poly(src)
-        q = fuzz_poly(src, max_degree=1)
-        x = fuzz_rational(src, 9, 9)
-        assert poly_eval(poly_compose(p, q), x) == poly_eval(p, poly_eval(q, x))
-
-
 def _composed_by_horner(p, q):
     'p(q(x)) by Horner over polynomials, each product a plain convolution, as the reference'
     out = []
@@ -169,20 +167,25 @@ def _composed_by_horner(p, q):
 
 
 @pytest.mark.parametrize("q", [[1, 1], [-1, 1], [2, -3], [F(1, 2), F(-2, 3)], [0, 1], [3, 0], [5],
-                               [], [F(1), F(1)]])
+                               [], [F(1), F(1)], pytest.param(None, id="drawn")])
 def test_poly_compose_with_a_linear_q_is_horner_coefficient_by_coefficient(q):
     'a q of at most two coefficients takes the Taylor shift; Horner is the reference'
-    src = FuzzSource(29)
-    q = poly_normalize(q)
-    integral_q = all(c.denominator == 1 for c in q)
-    for _ in range(30):
-        ints = poly_normalize([fuzz_int(src, -9, 9) for _ in range(fuzz_int(src, 0, 12))])
-        for p in (ints, fuzz_poly(src, max_degree=12)):
-            got, expected = poly_compose(p, q), _composed_by_horner(p, q)
-            assert got == expected, (p, q)
-            _assert_scalar_rule(got)
-            if p is ints and integral_q:  # bench/probes.py's shift by [F(1), F(1)] stays in ints
-                assert all(type(c) is int for c in got), (p, q)
+    if q is None:  # 40 pairs of a p of degree <= 6 and a q of degree <= 1, both drawn
+        src = FuzzSource(11)
+        pairs = [(fuzz_poly(src), fuzz_poly(src, max_degree=1)) for _ in range(40)]
+    else:
+        src, pairs = FuzzSource(29), []
+        for _ in range(30):
+            ints = poly_normalize([fuzz_int(src, -9, 9) for _ in range(fuzz_int(src, 0, 12))])
+            pairs += [(ints, q), (fuzz_poly(src, max_degree=12), q)]
+    for p, q in pairs:
+        q = poly_normalize(q)
+        got = poly_compose(p, q)
+        assert got == _composed_by_horner(p, q), (p, q)
+        _assert_scalar_rule(got)
+        # int p and q stay in ints, as bench/probes.py's shift by [F(1), F(1)] does
+        if all(type(c) is int for c in p) and all(c.denominator == 1 for c in q):
+            assert all(type(c) is int for c in got), (p, q)
 
 
 def test_poly_eval_examples():
@@ -195,23 +198,6 @@ def test_definite_integral_examples():
     assert poly_definite_integral(poly_normalize([0, 0, 1]), 0, 1) == F(1, 3)
     assert poly_definite_integral(poly_normalize([0, 0, 3, -2]), F(-1, 2), F(3, 2)) == 1
     assert poly_definite_integral(poly_normalize([1]), 1, 3) == 2
-
-
-def test_definite_integral_reversed_bounds_flip_sign():
-    p = poly_normalize([1, 2, 3])
-    assert poly_definite_integral(p, 2, 0) == -poly_definite_integral(p, 0, 2)
-
-
-def test_definite_integral_additive_in_interval():
-    src = FuzzSource(13)
-    for _ in range(40):
-        p = fuzz_poly(src)
-        a = fuzz_rational(src, 9, 9)
-        b = fuzz_rational(src, 9, 9)
-        c = fuzz_rational(src, 9, 9)
-        whole = poly_definite_integral(p, a, c)
-        split = poly_definite_integral(p, a, b) + poly_definite_integral(p, b, c)
-        assert whole == split
 
 
 def test_poly_add_sub_shift():
@@ -364,18 +350,6 @@ def test_poly_eval_matches_fraction_horner(kind):
             assert poly_eval(p, x) == _reference_eval(p, x)
 
 
-@pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
-def test_poly_definite_integral_matches_fraction_horner(kind):
-    src = FuzzSource(31)
-    bounds = [(0, 1), (1, 0), (F(-1, 2), F(3, 2)), (F(3, 2), F(-1, 2)), (-3, -3),
-              (F(2, 3), F(2, 3)), (0, 0), (-2, F(5, 7))]
-    for p in _kernel_polys(kind, 37):
-        pairs = bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]
-        for lo, hi in pairs:
-            assert poly_definite_integral(p, lo, hi) == _naive_integral(p, lo, hi)
-        assert poly_definite_integral(p, 2, F(1, 3)) == -poly_definite_integral(p, F(1, 3), 2)
-
-
 def test_antiderivative_factors_above_the_memo_are_built_without_it():
     'an antiderivative of degree _FACTOR_MEMO_TOP + 1 is exact and leaves the factor memo alone'
     top = exact_math._FACTOR_MEMO_TOP + 1
@@ -389,26 +363,35 @@ def test_antiderivative_factors_above_the_memo_are_built_without_it():
 
 
 def test_poly_definite_integral_matches_naive_antiderivative():
-    'leading zeros, constants, rational, reversed and equal bounds, long integrands; and unreduced'
+    'int, Fraction and mixed coefficients, leading zeros, constants, long integrands and unreduced'
     src = FuzzSource(53)
-    bounds = [(0, 1), (1, 0), (0, F(-5, 3)), (F(-5, 3), 0), (F(-1, 2), F(3, 2)),
-              (F(3, 2), F(-1, 2)), (F(2, 7), F(-9, 4)), (-4, 3), (F(3, 5), F(3, 5)), (0, 0),
-              (-2, -2)]
-    polys = [[F(7)], [-3], [F(-2, 9)], [0, 0, 0, F(5, 4)], [0, 0, 1], [0, F(1, 3), 0, -2]]
-    for _ in range(25):
-        polys.append(poly_shift(fuzz_poly(src), fuzz_int(src, 0, 6)))
+    polys = [p for kind in sorted(_COEFFICIENTS) for p in _kernel_polys(kind, 37)]
+    polys += [[F(7)], [-3], [F(-2, 9)], [0, 0, 0, F(5, 4)], [0, 0, 1], [0, F(1, 3), 0, -2]]
+    polys += [poly_shift(fuzz_poly(src), fuzz_int(src, 0, 6)) for _ in range(25)]
     polys += [poly_shift(linear_power(F(2, 3), -1, 9), 4),
               poly_shift(linear_power(3, -2, 70), 140),  # degree 210: past the factor memo
               [fuzz_rational(src, 9, 9) for _ in range(133)]]
-    for p in polys:
-        for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]:
-            assert poly_definite_integral(p, lo, hi) == _naive_integral(p, lo, hi)
-    assert poly_definite_integral([], 2, 5) == 0
+    # reversed, equal, integer and rational bounds; each reversed pair flips the sign
+    bounds = [(0, 1), (1, 0), (0, F(-5, 3)), (F(-5, 3), 0), (F(-1, 2), F(3, 2)),
+              (F(3, 2), F(-1, 2)), (2, F(1, 3)), (F(1, 3), 2), (F(2, 7), F(-9, 4)), (-4, 3),
+              (-2, F(5, 7)), (F(3, 5), F(3, 5)), (0, 0), (-2, -2)]
+    cases = [(p, lo, hi) for p in polys
+             for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]]
+    # three rational points a, b, c per polynomial, as bounds (a, c), (a, b) and (b, c)
+    src = FuzzSource(13)
+    for _ in range(40):
+        p = fuzz_poly(src)
+        a, b, c = (fuzz_rational(src, 9, 9) for _ in range(3))
+        cases += [(p, a, c), (p, a, b), (p, b, c)]
+    for p, lo, hi in cases:
+        assert poly_definite_integral(p, lo, hi) == _naive_integral(p, lo, hi), (p, lo, hi)
 
 
 def test_unreduced_beta_integral_matches_the_polynomial_route():
     'x^z (c0 + c1 x)^m integrated in one walk: the value of the linear_power route, as an int pair'
-    bounds = [(0, 1), (F(-1, 2), F(3, 2)), (3, -2), (F(5, 7), 0), (F(2, 9), F(2, 9)), (0, 0)]
+    # (1/3, 1/2) and (1/2, 1/3): two denominators, so each bound's numerator is scaled by the lcm
+    bounds = [(0, 1), (F(-1, 2), F(3, 2)), (3, -2), (F(5, 7), 0), (F(2, 9), F(2, 9)), (0, 0),
+              (F(1, 3), F(1, 2)), (F(1, 2), F(1, 3))]
     for c0 in (-3, 0, 1, 3, 97):
         for c1 in (-2, -1, 0, 2):
             for m in range(31):
@@ -451,20 +434,6 @@ def test_poly_eval_of_int_polynomial_at_int_point_builds_no_fraction(fraction_co
     assert fraction_constructions == []
     assert poly_eval(p, x) == want
     assert len(fraction_constructions) == 1, fraction_constructions
-
-
-def test_linear_power_with_fraction_coefficients_matches_poly_pow():
-    src = FuzzSource(41)
-    cases = [(F(1, 2), F(-1, 3)), (F(3, 7), -1), (2, F(5, 4)), (F(4, 2), F(6, 3)),
-             (0, F(2, 3)), (F(2, 3), 0)]
-    cases += [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9)) for _ in range(30)]
-    inputs = [(c0, c1, e) for c0, c1 in cases for e in (0, 1, 2, 7, fuzz_int(src, 0, 25))]
-    inputs += [(F(1, 3), F(-2, 5), 40), (F(1, 3), F(-2, 5), 120)]  # bench/probes.py's operands
-    for c0, c1, e in inputs:
-        got = linear_power(c0, c1, e)
-        want = poly_pow(poly_normalize([c0, c1]), e)
-        assert got == want
-        _assert_scalar_rule(got)
 
 
 def _names_read(path):

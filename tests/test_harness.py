@@ -939,21 +939,15 @@ def test_cli_orbit_bad_residues_is_usage_error(capsys):
         assert "argument --residues: " in err and repr(text) in err, err
 
 
-def test_cli_orbit_requires_a_config(capsys):
-    code, _, err = _run_cli(capsys, ["orbit", "--value", "7"])
-    assert code == 2
-    assert "preset" in err
-
-
-def test_cli_orbit_rejects_preset_plus_custom(capsys):
-    code, _, _ = _run_cli(capsys, ["orbit", "--value", "7", "--preset", "classical",
-                                   "--mult", "3"])
-    assert code == 2
-
-
-def test_cli_orbit_rejects_nonpositive_value(capsys):
-    code, _, _ = _run_cli(capsys, ["orbit", "--value", "0", "--preset", "classical"])
-    assert code == 2
+@pytest.mark.parametrize("argv, message", [
+    (["--value", "7"], "need --preset classical or all of --mult, --div, --residues"),
+    (["--value", "7", "--preset", "classical", "--mult", "3"],
+     "--preset cannot be combined with --mult/--div/--residues"),
+    (["--value", "0", "--preset", "classical"], "--value must be >= 1, got 0"),
+], ids=["no-config", "preset-plus-custom", "nonpositive-value"])
+def test_cli_orbit_usage_error_exits_2_with_its_message(capsys, argv, message):
+    code, out, err = _run_cli(capsys, ["orbit", *argv])
+    assert (code, out, err) == (2, "", f"ruehrkit orbit: {message}\n")
 
 
 def test_cli_orbit_that_leaves_the_positive_integers_fails(capsys):
