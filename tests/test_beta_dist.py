@@ -120,21 +120,30 @@ def _negbinom_fraction_sum(r, lo, hi, p):
     return total
 
 
+def _assert_negbinom_mass_is_the_fraction_sum(cases):
+    for r, lo, hi, p in cases:
+        pair = negbinom_window_sides(r, lo, hi, p)
+        assert pair.lhs == _negbinom_fraction_sum(r, lo, hi, p), (r, lo, hi, p)
+        assert type(pair.lhs) is F and pair.equal, (r, lo, hi, p)
+
+
 def test_negbinom_integer_sums_match_fraction_sums():
-    'the CDF, partial tail masses and diagonal walk edges equal the plain Fraction sums'
-    # one term, r = 1, s from 0, p = 1 and a long walk down the diagonal C(r+s-1, s)
-    cases = [(1, 0, 0, F(1, 3)), (1, 4, 4, F(2, 5)), (4, 0, 0, F(1)), (4, 3, 9, F(1)),
-             (1, 0, 12, F(7, 8)), (7, 5, 5, F(1, 9)), (3, 0, 300, F(1, 50)), (9, 120, 260, F(5, 6))]
+    'the CDF lhs and the partial tail mass equal the plain Fraction sums'
     src = FuzzSource(59)
+    cases = []
     for p in [F(1, 2), F(1, 99)] + _probabilities(61, 60, lo_open=True, hi_open=True):
         r = fuzz_int(src, 1, 10)
         k = fuzz_int(src, 0, 40)
         a = fuzz_int(src, 1, 10)
         cases += [(r, 0, k, p), (r, a, a + fuzz_int(src, 0, 40), p)]
-    for r, lo, hi, p in cases:
-        pair = negbinom_window_sides(r, lo, hi, p)
-        assert pair.lhs == _negbinom_fraction_sum(r, lo, hi, p), (r, lo, hi, p)
-        assert type(pair.lhs) is F and pair.equal, (r, lo, hi, p)
+    _assert_negbinom_mass_is_the_fraction_sum(cases)
+
+
+def test_negbinom_mass_diagonal_walk_edges():
+    'one term, r = 1, s from 0, p = 1 and a long walk down the diagonal C(r+s-1, s)'
+    _assert_negbinom_mass_is_the_fraction_sum(
+        [(1, 0, 0, F(1, 3)), (1, 4, 4, F(2, 5)), (4, 0, 0, F(1)), (4, 3, 9, F(1)),
+         (1, 0, 12, F(7, 8)), (7, 5, 5, F(1, 9)), (3, 0, 300, F(1, 50)), (9, 120, 260, F(5, 6))])
 
 
 def test_negbinom_cdf_hand_values():
@@ -147,6 +156,19 @@ def test_negbinom_cdf_hand_values():
     for r in range(1, 6):
         for k in range(5):
             assert negbinom_window_sides(r, 0, k, 1).lhs == 1
+
+
+def _assert_window_rejected(calls):
+    for args, message in calls:
+        with pytest.raises(ValueError, match=message):
+            negbinom_window_sides(*args)
+
+
+def test_negbinom_cdf_validation():
+    'the guards on r, on the end of the window and on p'
+    _assert_window_rejected([((0, 0, 1, F(1, 2)), "r >= 1, got 0"),
+                             ((1, 0, -1, F(1, 2)), "0 <= lo <= hi, got lo=0, hi=-1"),
+                             ((1, 0, 1, F(0)), r"p in \(0, 1\], got 0")])
 
 
 def test_finite_tail_reading_fails_where_cdf_form_holds():
@@ -202,11 +224,6 @@ def test_negbinom_partial_monotone_and_bounded():
 
 
 def test_negbinom_partial_validation():
-    'the guards of negbinom_window_sides, on r, on the window and on p'
-    for args, message in (((0, 1, 5, F(1, 2)), "r >= 1, got 0"),
-                          ((1, -1, 2, F(1, 2)), "0 <= lo <= hi, got lo=-1, hi=2"),
-                          ((1, 3, 2, F(1, 2)), "0 <= lo <= hi, got lo=3, hi=2"),
-                          ((1, 0, -1, F(1, 2)), "0 <= lo <= hi, got lo=0, hi=-1"),
-                          ((1, 0, 1, F(0)), r"p in \(0, 1\], got 0")):
-        with pytest.raises(ValueError, match=message):
-            negbinom_window_sides(*args)
+    'the guards on the start of the window'
+    _assert_window_rejected([((1, -1, 2, F(1, 2)), "0 <= lo <= hi, got lo=-1, hi=2"),
+                             ((1, 3, 2, F(1, 2)), "0 <= lo <= hi, got lo=3, hi=2")])

@@ -15,6 +15,7 @@ from ruehrkit.collatz_bound import (
     tail_sum,
 )
 from ruehrkit.harness import FuzzSource, fuzz_int
+from ruehrkit.identities import comtet1_sides
 
 
 def test_classical_config():
@@ -176,18 +177,27 @@ def test_tail_sum_pinned_values():
     assert tail_sum(TailSumQuery(k=8, d=2, eps=F(1, 4))) == F(18, 256)
 
 
-def test_tail_sum_integer_membership_matches_fraction_comparison():
-    'the Fraction test |i - (d-1)k/d| > eps*k is the reference; 1/4, 1/3 and 1/2 hit the boundary'
-    cases = [(k, d, eps) for k in range(1, 60) for d in range(2, 6)
-             for eps in (F(1, 9), F(1, 4), F(1, 3), F(1, 2), F(2, 7), F(8, 9))]
-    # at large k each tail (none, one or both empty) is walked out from C(k, low) or C(k, high)
-    cases += [(1000, 2, F(1, 4)), (997, 3, F(1, 3)), (1200, 2, F(1, 2)), (800, 5, F(1, 9)),
-              (600, 4, F(1, 3))]
+def _assert_tail_sum_is_the_fraction_membership_sum(cases):
+    'the Fraction test |i - (d-1)k/d| > eps*k picks the terms C(k, i) (d-1)^i of the reference'
     for k, d, eps in cases:
         center, margin = F((d - 1) * k, d), eps * k
         expected = sum(math.comb(k, i) * (d - 1) ** i for i in range(k + 1)
                        if abs(i - center) > margin)
         assert tail_sum(TailSumQuery(k=k, d=d, eps=eps)) == F(expected, d ** k), (k, d, eps)
+
+
+def test_tail_sum_integer_membership_matches_fraction_comparison():
+    '1/4, 1/3 and 1/2 hit the boundary'
+    _assert_tail_sum_is_the_fraction_membership_sum(
+        [(k, d, eps) for k in range(1, 60) for d in range(2, 6)
+         for eps in (F(1, 9), F(1, 4), F(1, 3), F(1, 2), F(2, 7), F(8, 9))])
+
+
+def test_tail_sum_inner_end_walks_match_one_row_at_large_k():
+    'each tail (none, one or both empty) walked out from C(k, low) or C(k, high)'
+    _assert_tail_sum_is_the_fraction_membership_sum(
+        [(1000, 2, F(1, 4)), (997, 3, F(1, 3)), (1200, 2, F(1, 2)), (800, 5, F(1, 9)),
+         (600, 4, F(1, 3))])
 
 
 def test_tail_sum_query_validation():
@@ -239,3 +249,13 @@ def test_kth_root_keeps_its_precision_below_the_float_range(k, eps, root):
 
 def test_kth_root_of_zero_tail_is_zero():
     assert _eta(2, F(1, 2), 4) == 0.0
+
+
+def test_comtet1_partial_sum_hand_cases():
+    'the leading partial sums sum_{i<=m} C(k,i) (d-1)^i are comtet1 at a = 1, b = d - 1'
+    pair = comtet1_sides(3, 1, 1, 3 - 1)
+    assert (pair.lhs, pair.rhs, pair.equal) == (7, 7, True)
+    for k in range(1, 11):
+        pair = comtet1_sides(k, 0, 1, 2 - 1)
+        assert pair.lhs == 1
+        assert pair.equal

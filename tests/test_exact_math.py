@@ -119,20 +119,18 @@ def test_poly_pow_zero_polynomial():
     assert poly_pow([], 3) == []
 
 
-def test_linear_power_matches_poly_pow():
-    src = FuzzSource(7)
-    inputs = [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9), fuzz_int(src, 0, 12))
-              for _ in range(30)]
-    src = FuzzSource(41)
-    cases = [(F(1, 2), F(-1, 3)), (F(3, 7), -1), (2, F(5, 4)), (F(4, 2), F(6, 3)),
-             (0, F(2, 3)), (F(2, 3), 0)]
-    cases += [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9)) for _ in range(30)]
-    inputs += [(c0, c1, e) for c0, c1 in cases for e in (0, 1, 2, 7, fuzz_int(src, 0, 25))]
-    inputs += [(F(1, 3), F(-2, 5), 40), (F(1, 3), F(-2, 5), 120)]  # bench/probes.py's operands
+def _assert_linear_power_is_poly_pow(inputs):
     for c0, c1, e in inputs:
         got = linear_power(c0, c1, e)
         assert got == poly_pow(poly_normalize([c0, c1]), e), (c0, c1, e)
         _assert_scalar_rule(got)
+
+
+def test_linear_power_matches_poly_pow():
+    src = FuzzSource(7)
+    _assert_linear_power_is_poly_pow(
+        [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9), fuzz_int(src, 0, 12))
+         for _ in range(30)])
     assert linear_power(0, 2, 3) == [F(0), F(0), F(0), F(8)]
     assert linear_power(2, 0, 3) == [F(8)]
     # small int bases, 0 and +-1 among them, at exponents 0 to 9: every coefficient stays an int
@@ -362,29 +360,47 @@ def test_antiderivative_factors_above_the_memo_are_built_without_it():
     assert exact_math._antiderivative_factors.cache_info() == before
 
 
-def test_poly_definite_integral_matches_naive_antiderivative():
-    'int, Fraction and mixed coefficients, leading zeros, constants, long integrands and unreduced'
-    src = FuzzSource(53)
-    polys = [p for kind in sorted(_COEFFICIENTS) for p in _kernel_polys(kind, 37)]
-    polys += [[F(7)], [-3], [F(-2, 9)], [0, 0, 0, F(5, 4)], [0, 0, 1], [0, F(1, 3), 0, -2]]
-    polys += [poly_shift(fuzz_poly(src), fuzz_int(src, 0, 6)) for _ in range(25)]
-    polys += [poly_shift(linear_power(F(2, 3), -1, 9), 4),
-              poly_shift(linear_power(3, -2, 70), 140),  # degree 210: past the factor memo
-              [fuzz_rational(src, 9, 9) for _ in range(133)]]
-    # reversed, equal, integer and rational bounds; each reversed pair flips the sign
-    bounds = [(0, 1), (1, 0), (0, F(-5, 3)), (F(-5, 3), 0), (F(-1, 2), F(3, 2)),
-              (F(3, 2), F(-1, 2)), (2, F(1, 3)), (F(1, 3), 2), (F(2, 7), F(-9, 4)), (-4, 3),
-              (-2, F(5, 7)), (F(3, 5), F(3, 5)), (0, 0), (-2, -2)]
-    cases = [(p, lo, hi) for p in polys
-             for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]]
-    # three rational points a, b, c per polynomial, as bounds (a, c), (a, b) and (b, c)
+def _assert_integral_is_naive(cases):
+    for p, lo, hi in cases:
+        assert poly_definite_integral(p, lo, hi) == _naive_integral(p, lo, hi), (p, lo, hi)
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
+def test_poly_definite_integral_matches_fraction_horner(kind):
+    'reversed, equal, integer and rational bounds; each reversed pair flips the sign'
+    src = FuzzSource(31)
+    bounds = [(0, 1), (1, 0), (F(-1, 2), F(3, 2)), (F(3, 2), F(-1, 2)), (2, F(1, 3)),
+              (F(1, 3), 2), (-3, -3), (F(2, 3), F(2, 3)), (0, 0), (-2, F(5, 7))]
+    _assert_integral_is_naive(
+        [(p, lo, hi) for p in _kernel_polys(kind, 37)
+         for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]])
+
+
+def test_definite_integral_additive_in_interval():
+    'three rational points a, b, c per polynomial, as the bounds (a, c), (a, b) and (b, c)'
     src = FuzzSource(13)
+    cases = []
     for _ in range(40):
         p = fuzz_poly(src)
         a, b, c = (fuzz_rational(src, 9, 9) for _ in range(3))
         cases += [(p, a, c), (p, a, b), (p, b, c)]
-    for p, lo, hi in cases:
-        assert poly_definite_integral(p, lo, hi) == _naive_integral(p, lo, hi), (p, lo, hi)
+    _assert_integral_is_naive(cases)
+
+
+def test_poly_definite_integral_matches_naive_antiderivative():
+    'leading zeros, constants, rational, reversed and equal bounds, long integrands; and unreduced'
+    src = FuzzSource(53)
+    bounds = [(0, 1), (1, 0), (0, F(-5, 3)), (F(-5, 3), 0), (F(-1, 2), F(3, 2)),
+              (F(3, 2), F(-1, 2)), (F(2, 7), F(-9, 4)), (-4, 3), (F(3, 5), F(3, 5)), (0, 0),
+              (-2, -2)]
+    polys = [[F(7)], [-3], [F(-2, 9)], [0, 0, 0, F(5, 4)], [0, 0, 1], [0, F(1, 3), 0, -2]]
+    polys += [poly_shift(fuzz_poly(src), fuzz_int(src, 0, 6)) for _ in range(25)]
+    polys += [poly_shift(linear_power(F(2, 3), -1, 9), 4),
+              poly_shift(linear_power(3, -2, 70), 140),  # degree 210: past the factor memo
+              [fuzz_rational(src, 9, 9) for _ in range(133)]]
+    _assert_integral_is_naive(
+        [(p, lo, hi) for p in polys
+         for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]])
 
 
 def test_unreduced_beta_integral_matches_the_polynomial_route():
@@ -434,6 +450,16 @@ def test_poly_eval_of_int_polynomial_at_int_point_builds_no_fraction(fraction_co
     assert fraction_constructions == []
     assert poly_eval(p, x) == want
     assert len(fraction_constructions) == 1, fraction_constructions
+
+
+def test_linear_power_with_fraction_coefficients_matches_poly_pow():
+    src = FuzzSource(41)
+    cases = [(F(1, 2), F(-1, 3)), (F(3, 7), -1), (2, F(5, 4)), (F(4, 2), F(6, 3)),
+             (0, F(2, 3)), (F(2, 3), 0)]
+    cases += [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9)) for _ in range(30)]
+    inputs = [(c0, c1, e) for c0, c1 in cases for e in (0, 1, 2, 7, fuzz_int(src, 0, 25))]
+    inputs += [(F(1, 3), F(-2, 5), 40), (F(1, 3), F(-2, 5), 120)]  # bench/probes.py's operands
+    _assert_linear_power_is_poly_pow(inputs)
 
 
 def _names_read(path):

@@ -57,7 +57,7 @@ def test_family_polynomials_small():
 
 def test_family_polynomials_against_direct_binomials():
     'each coefficient is a single binomial value, checked independently'
-    for n in range(41):
+    for n in range(25):
         assert family_polynomial(SumFamily.A, n) == \
             [F(binomial(3 * n - j, 2 * n)) for j in range(n + 1)]
         assert family_polynomial(SumFamily.B, n) == \
@@ -66,6 +66,15 @@ def test_family_polynomials_against_direct_binomials():
             [F(binomial(3 * n - j, n)) for j in range(2 * n + 1)]
         assert family_polynomial(SumFamily.D, n) == \
             [F(binomial(3 * n + 1, n + 1 + j)) for j in range(2 * n + 1)]
+
+
+def test_family_polynomial_degrees_and_monic():
+    for n in range(41):
+        for fam, deg in ((SumFamily.A, n), (SumFamily.B, n),
+                         (SumFamily.C, 2 * n), (SumFamily.D, 2 * n)):
+            p = family_polynomial(fam, n)
+            assert len(p) - 1 == deg
+            assert p[-1] == 1
 
 
 def test_family_polynomial_rejects_negative():
@@ -85,8 +94,6 @@ def test_comtet1_hand_cases():
     assert (pair.lhs, pair.rhs, pair.equal) == (8, 8, True)
     pair = comtet1_sides(2, 1, 1, 1)
     assert (pair.lhs, pair.rhs, pair.equal) == (3, 3, True)
-    pair = comtet1_sides(3, 1, 1, 2)
-    assert (pair.lhs, pair.rhs, pair.equal) == (7, 7, True)
 
 
 def test_comtet1_takes_int_and_fraction_arguments_alike():
@@ -111,31 +118,43 @@ def _naive_partial_sum(n, k, a, b):
     return sum((F(binomial(n, i)) * F(a) ** (n - i) * F(b) ** i for i in range(k + 1)), F(0))
 
 
+def _assert_lhs_is_the_naive_sum(cases):
+    for n, k, a, b in cases:
+        pair = comtet1_sides(n, k, a, b)
+        assert pair.lhs == _naive_partial_sum(n, k, a, b), (n, k, a, b)
+        assert pair.equal, (n, k, a, b)
+
+
 def test_comtet1_integer_lhs_matches_fraction_sum():
-    'the walk down from C(n, k) in Horner order, at zero and negative a, b and at both ends of k'
-    cases = [(3, 1, 0, F(1, 2)), (4, 2, F(2, 3), 0), (5, 4, 2, 1), (6, 3, F(-1, 2), F(1, 2)),
-             (1, 0, F(3, 4), F(-2, 5)), (1, 0, 0, F(1, 2)), (1, 0, F(-7, 3), 0),
-             (5, 0, 0, 0), (5, 4, 0, 0), (6, 0, F(-2, 3), F(-5, 4)), (6, 5, F(-2, 3), F(-5, 4)),
-             (9, 8, 0, F(-3, 7)), (9, 3, F(-1, 2), 0), (12, 11, -3, -5), (12, 0, 7, 2)]
-    # k = 0 collapses the sum to a^n
-    cases += [(n, 0, a, b) for n in range(1, 11)
-              for a, b in ((2, 1), (F(1, 2), 3), (-3, F(5, 7)), (1, 1))]
+    'the one-denominator lhs, with a and b passed as given, ints among them'
     src = FuzzSource(43)
+    cases = [(3, 1, 0, F(1, 2)), (4, 2, F(2, 3), 0), (5, 4, 2, 1), (6, 3, F(-1, 2), F(1, 2))]
     for _ in range(150):
         n = fuzz_int(src, 1, 40)
         cases.append((n, fuzz_int(src, 0, n - 1), fuzz_rational(src, 9, 9),
                       fuzz_rational(src, 99, 99)))
+    _assert_lhs_is_the_naive_sum(cases)
+
+
+def test_comtet1_single_term_case():
+    'k = 0 collapses the sum to a^n'
+    _assert_lhs_is_the_naive_sum([(n, 0, a, b) for n in range(1, 8)
+                                  for a, b in ((2, 1), (F(1, 2), 3), (-3, F(5, 7)))])
+
+
+def test_comtet1_lhs_walk_matches_naive_fraction_sum():
+    'the walk down from C(n, k) in Horner order, at zero and negative a, b and at both ends of k'
     src = FuzzSource(45)
+    cases = [(1, 0, F(3, 4), F(-2, 5)), (1, 0, 0, F(1, 2)), (1, 0, F(-7, 3), 0),
+             (5, 0, 0, 0), (5, 4, 0, 0), (6, 0, F(-2, 3), F(-5, 4)), (6, 5, F(-2, 3), F(-5, 4)),
+             (9, 8, 0, F(-3, 7)), (9, 3, F(-1, 2), 0), (12, 11, -3, -5), (12, 0, 7, 2)]
     for _ in range(200):
         n = fuzz_int(src, 1, 45)
         k = (0, n - 1, fuzz_int(src, 0, n - 1))[fuzz_int(src, 0, 2)]
         a = (fuzz_rational(src, 9, 9), F(0))[fuzz_int(src, 0, 4) == 0]
         b = (fuzz_rational(src, 99, 99), F(0))[fuzz_int(src, 0, 4) == 0]
         cases.append((n, k, a, b))
-    for n, k, a, b in cases:
-        pair = comtet1_sides(n, k, a, b)
-        assert pair.lhs == _naive_partial_sum(n, k, a, b), (n, k, a, b)
-        assert pair.equal, (n, k, a, b)
+    _assert_lhs_is_the_naive_sum(cases)
 
 
 def test_comtet1_lhs_uses_neither_the_row_nor_the_horner_kernel(monkeypatch):
@@ -165,12 +184,19 @@ def test_comtet1_integral_matches_naive_fraction_integral_on_both_branches():
     'every k < n <= 14, so both k < n-k-1 (over [0, H-L]) and k >= n-k-1 (over [L, H]) run'
     pairs = [(F(2, 3), F(-5, 7)), (F(1, 2), F(1, 3)), (3, 2), (F(-3, 4), F(1, 2)),
              (F(-7, 5), F(-2, 9)), (F(5, 6), F(-5, 6)), (F(-4, 3), F(4, 3)), (-2, 2)]
-    cases = [(n, k, a, b) for n in range(1, 15) for k in range(n) for a, b in pairs]
-    # both ends of k, with b = -a (H = L), a or b zero, and one denominator or two
-    cases += [(1, 0, F(3, 4), F(-3, 4)), (5, 2, F(-2, 3), F(2, 3)), (6, 5, F(7, 2), F(-7, 2)),
-              (4, 0, F(-5, 3), 0), (7, 6, F(2, 9), 0), (3, 1, 0, 0), (8, 0, F(-1, 2), F(-3, 5)),
-              (8, 7, F(-1, 2), F(-3, 5)), (2, 1, 2, 1), (9, 4, 0, F(5, 6))]
+    for n in range(1, 15):
+        for k in range(n):
+            for a, b in pairs:
+                got = identities.comtet1_integral(n, k, F(a), F(b))
+                assert got == _naive_comtet1_integral(n, k, a, b), (n, k, a, b)
+
+
+def test_comtet1_integer_rhs_matches_fraction_route():
+    'the integer rhs over q^n at both ends of k, b = -a (H = L), a or b zero, one denominator or two'
     src = FuzzSource(44)
+    cases = [(1, 0, F(3, 4), F(-3, 4)), (5, 2, F(-2, 3), F(2, 3)), (6, 5, F(7, 2), F(-7, 2)),
+             (4, 0, F(-5, 3), 0), (7, 6, F(2, 9), 0), (3, 1, 0, 0), (8, 0, F(-1, 2), F(-3, 5)),
+             (8, 7, F(-1, 2), F(-3, 5)), (2, 1, 2, 1), (9, 4, 0, F(5, 6))]
     for _ in range(300):
         n = fuzz_int(src, 1, 30)
         k = (0, n - 1, fuzz_int(src, 0, n - 1))[fuzz_int(src, 0, 2)]
@@ -178,8 +204,8 @@ def test_comtet1_integral_matches_naive_fraction_integral_on_both_branches():
         b = (fuzz_rational(src, 99, 99), -a, F(0))[fuzz_int(src, 0, 2)]
         cases.append((n, k, a, b))
     for n, k, a, b in cases:
-        got = identities.comtet1_integral(n, k, F(a), F(b))
-        assert got == _naive_comtet1_integral(n, k, a, b), (n, k, a, b)
+        rhs = comtet1_sides(n, k, a, b).rhs
+        assert rhs == _naive_comtet1_integral(n, k, a, b), (n, k, a, b)
 
 
 def test_comtet1_sides_with_a_plus_b_zero_integrate_with_c0_zero():
