@@ -1,17 +1,18 @@
 """Deterministic check harness: seeded fuzzing, reports, suites, renderers.
 
-A suite is expanded into check instances up front, in a fixed order, with
-every fuzz draw taken from one linear-congruential source during that
-expansion.  Each instance is plain data: one pure checker, returning a
-SidePair, and its arguments.  The harness, not the checker, decides each
-verdict: a report is equal only when the checker's relation holds and,
-except for the two inequality checks in _INEQUALITIES, the two
-serialized sides are the same string.  run_instances sorts the instances
-by check_name, stably, so generation order holds within a name, then runs
-them one at a time and yields each report as its check finishes; a caller
-that writes each report as it arrives holds none of them.  The same seed
-and flags always produce byte-identical output apart from the elapsed_ms
-field.
+Each suite builder yields its checks as specs, plain tuples
+(check_name, params, checker, args) whose checker is one pure function
+returning a SidePair.  build_suites runs the builders up front, in a fixed
+order, each to its end before the next, so every fuzz draw comes from one
+linear-congruential source in the same order; it alone turns each spec into
+a CheckInstance.  The harness, not the checker, decides each verdict: a
+report is equal only when the checker's relation holds and, except for the
+two inequality checks in _INEQUALITIES, the two serialized sides are the
+same string.  run_instances sorts the instances by check_name, stably, so
+generation order holds within a name, then runs them one at a time and
+yields each report as its check finishes; a caller that writes each report
+as it arrives holds none of them.  The same seed and flags always produce
+byte-identical output apart from the elapsed_ms field.
 
 The tailsum suite takes its partial sums S(m) = sum_{i<=m} C(k,i) (d-1)^i
 from identities: partial_sum is comtet1_sides at a = 1, b = d - 1,
@@ -152,6 +153,10 @@ class CheckInstance:
         return lhs, rhs, pair.equal and (self.check_name in _INEQUALITIES or lhs == rhs)
 
 
+# What a suite builder yields: CheckInstance's four arguments, in order.
+CheckSpec = tuple[str, dict, Callable[..., SidePair], tuple]
+
+
 def _ruehr_chain_sides(n: int) -> SidePair:
     """Direct chain sums against polynomial values; all must be one value."""
     direct = identities.ruehr_sums_direct(n)
@@ -159,27 +164,24 @@ def _ruehr_chain_sides(n: int) -> SidePair:
     return SidePair(direct, via_poly, direct == via_poly and len(set(direct)) == 1)
 
 
-def _suite_ruehr(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    return [CheckInstance("ruehr_chain", {"n": n}, _ruehr_chain_sides, (n,))
+def _suite_ruehr(src: FuzzSource, max_n: int, trials: int) -> list[CheckSpec]:
+    return [("ruehr_chain", {"n": n}, _ruehr_chain_sides, (n,)) for n in range(max_n + 1)]
+
+
+def _suite_moments(src: FuzzSource, max_n: int, trials: int) -> list[CheckSpec]:
+    return [("kimura_ruehr_moments", {"n": n}, identities.kimura_ruehr_moments, (n,))
             for n in range(max_n + 1)]
 
 
-def _suite_moments(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    return [CheckInstance("kimura_ruehr_moments", {"n": n}, identities.kimura_ruehr_moments, (n,))
-            for n in range(max_n + 1)]
-
-
-def _suite_comtet(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    out = []
+def _suite_comtet(src: FuzzSource, max_n: int, trials: int) -> Iterator[CheckSpec]:
     top = max(max_n, 1)
     for trial in range(trials):
         n = fuzz_int(src, 1, top)
         k = fuzz_int(src, 0, n - 1)
         a = fuzz_rational(src, 9, 9)
         b = fuzz_rational(src, 9, 9)
-        out.append(CheckInstance("comtet1", {"trial": trial, "n": n, "k": k, "a": a, "b": b},
-                                 identities.comtet1_sides, (n, k, a, b)))
-    return out
+        yield ("comtet1", {"trial": trial, "n": n, "k": k, "a": a, "b": b},
+               identities.comtet1_sides, (n, k, a, b))
 
 
 def _ruehr_specialization_sides(n: int, variant: str, point: Fraction, scale: int,
@@ -187,26 +189,23 @@ def _ruehr_specialization_sides(n: int, variant: str, point: Fraction, scale: in
     """A corollary2 polynomial at `point`, times scale^n, against a chain sum."""
     poly = identities.corollary2_lhs(n, variant)
     lhs = poly_eval(poly, point) * scale ** n
-    return compare_sides(lhs, Fraction(identities.ruehr_sum_direct(n, chain_index)))
+    return compare_sides(lhs, identities.ruehr_sum_direct(n, chain_index))
 
 
-def _suite_corollaries(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    out = []
+def _suite_corollaries(src: FuzzSource, max_n: int, trials: int) -> Iterator[CheckSpec]:
     for n in range(max_n + 1):
         for variant in ("pos", "neg"):
-            out.append(CheckInstance("corollary1", {"n": n, "variant": variant},
-                                     identities.corollary1_sides, (n, variant)))
+            yield ("corollary1", {"n": n, "variant": variant},
+                   identities.corollary1_sides, (n, variant))
         for variant in ("first", "second"):
-            out.append(CheckInstance("corollary2", {"n": n, "variant": variant},
-                                     identities.corollary2_sides, (n, variant)))
+            yield ("corollary2", {"n": n, "variant": variant},
+                   identities.corollary2_sides, (n, variant))
         # one link of the chain each: 3^n lhs(2/3) = A_n(3) against B_n(2), and
         # 9^n lhs(4/3) = C_n(-3) against D_n(-4)
         for variant, point, scale, chain_index in (("first", Fraction(2, 3), 3, 1),
                                                    ("second", Fraction(4, 3), 9, 2)):
-            out.append(CheckInstance("ruehr_specialization", {"n": n, "point": point},
-                                     _ruehr_specialization_sides,
-                                     (n, variant, point, scale, chain_index)))
-    return out
+            yield ("ruehr_specialization", {"n": n, "point": point},
+                   _ruehr_specialization_sides, (n, variant, point, scale, chain_index))
 
 
 _ONE_MINUS_X = [1, -1]
@@ -235,26 +234,22 @@ def _recurrence_sides(kind: str, j: int, big_n: int) -> SidePair:
     return compare_sides(lhs, rhs)
 
 
-def _suite_polynomials(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    out = []
+def _suite_polynomials(src: FuzzSource, max_n: int, trials: int) -> Iterator[CheckSpec]:
     for n in range(max_n + 1):
         for left, right in ((SumFamily.A, SumFamily.B), (SumFamily.C, SumFamily.D)):
-            out.append(CheckInstance("alzer_shift", {"n": n, "pair": left.value + right.value},
-                                     _alzer_shift_sides, (n, left, right)))
+            yield ("alzer_shift", {"n": n, "pair": left.value + right.value},
+                   _alzer_shift_sides, (n, left, right))
     for n in range(1, max_n + 1):
         for m in range(1, n + 1):
-            out.append(CheckInstance("comtet2", {"m": m, "n": n},
-                                     identities.comtet2_sides, (m, n)))
+            yield "comtet2", {"m": m, "n": n}, identities.comtet2_sides, (m, n)
     for m in range(1, max_n + 1):
         for big_n in range(max_n + 1):
-            out.append(CheckInstance("comtet3", {"m": m, "N": big_n},
-                                     identities.comtet3_sides, (m, big_n)))
+            yield "comtet3", {"m": m, "N": big_n}, identities.comtet3_sides, (m, big_n)
     for j in range(1, max_n + 1):
         for big_n in range(1, max_n + 1):
             for kind in ("f", "g"):
-                out.append(CheckInstance(f"recurrence_{kind}", {"j": j, "N": big_n},
-                                         _recurrence_sides, (kind, j, big_n)))
-    return out
+                yield (f"recurrence_{kind}", {"j": j, "N": big_n},
+                       _recurrence_sides, (kind, j, big_n))
 
 
 def _beta_cross_sides(x: int, y: int) -> SidePair:
@@ -265,43 +260,39 @@ def _beta_cross_sides(x: int, y: int) -> SidePair:
 def _beta_complement_sides(x: int, y: int, p: Fraction) -> SidePair:
     """I_p(x, y) + I_(1-p)(y, x) = 1."""
     lhs = beta_dist.regularized_beta(p, x, y) + beta_dist.regularized_beta(1 - p, y, x)
-    return compare_sides(lhs, Fraction(1))
+    return compare_sides(lhs, 1)
 
 
-def _suite_beta(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    out = []
+def _suite_beta(src: FuzzSource, max_n: int, trials: int) -> Iterator[CheckSpec]:
     for x in range(1, 9):
         for y in range(1, 9):
-            out.append(CheckInstance("beta_cross", {"x": x, "y": y}, _beta_cross_sides, (x, y)))
+            yield "beta_cross", {"x": x, "y": y}, _beta_cross_sides, (x, y)
     for trial in range(trials):
         x = fuzz_int(src, 1, 12)
         y = fuzz_int(src, 1, 12)
         p = fuzz_probability(src, 12)
-        out.append(CheckInstance("beta_complement", {"trial": trial, "x": x, "y": y, "p": p},
-                                 _beta_complement_sides, (x, y, p)))
+        yield ("beta_complement", {"trial": trial, "x": x, "y": y, "p": p},
+               _beta_complement_sides, (x, y, p))
     for trial in range(trials):
         n = fuzz_int(src, 1, max(max_n, 1))
         a = fuzz_int(src, 1, n)
         p = fuzz_probability(src, 9)
-        out.append(CheckInstance("binom_tail", {"trial": trial, "n": n, "a": a, "p": p},
-                                 beta_dist.binom_tail_sides, (n, a, p)))
-    return out
+        yield ("binom_tail", {"trial": trial, "n": n, "a": a, "p": p},
+               beta_dist.binom_tail_sides, (n, a, p))
 
 
-def _suite_negbinom(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    out = []
+def _suite_negbinom(src: FuzzSource, max_n: int, trials: int) -> Iterator[CheckSpec]:
     for trial in range(trials):
         r = fuzz_int(src, 1, 10)
         k = fuzz_int(src, 0, max(max_n, 1))
         p = fuzz_probability(src, 9, lo_open=True)
-        out.append(CheckInstance("negbinom_cdf", {"trial": trial, "r": r, "k": k, "p": p},
-                                 beta_dist.negbinom_window_sides, (r, 0, k, p)))
+        yield ("negbinom_cdf", {"trial": trial, "r": r, "k": k, "p": p},
+               beta_dist.negbinom_window_sides, (r, 0, k, p))
     for r in range(1, 4):
         for a in range(1, 4):
             p = Fraction(a, a + 2)
-            out.append(CheckInstance("negbinom_tail", {"r": r, "a": a, "p": p, "m_max": 60},
-                                     beta_dist.negbinom_window_sides, (r, a, 60, p)))
-    return out
+            yield ("negbinom_tail", {"r": r, "a": a, "p": p, "m_max": 60},
+                   beta_dist.negbinom_window_sides, (r, a, 60, p))
 
 
 def _tailsum_comtet1_sides(k: int, m: int, d: int) -> SidePair:
@@ -346,28 +337,25 @@ def _eta_bound_sides(k: int, d: int, eps: Fraction, root_bound: Fraction) -> Sid
     return SidePair(mass, cap, mass < cap)
 
 
-def _suite_tailsum(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
-    out = []
+def _suite_tailsum(src: FuzzSource, max_n: int, trials: int) -> Iterator[CheckSpec]:
     for trial in range(trials):
         k = fuzz_int(src, 1, max(max_n, 1))
         m = fuzz_int(src, 0, k - 1)
         d = fuzz_int(src, 2, 6)
         params = {"trial": trial, "k": k, "m": m, "d": d}
-        out.append(CheckInstance("partial_sum", params,
-                                 identities.comtet1_sides, (k, m, 1, d - 1)))
-        out.append(CheckInstance("tailsum_comtet1", params, _tailsum_comtet1_sides, (k, m, d)))
+        yield "partial_sum", params, identities.comtet1_sides, (k, m, 1, d - 1)
+        yield "tailsum_comtet1", params, _tailsum_comtet1_sides, (k, m, d)
     for trial in range(trials // 2):
         k = fuzz_int(src, 1, max(max_n, 1))
         d = fuzz_int(src, 2, 4)
         eps = fuzz_probability(src, 9, lo_open=True, hi_open=True)
         params = {"trial": trial, "k": k, "d": d, "eps": eps}
-        out.append(CheckInstance("tailsum_monotone", params, _tailsum_monotone_sides, (k, d, eps)))
-        out.append(CheckInstance("tailsum_integral", params, _tailsum_integral_sides, (k, d, eps)))
+        yield "tailsum_monotone", params, _tailsum_monotone_sides, (k, d, eps)
+        yield "tailsum_integral", params, _tailsum_integral_sides, (k, d, eps)
     eps, root_bound = Fraction(1, 4), Fraction(19, 20)
     for k in (50, 100, 200, 400):
         params = {"k": k, "d": 2, "eps": eps, "root_bound": root_bound}
-        out.append(CheckInstance("eta_bound", params, _eta_bound_sides, (k, 2, eps, root_bound)))
-    return out
+        yield "eta_bound", params, _eta_bound_sides, (k, 2, eps, root_bound)
 
 
 def _orbit_cycle_sides(max_start: int, max_steps: int) -> SidePair:
@@ -377,17 +365,18 @@ def _orbit_cycle_sides(max_start: int, max_steps: int) -> SidePair:
     return compare_sides(converged, max_start)
 
 
-def _suite_orbit(src: FuzzSource, max_n: int, trials: int) -> list[CheckInstance]:
+def _suite_orbit(src: FuzzSource, max_n: int, trials: int) -> list[CheckSpec]:
     if max_n < 1:
         return []  # no start value to check
     max_steps = 10_000
-    return [CheckInstance("orbit_cycle",
-                          {"max_start": max_n, "max_steps": max_steps, "preset": "classical"},
-                          _orbit_cycle_sides, (max_n, max_steps))]
+    return [("orbit_cycle", {"max_start": max_n, "max_steps": max_steps, "preset": "classical"},
+             _orbit_cycle_sides, (max_n, max_steps))]
 
 
 # name -> (builder, default max_n, default trials), in the order `all` runs
-# them; a default of 0 trials marks a suite that draws no fuzz.
+# them; a default of 0 trials marks a suite that draws no fuzz.  Each
+# builder(src, max_n, trials) yields or returns its CheckSpecs in report
+# order within a name, reading its checkers from their modules as it runs.
 _SUITES = {
     "ruehr": (_suite_ruehr, 20, 0),
     "moments": (_suite_moments, 20, 0),
@@ -407,16 +396,19 @@ def build_suites(names, seed: int,
                  trials: Optional[int] = None) -> list[CheckInstance]:
     """Expand suites in order against one seeded source, drawing fuzz now.
 
-    max_n and trials fall back to each suite's defaults when None.
+    Each builder's specs become CheckInstances, and the builder runs to its
+    end before the next starts.  max_n and trials fall back to each suite's
+    defaults when None.
     """
     src = FuzzSource(seed)
-    instances: list[CheckInstance] = []
+    instances = []
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_ORDER} or 'all'")
         build, default_max_n, default_trials = _SUITES[name]
-        instances += build(src, default_max_n if max_n is None else max_n,
-                           default_trials if trials is None else trials)
+        instances += [CheckInstance(*spec) for spec in build(
+            src, default_max_n if max_n is None else max_n,
+            default_trials if trials is None else trials)]
     return instances
 
 

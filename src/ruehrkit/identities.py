@@ -420,9 +420,9 @@ def corollary1_sides(n: int, variant: Literal["pos", "neg"]) -> SidePair:
     scale = (n + 1) * binomial(3 * n + 1, 2 * n)
     if variant == "pos":
         (integral,) = _kimura_integrals(n, _UNIT_INTERVAL)
-        return compare_sides(Fraction(ruehr_sum_direct(n, 1)), scale * integral)
+        return compare_sides(ruehr_sum_direct(n, 1), scale * integral)
     (integral,) = _kimura_integrals(n, _WIDE_INTERVAL)
-    return compare_sides(Fraction(ruehr_sum_direct(n, 2)), Fraction(scale, 2) * integral)
+    return compare_sides(ruehr_sum_direct(n, 2), Fraction(scale, 2) * integral)
 
 
 def corollary2_sides(n: int, variant: Literal["first", "second"]) -> SidePair:

@@ -187,9 +187,26 @@ def test_records_build_by_keyword_and_instances_compare_by_fields():
     inst = CheckInstance("c", {"n": "1"}, compare_sides, (1, 1))
     assert (inst.check_name, inst.params, inst.checker, inst.args) == (
         "c", {"n": "1"}, compare_sides, (1, 1))
-    original = inst.run
-    inst.run = lambda: original()  # bench/tracer.py wraps run this way
-    assert inst.run() == ("1", "1", True)
+
+
+def test_build_suites_returns_a_list_whose_reassigned_runs_make_the_reports():
+    'bench/ takes the len of build_suites and reassigns each instance.run to trace it'
+    instances = build_suites(harness.SUITE_ORDER, 7, max_n=2, trials=2)
+    assert type(instances) is list
+    assert all(type(inst) is CheckInstance for inst in instances)
+    calls = []
+
+    def counting(run):
+        def counted():
+            calls.append(1)
+            lhs, rhs, equal = run()
+            return "traced " + lhs, rhs, equal
+        return counted
+    for inst in instances:
+        inst.run = counting(inst.run)
+    reports = list(run_instances(instances))
+    assert len(calls) == len(reports) == len(instances) > 0
+    assert all(report.lhs.startswith("traced ") and report.equal for report in reports)
 
 
 def test_cli_start_up_imports_no_dataclasses_inspect_or_csv():
