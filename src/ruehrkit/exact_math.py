@@ -13,16 +13,15 @@ read by its ``.numerator`` and ``.denominator``, which ints and Fractions
 both have, and nothing is converted on the way in.
 
 Rational results of int coefficients are computed over one denominator:
-evaluation and integration of an int polynomial at or over u/v carry
-integer numerators over a power of v and reduce only the final value
-(one gcd per result), never an intermediate step.  Fraction coefficients,
-which no check builds, take the same code in plain Fraction arithmetic.
-Every integral a check takes is x^z (c0 + c1 x)^m over [lo, hi], an
-incomplete beta integral (DLMF 8.17): _unreduced_beta_integral expands,
-integrates and evaluates it in one loop with no list, and hands on its
-integer pair unreduced, so a caller that scales it
-(identities.comtet1_integral) still reduces once.  No check calls
-poly_definite_integral, the integral of any polynomial.
+poly_eval at u/v, and the beta integral over bounds of common
+denominator v, carry integer numerators over a power of v and reduce
+only the final value (one gcd per result), never an intermediate step.
+Fraction coefficients, which no check builds, take the same code in
+plain Fraction arithmetic.  Every integral a check takes is
+x^z (c0 + c1 x)^m over [lo, hi], an incomplete beta integral (DLMF 8.17):
+_unreduced_beta_integral expands, integrates and evaluates it in one loop
+with no list, and hands on its integer pair unreduced, so a caller that
+scales it (identities.comtet1_integral) still reduces once.
 
 Binomials come by four routes: binomial is one math.comb call each;
 binomial_row walks a row up the bottom index from C(n, 0) (linear_power
@@ -209,50 +208,23 @@ def poly_compose(p: Polynomial, q: Polynomial) -> Polynomial:
     return _normalized(out)
 
 
-def _horner(coeffs: Polynomial, u: int, v: int) -> Scalar:
-    """sum coeffs[i] u^i v^(deg-i): v^deg times the value of coeffs at u/v.
-
-    An int for int coefficients, which every check's are.
-    """
-    acc, v_pow = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * u + c * v_pow
-        v_pow *= v
-    return acc
-
-
 def poly_eval(p: Polynomial, x) -> Scalar:
     """Exact Horner evaluation; the zero polynomial evaluates to 0.
 
-    x is an int or a Fraction.  At x = u/v the sum runs over v^deg and is
-    divided by it once.  For int coefficients the sum is an int and one
-    Fraction is made at the end, and an int polynomial at an int point
-    builds none.
+    x is an int or a Fraction.  At x = u/v the Horner sum runs in integers
+    as sum p[i] u^i v^(deg-i), over v^deg, and is divided by it once.  For
+    int coefficients the sum is an int and one Fraction is made at the end,
+    and an int polynomial at an int point builds none.
     """
     if not p:
         return 0
-    total = _horner(p, x.numerator, x.denominator)
-    den = x.denominator ** (len(p) - 1)
+    u, v = x.numerator, x.denominator
+    total, v_pow = 0, 1
+    for c in reversed(p):
+        total = total * u + c * v_pow
+        v_pow *= v
+    den = v ** (len(p) - 1)
     return total if den == 1 else Fraction(total, den)
-
-
-def poly_definite_integral(p: Polynomial, lo, hi) -> Scalar:
-    """Exact definite integral of p over [lo, hi]; reversed bounds flip the sign.
-
-    The antiderivative c_i x^i -> c_i x^(i+1) / (i+1) is taken as the
-    coefficients c_i lcm(1..deg+1) / (i+1), and F(hi) - F(lo) over that
-    times v^(deg+1), v the least common denominator of the bounds.  For int
-    coefficients every step is an int and the value takes one gcd.
-    """
-    if not p:
-        return 0
-    top = len(p)  # degree of the antiderivative
-    scale, factors = _factors(0, top)
-    anti = list(map(operator.mul, p, factors))
-    v = math.lcm(lo.denominator, hi.denominator)
-    total = sum(sign * x.numerator * _horner(anti, x.numerator, x.denominator)
-                * (v // x.denominator) ** top for sign, x in ((1, hi), (-1, lo)))
-    return Fraction(total, scale * v ** top)
 
 
 def _unreduced_beta_integral(c0: int, c1: int, m: int, z: int, lo, hi) -> tuple[int, int]:

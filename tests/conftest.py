@@ -1,8 +1,12 @@
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
 import pytest
+
+from ruehrkit.exact_math import poly_eval
 
 
 def strip_elapsed(json_lines):
@@ -19,6 +23,19 @@ def rational_text(q):
     'num/den of the normalized Fraction, or num alone when the denominator is 1'
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+@functools.lru_cache(maxsize=None)
+def _lcm_upto(top):
+    'lcm(1..top), memoized per degree: the integral sweeps take each degree many times'
+    return math.lcm(*range(1, top + 1))
+
+
+def polynomial_integral(p, lo, hi):
+    'x A(x) / s from lo to hi, A = sum s c_i x^i / (i+1) with s = lcm(1..deg+1): the integral of p'
+    s = _lcm_upto(len(p))
+    anti = [s // (i + 1) * c for i, c in enumerate(p)]
+    return Fraction(hi * poly_eval(anti, hi) - lo * poly_eval(anti, lo), s)
 
 
 def _clear_memos():

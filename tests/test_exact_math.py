@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from conftest import rational_text
+from conftest import polynomial_integral, rational_text
 
 import ruehrkit
 from ruehrkit import beta_dist, cli, collatz_bound, exact_math, harness, identities
@@ -16,7 +16,6 @@ from ruehrkit.exact_math import (
     linear_power,
     poly_add,
     poly_compose,
-    poly_definite_integral,
     poly_eval,
     poly_mul,
     poly_normalize,
@@ -192,12 +191,6 @@ def test_poly_eval_examples():
     assert poly_eval([], 7) == 0
 
 
-def test_definite_integral_examples():
-    assert poly_definite_integral(poly_normalize([0, 0, 1]), 0, 1) == F(1, 3)
-    assert poly_definite_integral(poly_normalize([0, 0, 3, -2]), F(-1, 2), F(3, 2)) == 1
-    assert poly_definite_integral(poly_normalize([1]), 1, 3) == 2
-
-
 def test_poly_add_sub_shift():
     p = poly_normalize([1, 2])
     q = poly_normalize([-1, -2, 5])
@@ -228,8 +221,7 @@ def test_primitives_return_int_or_fraction_never_float(p, q, c, x):
     ]
     for poly in polys:
         _assert_scalar_rule(poly)
-    _assert_scalar_rule([poly_eval(p, x), poly_definite_integral(p, 0, x),
-                         poly_definite_integral(q, x, c)])
+    _assert_scalar_rule([poly_eval(p, x)])
 
 
 def test_rational_arithmetic_exact_under_fuzz():
@@ -349,46 +341,17 @@ def test_poly_eval_matches_fraction_horner(kind):
 
 
 def test_antiderivative_factors_above_the_memo_are_built_without_it():
-    'an antiderivative of degree _FACTOR_MEMO_TOP + 1 is exact and leaves the factor memo alone'
+    'a beta integral of top degree _FACTOR_MEMO_TOP + 1 is exact and leaves the factor memo alone'
     top = exact_math._FACTOR_MEMO_TOP + 1
-    p = [F(i % 7 - 3, i % 5 + 1) for i in range(top)]  # the antiderivative has degree top
-    before = exact_math._antiderivative_factors.cache_info()
-    assert poly_definite_integral(p, F(-1, 2), F(3, 2)) == _naive_integral(p, F(-1, 2), F(3, 2))
     kernel = poly_shift(linear_power(3, -2, 1), top - 2)  # x^(top-2) (3 - 2x), degree top - 1
+    before = exact_math._antiderivative_factors.cache_info()
     pair = exact_math._unreduced_beta_integral(3, -2, 1, top - 2, F(-1, 2), F(3, 2))
-    assert F(*pair) == _naive_integral(kernel, F(-1, 2), F(3, 2))
+    assert F(*pair) == polynomial_integral(kernel, F(-1, 2), F(3, 2))
     assert exact_math._antiderivative_factors.cache_info() == before
 
 
-def _assert_integral_is_naive(cases):
-    for p, lo, hi in cases:
-        assert poly_definite_integral(p, lo, hi) == _naive_integral(p, lo, hi), (p, lo, hi)
-
-
-@pytest.mark.parametrize("kind", sorted(_COEFFICIENTS))
-def test_poly_definite_integral_matches_fraction_horner(kind):
-    'reversed, equal, integer and rational bounds; each reversed pair flips the sign'
-    src = FuzzSource(31)
-    bounds = [(0, 1), (1, 0), (F(-1, 2), F(3, 2)), (F(3, 2), F(-1, 2)), (2, F(1, 3)),
-              (F(1, 3), 2), (-3, -3), (F(2, 3), F(2, 3)), (0, 0), (-2, F(5, 7))]
-    _assert_integral_is_naive(
-        [(p, lo, hi) for p in _kernel_polys(kind, 37)
-         for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]])
-
-
-def test_definite_integral_additive_in_interval():
-    'three rational points a, b, c per polynomial, as the bounds (a, c), (a, b) and (b, c)'
-    src = FuzzSource(13)
-    cases = []
-    for _ in range(40):
-        p = fuzz_poly(src)
-        a, b, c = (fuzz_rational(src, 9, 9) for _ in range(3))
-        cases += [(p, a, c), (p, a, b), (p, b, c)]
-    _assert_integral_is_naive(cases)
-
-
 def test_poly_definite_integral_matches_naive_antiderivative():
-    'leading zeros, constants, rational, reversed and equal bounds, long integrands; and unreduced'
+    'the polynomial_integral reference over leading zeros, rational, reversed and equal bounds'
     src = FuzzSource(53)
     bounds = [(0, 1), (1, 0), (0, F(-5, 3)), (F(-5, 3), 0), (F(-1, 2), F(3, 2)),
               (F(3, 2), F(-1, 2)), (F(2, 7), F(-9, 4)), (-4, 3), (F(3, 5), F(3, 5)), (0, 0),
@@ -398,9 +361,9 @@ def test_poly_definite_integral_matches_naive_antiderivative():
     polys += [poly_shift(linear_power(F(2, 3), -1, 9), 4),
               poly_shift(linear_power(3, -2, 70), 140),  # degree 210: past the factor memo
               [fuzz_rational(src, 9, 9) for _ in range(133)]]
-    _assert_integral_is_naive(
-        [(p, lo, hi) for p in polys
-         for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]])
+    for p in polys:
+        for lo, hi in bounds + [(fuzz_rational(src, 9, 9), fuzz_rational(src, 9, 9))]:
+            assert polynomial_integral(p, lo, hi) == _naive_integral(p, lo, hi), (p, lo, hi)
 
 
 def test_unreduced_beta_integral_matches_the_polynomial_route():
@@ -416,18 +379,7 @@ def test_unreduced_beta_integral_matches_the_polynomial_route():
                     for lo, hi in bounds:
                         total, den = exact_math._unreduced_beta_integral(c0, c1, m, z, lo, hi)
                         assert type(total) is int and type(den) is int and den > 0
-                        assert F(total, den) == poly_definite_integral(p, lo, hi), (c0, c1, m, z)
-
-
-def test_poly_definite_integral_builds_one_fraction_per_call(fraction_constructions):
-    'with int coefficients the antiderivative runs in integers and is reduced once'
-    cases = [([0, 0, 3, -2], F(-1, 2), F(3, 2)),
-             (poly_shift(linear_power(3, -2, 70), 140), F(1, 3), 1)]
-    for case in cases:
-        value = _naive_integral(*case)
-        fraction_constructions.clear()
-        assert poly_definite_integral(*case) == value
-        assert len(fraction_constructions) == 1, fraction_constructions
+                        assert F(total, den) == polynomial_integral(p, lo, hi), (c0, c1, m, z)
 
 
 def test_walked_sum_is_a_horner_sum_over_the_walk():
@@ -485,9 +437,6 @@ def test_every_public_function_and_class_is_used_by_the_package_or_the_benchmark
               and value.__module__ == module.__name__ and not name.startswith("_")]
     assert {"ruehrkit.exact_math.poly_add", "ruehrkit.collatz_bound.GenCollatzConfig",
             "ruehrkit.cli.cmd_orbit"} <= set(public)
-    # the general integral of a polynomial stays public for library callers; every
-    # check integrates x^z (c0 + c1 x)^m by the private _unreduced_beta_integral
-    library_only = ["ruehrkit.exact_math.poly_definite_integral"]
-    assert [name for name in public if name.rpartition(".")[2] not in used] == library_only
+    assert [name for name in public if name.rpartition(".")[2] not in used] == []
     assert [name for name, value in vars(ruehrkit).items()
             if not name.startswith("_") and not inspect.ismodule(value)] == []

@@ -389,9 +389,9 @@ _INTEGRAL_CHECKS = ("beta_complement", "beta_cross", "binom_tail", "comtet1", "c
 # Each fault is one text edit of a package function, (module, function, old text, new text),
 # and the checks that see it split: exactly these report lhs != rhs under the row's argv.
 _OFF_BY_ONE_FAULTS = {
-    # the integer Horner kernel skips the leading coefficient; poly_eval takes the chain's
-    # polynomial values through it, and no integral does
-    "horner_kernel": (exact_math, "_horner", "reversed(coeffs)", "reversed(coeffs[:-1])",
+    # poly_eval's integer Horner sum skips the leading coefficient; the chain's polynomial
+    # values go through it, and no integral does
+    "horner_kernel": (exact_math, "poly_eval", "reversed(p)", "reversed(p[:-1])",
                       _VERIFY_ALL, ("ruehr_chain", "ruehr_specialization")),
     # the antiderivative divides the coefficient of x^j by j + 2 instead of j + 1: every
     # equality with an integral side, since the comtet1, kimura and beta integrals all go

@@ -6,13 +6,13 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from conftest import polynomial_integral
 
 from ruehrkit import harness, identities
 from ruehrkit.exact_math import (
     binomial,
     linear_power,
     poly_add,
-    poly_definite_integral,
     poly_eval,
     poly_mul,
     poly_normalize,
@@ -158,14 +158,14 @@ def test_comtet1_lhs_walk_matches_naive_fraction_sum():
 
 
 def test_comtet1_lhs_uses_neither_the_row_nor_the_horner_kernel(monkeypatch):
-    'the sum side walks the other way from binomial_row and shares no kernel with the integral'
+    'the sum side walks away from binomial_row and reaches neither the beta integral nor poly_eval'
     import ruehrkit.exact_math as em
 
     def forbidden(*args):
         raise AssertionError("the comtet1 lhs reached the integral side's kernels")
-    monkeypatch.setattr(em, "_horner", forbidden)
-    monkeypatch.setattr(em, "binomial_row", forbidden)
-    monkeypatch.setattr(identities, "binomial_row", forbidden)
+    for name in ("_unreduced_beta_integral", "poly_eval", "binomial_row"):
+        for module in (em, identities):
+            monkeypatch.setattr(module, name, forbidden)
     assert identities._comtet1_lhs(30, 17, F(2, 3), F(-5, 7)) == _naive_partial_sum(
         30, 17, F(2, 3), F(-5, 7))
 
@@ -557,5 +557,5 @@ def test_kimura_kernel_closed_form_matches_poly_pow():
         power = poly_pow(kernel, n)
         assert poly_shift(linear_power(3, -2, n), 2 * n) == power
         pair = kimura_ruehr_moments(n)
-        assert pair.lhs == poly_definite_integral(power, F(-1, 2), F(3, 2))
-        assert pair.rhs == 2 * poly_definite_integral(power, 0, 1)
+        assert pair.lhs == polynomial_integral(power, F(-1, 2), F(3, 2))
+        assert pair.rhs == 2 * polynomial_integral(power, 0, 1)
